@@ -69,9 +69,11 @@ journal-check:
 # batch worker evaluates documents concurrently), so it rides too, as
 # does the forced-execution deep lane (pipeline deep-scan tests run
 # evasive corpora at batch width > 1, and the js package exercises the
-# explorer directly).
+# explorer directly). Reader sessions call the detector in-process, so
+# concurrent reader goroutines take the detector's lock directly: the
+# reader and soapsrv packages ride along for the delivery paths.
 race:
-	$(GO) test -race ./internal/pipeline/... ./internal/detect/... ./internal/cache/... ./internal/obs/... ./internal/journal/... ./internal/js/... ./internal/serve/... ./internal/hook/... ./internal/triage/...
+	$(GO) test -race ./internal/pipeline/... ./internal/detect/... ./internal/cache/... ./internal/obs/... ./internal/journal/... ./internal/js/... ./internal/serve/... ./internal/hook/... ./internal/triage/... ./internal/reader/... ./internal/soapsrv/...
 
 # Batch-engine benchmarks: docs/sec at 1/4/8 workers plus the pooled
 # parse/serialize round trip.
@@ -99,9 +101,11 @@ bench-compare:
 # parsing, the stream filter codecs, the Javascript interpreter (single
 # run and forced-execution exploration — arbitrary scripts must never
 # panic, hang, or leak forcing state out of the explorer), the SOAP
-# envelope codec, and the static triage tier (census + abstract
-# interpretation over arbitrary bytes — it must stay fail-safe, never
-# panic, and never route unparseable input confident-benign). New
+# envelope codec, the in-process context and hook delivery paths (each
+# must accept, reject and normalise exactly what its wire path does), and
+# the static triage tier (census + abstract interpretation over arbitrary
+# bytes — it must stay fail-safe, never panic, and never route unparseable
+# input confident-benign). New
 # crashers land in testdata/fuzz/ — commit them.
 fuzz:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/pdf/
@@ -109,4 +113,6 @@ fuzz:
 	$(GO) test -fuzz '^FuzzJSInterp$$' -fuzztime $(FUZZTIME) ./internal/js/
 	$(GO) test -fuzz '^FuzzForcedExec$$' -fuzztime $(FUZZTIME) ./internal/js/
 	$(GO) test -fuzz '^FuzzEnvelope$$' -fuzztime $(FUZZTIME) ./internal/soapsrv/
+	$(GO) test -fuzz '^FuzzDirectVsWire$$' -fuzztime $(FUZZTIME) ./internal/soapsrv/
+	$(GO) test -fuzz '^FuzzDirectVsWire$$' -fuzztime $(FUZZTIME) ./internal/hook/
 	$(GO) test -fuzz '^FuzzTriage$$' -fuzztime $(FUZZTIME) ./internal/triage/

@@ -168,7 +168,10 @@ func New(cfg Config) (*Detector, error) {
 	return d, nil
 }
 
-// Start launches the SOAP and hook servers.
+// Start launches the SOAP and hook wire servers, for a detector that
+// serves reader processes outside its own (pdfshield-detect). Readers in
+// the detector's process call Notify and Event directly and need no
+// server.
 func (d *Detector) Start() error {
 	if err := d.soap.Start(); err != nil {
 		return err
@@ -180,7 +183,7 @@ func (d *Detector) Start() error {
 	return nil
 }
 
-// Close shuts both servers down.
+// Close shuts the wire servers down; it is a no-op when Start never ran.
 func (d *Detector) Close() error {
 	err1 := d.soap.Close()
 	err2 := d.hooks.Close()
@@ -190,10 +193,18 @@ func (d *Detector) Close() error {
 	return err2
 }
 
-// SOAPURL returns the context-notification endpoint.
-func (d *Detector) SOAPURL() string { return d.soap.URL() }
+// SOAPURL returns the context-notification endpoint that monitoring code
+// embeds: the SOAP server's URL once Start has run, else
+// instrument.DefaultEndpoint, whose requests an in-process reader hands to
+// Notify.
+func (d *Detector) SOAPURL() string {
+	if d.soap.Addr() == "" {
+		return instrument.DefaultEndpoint
+	}
+	return d.soap.URL()
+}
 
-// HookAddr returns the hook TCP endpoint.
+// HookAddr returns the hook TCP endpoint ("" until Start).
 func (d *Detector) HookAddr() string { return d.hooks.Addr() }
 
 // Sandbox exposes the confinement sandbox (tests and examples).
@@ -233,14 +244,15 @@ func (d *Detector) IsMalicious(docID string) bool {
 }
 
 // Notify feeds one context notification directly into the detector,
-// bypassing the SOAP transport. The live SOAP server delivers to this
-// same method; journal.Replay uses it to re-feed a recorded stream.
+// bypassing the SOAP transport. In-process readers (soapsrv.Direct), the
+// SOAP server and journal.Replay all deliver to this same method.
 func (d *Detector) Notify(n soapsrv.Notify, remote string) error {
 	return d.handleNotify(n, remote)
 }
 
 // Event feeds one hooked API call directly into the detector, bypassing
-// the TCP transport (the hook server's live path, and journal.Replay's).
+// the TCP transport. In-process readers (hook.DirectSink), the hook server
+// and journal.Replay all deliver to this same method.
 func (d *Detector) Event(ev hook.Event) hook.Decision {
 	return d.handleEvent(ev)
 }
@@ -476,7 +488,7 @@ func (d *Detector) isOwnEndpoint(hostport string) bool {
 	if hostport == "" {
 		return false
 	}
-	return hostport == d.soap.Addr() || hostport == d.hooks.Addr()
+	return hostport == instrument.DefaultEndpointAddr || hostport == d.soap.Addr() || hostport == d.hooks.Addr()
 }
 
 func (d *Detector) onNetworkLocked(ev hook.Event, active *DocState) hook.Decision {

@@ -10,8 +10,8 @@ import (
 )
 
 // Sink receives captured API calls and returns confinement decisions. The
-// reader process talks to a Sink; TCPClient is the production
-// implementation, and tests may use in-process fakes.
+// reader process talks to a Sink: DirectSink when the detector shares its
+// process, TCPClient when it does not, and fakes in tests.
 type Sink interface {
 	// OnAPICall reports one call synchronously.
 	OnAPICall(ev Event) (Decision, error)
@@ -74,7 +74,9 @@ func (c *TCPClient) deadline() time.Time {
 	return time.Now().Add(d)
 }
 
-// OnAPICall implements Sink.
+// OnAPICall implements Sink. A failed exchange closes the connection: a
+// decision that arrives after the deadline would otherwise be read as the
+// answer to the next event, so every later call fails instead.
 func (c *TCPClient) OnAPICall(ev Event) (Decision, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -85,9 +87,19 @@ func (c *TCPClient) OnAPICall(ev Event) (Decision, error) {
 	ev.Seq = c.seq
 	line, err := json.Marshal(ev)
 	if err != nil {
+		// Nothing was written; the channel is still in step.
 		return Decision{}, fmt.Errorf("hook marshal: %w", err)
 	}
-	line = append(line, '\n')
+	dec, err := c.exchange(append(line, '\n'))
+	if err != nil {
+		_ = c.conn.Close()
+		c.conn = nil
+	}
+	return dec, err
+}
+
+// exchange writes one event line and reads its decision.
+func (c *TCPClient) exchange(line []byte) (Decision, error) {
 	if err := c.conn.SetWriteDeadline(c.deadline()); err != nil {
 		return Decision{}, fmt.Errorf("hook send: %w", err)
 	}

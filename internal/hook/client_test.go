@@ -1,6 +1,7 @@
 package hook
 
 import (
+	"bufio"
 	"net"
 	"strings"
 	"testing"
@@ -85,5 +86,58 @@ func TestDefaultTimeoutApplied(t *testing.T) {
 	c.IOTimeout = -1
 	if got := c.timeout(); got != 0 {
 		t.Fatalf("negative IOTimeout = %v, want disabled (0)", got)
+	}
+}
+
+// TestLateDecisionNotReadAsNextAnswer: a detector that answers an event
+// only after the client's deadline must not have that stale decision read
+// as the answer to the next event. The failed exchange closes the
+// connection, so the next call fails instead of being confined wrongly.
+func TestLateDecisionNotReadAsNextAnswer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	const timeout = 100 * time.Millisecond
+	answered := make(chan struct{})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		rd := bufio.NewReader(conn)
+		if _, err := rd.ReadBytes('\n'); err != nil {
+			return
+		}
+		time.Sleep(3 * timeout)
+		_, _ = conn.Write([]byte(`{"action":"reject","note":"stale answer to event 1"}` + "\n"))
+		close(answered)
+		for {
+			if _, err := rd.ReadBytes('\n'); err != nil {
+				return
+			}
+			_, _ = conn.Write([]byte(`{"action":"allow"}` + "\n"))
+		}
+	}()
+
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	c.IOTimeout = timeout
+
+	if _, err := c.OnAPICall(Event{API: "connect"}); err == nil {
+		t.Fatal("first call returned without error against a late detector")
+	}
+	<-answered
+	dec, err := c.OnAPICall(Event{API: "NtCreateFile"})
+	if dec.Action == ActionReject {
+		t.Fatalf("second call received the stale decision %+v", dec)
+	}
+	if err == nil || !strings.Contains(err.Error(), "connection closed") {
+		t.Fatalf("second call: err = %v, want connection closed", err)
 	}
 }

@@ -1,8 +1,10 @@
 // Package hook implements the API-interception layer between the simulated
 // PDF reader process and the runtime detector: the stand-in for the paper's
 // IAT-hook DLL. Captured API calls (name, arguments, current memory usage)
-// stream to the detector over a TCP socket, and the detector's confinement
-// decision comes back synchronously — exactly the channel §III-E describes.
+// go to the detector, and its confinement decision comes back
+// synchronously — the channel §III-E describes. A reader in the detector's
+// process calls it directly (DirectSink); one outside it streams JSON lines
+// over a TCP socket (TCPClient to Server).
 package hook
 
 import "fmt"
@@ -76,7 +78,7 @@ type Event struct {
 	// MemMB is the process's PROCESS_MEMORY_COUNTERS_EX PrivateUsage at
 	// call time, in MB.
 	MemMB float64 `json:"mem_mb"`
-	// Seq is a per-connection monotonic sequence number.
+	// Seq is a per-sink monotonic sequence number.
 	Seq int64 `json:"seq"`
 }
 

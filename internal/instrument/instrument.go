@@ -14,10 +14,14 @@ import (
 	"pdfshield/internal/pdf"
 )
 
+// DefaultEndpointAddr is the host:port of DefaultEndpoint.
+const DefaultEndpointAddr = "127.0.0.1:8217"
+
 // DefaultEndpoint is the SOAP URL compiled into monitoring code when the
-// caller does not override it; the reader's SOAP bridge routes requests for
-// it to the live detector.
-const DefaultEndpoint = "http://127.0.0.1:8217/ctx"
+// caller does not override it, and the endpoint of a detector that runs in
+// the reader's process; the reader's SOAP bridge routes requests for it to
+// the live detector.
+const DefaultEndpoint = "http://" + DefaultEndpointAddr + "/ctx"
 
 // Options configures an Instrumenter.
 type Options struct {

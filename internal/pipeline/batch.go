@@ -25,8 +25,8 @@ type BatchDoc struct {
 // BatchOptions tunes a ProcessBatch run.
 type BatchOptions struct {
 	// Workers is the number of concurrent reader sessions. Each worker
-	// owns one long-lived session (reader process + hook connection) that
-	// is recycled between documents instead of redialled. Zero or negative
+	// owns one long-lived session (reader process + hook sink) that is
+	// recycled between documents instead of recreated. Zero or negative
 	// means runtime.NumCPU().
 	Workers int
 	// Depth overrides the system-wide scan depth for this batch (empty =

@@ -1,8 +1,8 @@
 // Package pipeline wires the full system together: the front-end
-// instrumenter, the runtime detector (SOAP + hook servers), and simulated
-// reader processes with the hook DLL dialled into the detector. It is the
-// engine behind the public API, the example programs and the evaluation
-// harness.
+// instrumenter, the runtime detector, and simulated reader processes whose
+// context messages and hooked API calls reach the detector by direct
+// in-process calls. It is the engine behind the public API, the example
+// programs and the evaluation harness.
 package pipeline
 
 import (
@@ -21,6 +21,7 @@ import (
 	"pdfshield/internal/js"
 	"pdfshield/internal/obs"
 	"pdfshield/internal/reader"
+	"pdfshield/internal/soapsrv"
 	"pdfshield/internal/triage"
 	"pdfshield/internal/winos"
 )
@@ -137,7 +138,8 @@ type keyLock struct {
 	retire bool
 }
 
-// NewSystem builds and starts the stack.
+// NewSystem builds the stack. It opens no listener: sessions deliver to the
+// detector in-process.
 func NewSystem(opts Options) (*System, error) {
 	if opts.ViewerVersion == 0 {
 		opts.ViewerVersion = 9.0
@@ -170,9 +172,6 @@ func NewSystem(opts Options) (*System, error) {
 		Journal:       opts.Journal,
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := det.Start(); err != nil {
 		return nil, err
 	}
 	jsUnits := opts.JSUnits
@@ -345,7 +344,7 @@ func (s *System) markRetire(kl *keyLock) {
 	s.klMu.Unlock()
 }
 
-// Close stops the detector servers and the diagnostics watchdog.
+// Close stops the diagnostics watchdog and any detector wire servers.
 func (s *System) Close() error {
 	s.diag.Close()
 	return s.Detector.Close()
@@ -354,22 +353,20 @@ func (s *System) Close() error {
 // Session is one reader process wired to the detector.
 type Session struct {
 	Proc *reader.Process
-	sink *hook.TCPClient
+	sink hook.Sink
 	obs  *obs.Registry
 }
 
-// NewSession starts a reader process whose hook DLL is connected to the
-// detector.
+// NewSession starts a reader process whose hook DLL and context monitoring
+// code call the detector directly. It does not fail; the error result is
+// kept for API stability.
 func (s *System) NewSession() (*Session, error) {
-	sink, err := hook.Dial(s.Detector.HookAddr())
-	if err != nil {
-		return nil, fmt.Errorf("session: %w", err)
-	}
+	sink := hook.NewDirectSink(s.Detector.Event)
 	proc := reader.NewProcess(reader.Config{
 		ViewerVersion: s.opts.ViewerVersion,
 		Sink:          sink,
 		OS:            s.OS,
-		DetectorSOAP:  s.Detector.SOAPURL(),
+		Notifier:      soapsrv.NewDirect(s.Detector.Notify),
 		Units:         s.jsUnits,
 		TreeWalkJS:    s.opts.TreeWalkJS,
 	})
@@ -387,7 +384,7 @@ func (sess *Session) OpenRaw(docID string, raw []byte, opts reader.OpenOptions) 
 	return sess.Proc.Open(docID, raw, opts)
 }
 
-// Close terminates the reader process and hook connection.
+// Close terminates the reader process and its hook sink.
 func (sess *Session) Close() {
 	sess.Proc.Close()
 	_ = sess.sink.Close()
@@ -398,8 +395,8 @@ func (sess *Session) Close() {
 }
 
 // Recycle prepares the session for its next document: the reader process is
-// restarted (discarding all per-process state) while the hook connection
-// stays dialled into the detector. Batch workers use this to amortize the
+// restarted (discarding all per-process state) while the hook sink, and
+// its event numbering, carries over. Batch workers use this to amortize the
 // session setup cost across many documents without letting one document's
 // reader state leak into the next.
 func (sess *Session) Recycle() {

@@ -20,7 +20,7 @@ type Worker struct {
 	depth Depth
 }
 
-// NewWorker creates an idle worker lane. The session is dialled lazily on
+// NewWorker creates an idle worker lane. The session is created lazily on
 // the first Process call.
 func (s *System) NewWorker() *Worker {
 	return &Worker{sys: s}
@@ -45,7 +45,7 @@ func (w *Worker) Process(ctx context.Context, doc BatchDoc) (*Verdict, error) {
 // locking applies.
 func (w *Worker) SetDepth(d Depth) { w.depth = d }
 
-// Close releases the worker's reader session, if one was ever dialled.
+// Close releases the worker's reader session, if one was ever created.
 func (w *Worker) Close() {
 	if w.sess != nil {
 		w.sess.Close()

@@ -424,7 +424,7 @@ func (p *Process) buildSOAP(od *OpenDoc) *js.Object {
 		}
 		curlV, _ := req.GetOwn("cURL")
 		curl := curlV.Str()
-		if strings.HasSuffix(strings.Split(curl, "?")[0], "/ctx") && p.cfg.DetectorSOAP != "" {
+		if strings.HasSuffix(strings.Split(curl, "?")[0], "/ctx") && p.detector != nil {
 			return p.soapToDetector(it, req)
 		}
 		// Ordinary web-service SOAP: a network access in JS context.
@@ -461,8 +461,7 @@ func (p *Process) soapToDetector(it *js.Interp, req *js.Object) (js.Value, error
 	ev, _ := oreq.GetOwn("Event")
 	key, _ := oreq.GetOwn("Key")
 	seq, _ := oreq.GetOwn("Seq")
-	client := soapsrv.NewClient(p.cfg.DetectorSOAP)
-	status, err := client.Send(soapsrv.Notify{Event: ev.Str(), Key: key.Str(), Seq: int(seq.ToNumber()), PID: p.PID})
+	status, err := p.detector.Send(soapsrv.Notify{Event: ev.Str(), Key: key.Str(), Seq: int(seq.ToNumber()), PID: p.PID})
 	if err != nil {
 		// Faults (e.g. fake-message rejection) surface as catchable JS
 		// errors; the zero-tolerance consequence already fired inside the

@@ -8,6 +8,7 @@ import (
 	"pdfshield/internal/hook"
 	"pdfshield/internal/js"
 	"pdfshield/internal/pdf"
+	"pdfshield/internal/soapsrv"
 	"pdfshield/internal/winos"
 )
 
@@ -20,9 +21,12 @@ type Config struct {
 	Sink hook.Sink
 	// OS is the shared fake OS (default: fresh).
 	OS *winos.OS
-	// DetectorSOAP is the live detector's SOAP endpoint; SOAP.request
-	// calls whose cURL path ends in /ctx are routed there. Empty means no
-	// detector is installed.
+	// Notifier delivers the context notifications of SOAP.request calls
+	// whose cURL path ends in /ctx: the detector's in-process entry point
+	// (soapsrv.NewDirect) when reader and detector share a process.
+	Notifier soapsrv.Notifier
+	// DetectorSOAP is a standalone detector's SOAP endpoint, used when
+	// Notifier is nil. Empty on both means no detector is installed.
 	DetectorSOAP string
 	// StepLimit and MaxHeap bound each document's scripts (0 = js
 	// defaults).
@@ -64,6 +68,8 @@ type Process struct {
 	cfg  Config
 	os   *winos.OS
 	sink hook.Sink
+	// detector receives context notifications (nil = no detector).
+	detector soapsrv.Notifier
 
 	// PID is the process id in the fake OS.
 	PID int
@@ -170,7 +176,10 @@ func NewProcess(cfg Config) *Process {
 	if cfg.OS == nil {
 		cfg.OS = winos.NewOS()
 	}
-	p := &Process{cfg: cfg, os: cfg.OS, sink: cfg.Sink}
+	p := &Process{cfg: cfg, os: cfg.OS, sink: cfg.Sink, detector: cfg.Notifier}
+	if p.detector == nil && cfg.DetectorSOAP != "" {
+		p.detector = soapsrv.NewClient(cfg.DetectorSOAP)
+	}
 	p.PID = p.os.Spawn(readerExeName, 0, false)
 	return p
 }
@@ -195,7 +204,7 @@ func (p *Process) Close() {
 // terminated in the fake OS and a fresh one spawned, discarding all
 // per-process state (open documents, script heap, crash flag). Callers that
 // process documents in bulk use this to keep the surrounding session — in
-// particular the hook connection to the detector — alive, while each
+// particular the hook sink to the detector — alive, while each
 // document still observes the behaviour of a freshly started reader.
 func (p *Process) Reset() {
 	p.os.Terminate(p.PID)

@@ -2,7 +2,9 @@
 // into its runtime detector ("a tiny SOAP server is built into the detector
 // enabling the communication with the context monitoring code
 // synchronously"), plus the matching client invoked by the SOAP.request
-// Javascript API inside documents.
+// Javascript API inside documents. A reader that shares the detector's
+// process delivers the same notifications through Direct instead, with
+// the same acceptance rules and fault text.
 //
 // Only the one operation the system needs is exposed: a context
 // notification carrying an event ("enter" or "exit"), the protection key

@@ -258,7 +258,7 @@ func (s *System) CacheStats() (stats CacheStats, ok bool) {
 }
 
 // System is a running protection stack: front-end instrumenter plus the
-// runtime detector with its SOAP and hook servers.
+// runtime detector, which reader sessions call in-process.
 type System struct {
 	inner *pipeline.System
 }
@@ -292,7 +292,7 @@ func New(opts Options) (*System, error) {
 	return &System{inner: inner}, nil
 }
 
-// Close stops the detector servers.
+// Close stops the system's background diagnostics.
 func (s *System) Close() error { return s.inner.Close() }
 
 // StaticFeatures are the five novel static features of §III-B.
