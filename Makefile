@@ -10,7 +10,7 @@ LDFLAGS := -ldflags "-X pdfshield/internal/obs.Version=$(VERSION)"
 # internal/*/testdata/fuzz/ replay on every plain `make test` regardless.
 FUZZTIME ?= 30s
 
-.PHONY: build vet test race bench bench-json bench-compare fuzz journal-check serve-smoke lint-deprecated lint-metrics
+.PHONY: build vet test race bench bench-json bench-compare fuzz journal-check serve-smoke lint-metrics
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -18,7 +18,7 @@ build:
 vet:
 	$(GO) vet ./...
 
-test: vet lint-deprecated lint-metrics journal-check serve-smoke
+test: vet lint-metrics journal-check serve-smoke
 	$(GO) test ./...
 
 # Metric vocabulary drift gate: every Metric* constant in internal/obs
@@ -26,20 +26,6 @@ test: vet lint-deprecated lint-metrics journal-check serve-smoke
 # must have a constant. Keeps dashboards and the code from diverging.
 lint-metrics:
 	$(GO) test -run TestMetricNameDrift -count=1 .
-
-# Fails on any non-test usage of the deprecated scan surface:
-# ProcessDocument/ProcessBatch (use the Context variants) and
-# QuarantinedCount (use Stats). The defining files and the tests that pin
-# the aliases' behavior are exempt; everything else must be migrated.
-lint-deprecated:
-	@matches=$$(grep -rnE '\.(ProcessDocument|ProcessBatch|QuarantinedCount)\(' \
-		--include='*.go' --exclude='*_test.go' . \
-		| grep -vE '^\./(pdfshield\.go|internal/pipeline/(pipeline|batch)\.go):' || true); \
-	if [ -n "$$matches" ]; then \
-		echo "deprecated API usage (migrate to ProcessDocumentContext/ProcessBatchContext/Stats):"; \
-		echo "$$matches"; exit 1; \
-	fi; \
-	echo "lint-deprecated: clean"
 
 # End-to-end daemon smoke: build the pdfshield-serve binary, start it on
 # an ephemeral port, POST a corpus document, assert the verdict JSON, then

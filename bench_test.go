@@ -151,10 +151,7 @@ func BenchmarkRuntimeOverhead_PerScript(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sess, err := sys.NewSession()
-			if err != nil {
-				b.Fatal(err)
-			}
+			sess := sys.NewSession()
 			if _, err := sess.OpenRaw("inst", res.Output, reader.OpenOptions{}); err != nil {
 				b.Fatal(err)
 			}
@@ -215,7 +212,7 @@ func BenchmarkProcessBatch(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				res := sys.ProcessBatch(docs, pipeline.BatchOptions{Workers: workers})
+				res := sys.ProcessBatchContext(b.Context(), docs, pipeline.BatchOptions{Workers: workers})
 				if n := res.Failed(); n != 0 {
 					for j, err := range res.Errors {
 						if err != nil {

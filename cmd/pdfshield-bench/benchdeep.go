@@ -52,7 +52,10 @@ type benchDeepScan struct {
 }
 
 // deepBenchCorpus builds the evasive corpus: every gated family at
-// several seeds.
+// several seeds. Each seed replica starts a fresh generator, which numbers
+// its samples from 1 again, so the replica index is suffixed to keep doc
+// IDs unique (exemplars, ?doc= filters and journal correlation key on
+// them).
 func deepBenchCorpus(seed int64) []corpus.Sample {
 	var out []corpus.Sample
 	for i, kind := range corpus.EvasiveKinds() {
@@ -61,6 +64,7 @@ func deepBenchCorpus(seed int64) []corpus.Sample {
 			if !ok {
 				panic("bench: unknown evasive kind " + kind)
 			}
+			s.ID = fmt.Sprintf("%s-r%d", s.ID, r)
 			out = append(out, s)
 		}
 	}

@@ -175,7 +175,7 @@ const benchReps = 7
 
 // runUncached processes the corpus with the registry's duplicate rule
 // intact: one fresh system per round (a system cannot re-instrument the
-// same bytes), timing only the ProcessBatch calls. The corpus is run
+// same bytes), timing only the ProcessBatchContext calls. The corpus is run
 // benchReps times and the fastest rep kept. Returns the pass plus the
 // per-phase latency sums of the first rep (one pass over the corpus),
 // read from the obs registry's phase histograms.

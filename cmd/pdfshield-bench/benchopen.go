@@ -111,10 +111,7 @@ func runOpenPass(docs []*instrument.Result, units *js.UnitCache, seed int64, rep
 		return pass, err
 	}
 	defer func() { _ = sys.Close() }()
-	sess, err := sys.NewSession()
-	if err != nil {
-		return pass, err
-	}
+	sess := sys.NewSession()
 	defer sess.Close()
 
 	durs := make([]time.Duration, 0, reps*len(docs))

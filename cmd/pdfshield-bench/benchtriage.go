@@ -2,8 +2,9 @@ package main
 
 // Triage section of the -json benchmark (schema pdfshield-bench/4): the
 // same mixed, majority-confident-benign corpus is run end to end through
-// the full pipeline twice — triage off (every document opens in a reader)
-// and triage on (confident documents route around the sandbox) — and the
+// the full pipeline twice — triage off at DepthStandard (every document
+// opens in a reader) and triage on at DepthAuto (confident documents route
+// around the sandbox, uncertain ones escalate to a deep scan) — and the
 // routing split, per-route latency and throughput ratio are recorded.
 // The pass double-checks the tier's safety contract while measuring it:
 // no malicious-labelled document may route confident-benign, and no
@@ -29,8 +30,8 @@ type benchTriage struct {
 	Docs          int `json:"docs"`
 	BenignJS      int `json:"benign_js"`
 	MaliciousDocs int `json:"malicious_docs"`
-	// Off and On are the end-to-end serial passes without and with the
-	// static triage tier (fastest of benchTriageReps).
+	// Off and On are the end-to-end serial passes at DepthStandard and
+	// DepthAuto (fastest of benchTriageReps).
 	Off benchTriagePass `json:"off"`
 	On  benchTriagePass `json:"on"`
 	// Routes is the triage-on pass's routing split with per-route p50
@@ -90,14 +91,14 @@ func benchTriageCorpus(seed int64) ([]pipeline.BatchDoc, map[string]bool, int) {
 	return docs, malicious, benignJS
 }
 
-// runTriagePass processes the corpus serially end to end (each document
-// pays its full pipeline cost, including the reader session unless triage
-// routes around it) and returns the pass summary plus per-document
-// outcomes.
-func runTriagePass(docs []pipeline.BatchDoc, seed int64, cfg *triage.Config) (benchTriagePass, map[string]triageDocOutcome, error) {
+// runTriagePass processes the corpus serially end to end at the given
+// depth (each document pays its full pipeline cost, including the reader
+// session unless triage routes around it) and returns the pass summary
+// plus per-document outcomes.
+func runTriagePass(docs []pipeline.BatchDoc, seed int64, depth pipeline.Depth) (benchTriagePass, map[string]triageDocOutcome, error) {
 	var pass benchTriagePass
 	sys, err := pipeline.NewSystem(pipeline.Options{
-		ViewerVersion: 9.0, Seed: seed, Obs: obs.NewRegistry(), Triage: cfg,
+		ViewerVersion: 9.0, Seed: seed, Obs: obs.NewRegistry(), Depth: depth,
 	})
 	if err != nil {
 		return pass, nil, err
@@ -134,11 +135,11 @@ func runTriageBench(seed int64) (*benchTriage, error) {
 
 	var offOutcomes, onOutcomes map[string]triageDocOutcome
 	for rep := 0; rep < benchTriageReps; rep++ {
-		off, offOut, err := runTriagePass(docs, seed, nil)
+		off, offOut, err := runTriagePass(docs, seed, pipeline.DepthStandard)
 		if err != nil {
 			return nil, fmt.Errorf("triage-off pass: %w", err)
 		}
-		on, onOut, err := runTriagePass(docs, seed, &triage.Config{})
+		on, onOut, err := runTriagePass(docs, seed, pipeline.DepthAuto)
 		if err != nil {
 			return nil, fmt.Errorf("triage-on pass: %w", err)
 		}

@@ -16,9 +16,8 @@
 //	pdfshield-bench -compare OLD.json NEW.json
 //
 // -metrics-addr serves live counters and phase-latency histograms in
-// Prometheus text format on /metrics (expvar JSON on /debug/vars) while
-// the run is in flight — point a scrape or curl at it to watch a long
-// corpus pass progress.
+// Prometheus text format on /metrics while the run is in flight — point a
+// scrape or curl at it to watch a long corpus pass progress.
 //
 // -workers widens the batch engine's worker pool for the corpus passes that
 // run documents through the full pipeline (Table VIII, Table IX's mimicry
@@ -82,7 +81,7 @@ func run() error {
 	cacheTTL := flag.Duration("cache-ttl", 0, "front-end cache TTL for the -json cached pass (0 = never expires)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics on this address (/metrics, plus expvar on /debug/vars); empty = off")
+	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics on this address (/metrics); empty = off")
 	pprofOn := flag.Bool("pprof", false, "also mount net/http/pprof at /debug/pprof on -metrics-addr (opt-in)")
 	compare := flag.Bool("compare", false, "compare two BENCH_*.json records (positional args: OLD NEW); non-zero exit on >10% open-p50 regression")
 	logOpts := cli.RegisterLogFlags(flag.CommandLine)

@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	pdfshield-scan [-analyze] [-depth static|standard|deep|auto] [-triage]
+//	pdfshield-scan [-analyze] [-depth static|standard|deep|auto]
 //	               [-out instrumented.pdf] [-spec spec.json]
 //	               [-registry registry.json] [-endpoint url]
 //	               [-workers N] [-cache] [-cache-entries N]
@@ -21,8 +21,7 @@
 //	               input.pdf [input2.pdf ...]
 //
 // -metrics-addr serves live counters and phase-latency histograms in
-// Prometheus text format on /metrics (expvar JSON on /debug/vars) for the
-// duration of the scan.
+// Prometheus text format on /metrics for the duration of the scan.
 //
 // -journal records a doc-open event per input into a JSONL forensic
 // journal — the front-end half of the record pdfshield-detect -journal
@@ -68,10 +67,9 @@ func run() error {
 	cacheEntries := flag.Int("cache-entries", 0, "cache entry cap (0 = default, negative = unlimited)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "cache byte cap (0 = default, negative = unlimited)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "cache entry time-to-live (0 = never expires)")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics on this address (/metrics, plus expvar on /debug/vars); empty = off")
+	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics on this address (/metrics); empty = off")
 	pprofOn := flag.Bool("pprof", false, "also mount net/http/pprof at /debug/pprof on -metrics-addr (opt-in)")
 	depthFlag := flag.String("depth", "", "scan depth: static|standard|deep|auto (same vocabulary as the pipeline commands; static and auto include the triage report)")
-	useTriage := flag.Bool("triage", false, "deprecated: use -depth static|auto; report the static triage route per input")
 	logOpts := cli.RegisterLogFlags(flag.CommandLine)
 	jOpts := cli.RegisterJournalFlags(flag.CommandLine, "pdfshield-scan")
 	flag.Parse()
@@ -89,7 +87,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	triageReport := *useTriage || depth == pipeline.DepthStatic || depth == pipeline.DepthAuto
+	triageReport := depth == pipeline.DepthStatic || depth == pipeline.DepthAuto
 
 	if flag.NArg() < 1 {
 		flag.Usage()

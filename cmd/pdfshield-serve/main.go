@@ -11,16 +11,13 @@
 // SIGINT/SIGTERM drain the daemon: the listener stops accepting,
 // in-flight documents finish under -drain-timeout, and the forensic
 // journal is flushed before exit. /v1/healthz answers 503 while draining
-// so load balancers rotate the node out; /v1/metrics and /debug/vars
-// serve the live registry on the same listener. The pre-versioning paths
-// (/scan, /healthz, /metrics) answer 308 redirects with a Deprecation
-// header for one release.
+// so load balancers rotate the node out; /v1/metrics serves the live
+// registry on the same listener.
 //
 // -depth selects the scan tier: "static" (triage only, no sandbox),
 // "standard" (the default dynamic open), "deep" (forced execution on
 // every open) or "auto" (triage plus forced execution for uncertain
-// documents). -triage is a deprecated alias for the pre-redesign
-// triage-plus-standard configuration.
+// documents).
 //
 // Usage:
 //
@@ -29,7 +26,7 @@
 //	                [-tenant-rate R] [-tenant-burst N]
 //	                [-peers a:1,b:2] [-self a:1]
 //	                [-cache] [-cache-entries N] [-cache-bytes N] [-cache-ttl d]
-//	                [-depth static|standard|deep|auto] [-triage]
+//	                [-depth static|standard|deep|auto]
 //	                [-seed N] [-journal events.jsonl] [-log-level info]
 //	                [-pprof]
 //
@@ -70,7 +67,6 @@ import (
 	"pdfshield/internal/obs"
 	"pdfshield/internal/pipeline"
 	"pdfshield/internal/serve"
-	"pdfshield/internal/triage"
 )
 
 func main() {
@@ -98,7 +94,6 @@ func run() error {
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof (opt-in: profiles expose goroutine stacks and heap contents)")
 	doctor := flag.String("doctor", "", "one-shot: fetch and pretty-print a running daemon's diagnostics (health, SLO burn rates, slow traces, stalls) from this address, then exit")
 	depthFlag := flag.String("depth", "", "scan depth: static|standard|deep|auto (empty = standard; auto adds forced-execution deep scans for triage-uncertain documents)")
-	useTriage := flag.Bool("triage", false, "deprecated: use -depth static|auto; static triage tier routing confident documents around the sandbox")
 
 	load := flag.Bool("load", false, "run the load generator against -target instead of serving")
 	target := flag.String("target", "", "load: base URL of the running daemon (http://host:port)")
@@ -184,11 +179,6 @@ func run() error {
 		return err
 	}
 	cfg.Pipeline.Depth = depth
-	if *useTriage && depth == "" {
-		// Deprecated alias for one release: -triage without -depth keeps
-		// its pre-redesign meaning (triage in front of a standard scan).
-		cfg.Pipeline.Triage = &triage.Config{}
-	}
 
 	srv, err := serve.New(cfg)
 	if err != nil {

@@ -33,10 +33,7 @@ func main() {
 	exploit, _ := g.MaliciousFamily("mal-geticon")
 
 	fmt.Println("opening three documents in ONE reader process:")
-	sess, err := sys.NewSession()
-	if err != nil {
-		log.Fatal(err)
-	}
+	sess := sys.NewSession()
 	for _, s := range []corpus.Sample{report, exploit, invoice} {
 		if err := sess.Open(s.ID, s.Raw); err != nil {
 			log.Fatal(err)

@@ -141,7 +141,7 @@ func TestForgedExitTripsZeroTolerance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v, err := sys.ProcessDocument("forger", raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), "forger", raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestMimicryDefeatsStructuralButNotUs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = sys.Close() }()
-	v, err := sys.ProcessDocument(mimic.ID, mimic.Raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), mimic.ID, mimic.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}

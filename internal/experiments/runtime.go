@@ -327,10 +327,7 @@ func RuntimeOverhead(cfg Config) Result {
 		if err != nil {
 			return 0, err
 		}
-		sess, err := sys.NewSession()
-		if err != nil {
-			return 0, err
-		}
+		sess := sys.NewSession()
 		defer sess.Close()
 		start := time.Now()
 		_, err = sess.Open(res, reader.OpenOptions{})

@@ -3,8 +3,8 @@ package obs
 import "strings"
 
 // Canonical series names. Every component that reports into a Registry
-// uses these, so the Prometheus exposition, the expvar snapshot and the
-// public Stats API all agree on one vocabulary (documented in DESIGN.md
+// uses these, so the Prometheus exposition, the structured snapshot and
+// the public Stats API all agree on one vocabulary (documented in DESIGN.md
 // §10).
 const (
 	// MetricPhaseSeconds is the per-phase latency histogram family; one

@@ -3,7 +3,7 @@
 // fixed-bucket latency histograms, callback-backed metrics) plus
 // per-document trace records. Every pipeline phase boundary reports into
 // a Registry, and the same data is exposed three ways: a structured
-// Snapshot (feeds the public System.Stats and expvar), a Prometheus
+// Snapshot (feeds the public System.Stats), a Prometheus
 // text-format writer/HTTP handler (prom.go), and per-document Traces
 // attached to verdicts (trace.go).
 //
@@ -238,7 +238,7 @@ func NewRegistry() *Registry {
 }
 
 // Default is the process-wide registry used when a component is not given
-// an explicit one (mirrors expvar's global namespace). Long-lived
+// an explicit one. Long-lived
 // binaries serve it via -metrics-addr; tests that need isolation pass
 // their own NewRegistry.
 var Default = NewRegistry()
@@ -385,7 +385,7 @@ func (r *Registry) ObserveDoc(name string, d time.Duration, docID string) {
 
 // Snapshot is a structured point-in-time view of a whole registry.
 // Callback-backed series are folded into Counters/Gauges by kind. It
-// marshals cleanly to JSON (the expvar and System.Stats surface).
+// marshals cleanly to JSON (the System.Stats surface).
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`

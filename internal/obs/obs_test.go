@@ -208,8 +208,8 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-// TestSnapshotJSON proves the structured snapshot (the expvar and
-// System.Stats surface) marshals and unmarshals without loss.
+// TestSnapshotJSON proves the structured snapshot (the System.Stats
+// surface) marshals and unmarshals without loss.
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total").Add(9)

@@ -2,14 +2,12 @@ package obs
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -81,41 +79,6 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
-}
-
-// publishedExpvars guards against expvar.Publish's panic on duplicate
-// names (registries may be published once per process name).
-var (
-	publishMu       sync.Mutex
-	publishedExpvar = make(map[string]bool)
-)
-
-// RegisterHTTP mounts the registry's observability endpoints on mux —
-// /metrics (Prometheus text format) and /debug/vars (expvar JSON, with
-// the registry snapshot published as "pdfshield") — and registers the Go
-// runtime health series. ServeMetrics uses it for the stand-alone
-// endpoint; servers with their own mux (pdfshield-serve) mount the same
-// pair next to their application routes.
-func (r *Registry) RegisterHTTP(mux *http.ServeMux) {
-	r.RegisterRuntimeMetrics()
-	RegisterBuildInfo(r)
-	r.PublishExpvar("pdfshield")
-	mux.Handle("/metrics", r.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
-}
-
-// PublishExpvar exposes the registry's live Snapshot under the given
-// expvar name (visible on any /debug/vars endpoint). Repeated calls with
-// the same name are no-ops, so multiple Systems sharing a registry can
-// all request publication.
-func (r *Registry) PublishExpvar(name string) {
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if publishedExpvar[name] {
-		return
-	}
-	publishedExpvar[name] = true
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }
 
 // ServerTimeouts bounds the connection lifecycle of an HTTP listener.
@@ -205,16 +168,12 @@ func (m *MetricsServer) Close() error {
 	return m.Shutdown(ctx)
 }
 
-// ServeMetrics starts an HTTP listener exposing the registry:
-//
-//	/metrics     Prometheus text format
-//	/debug/vars  expvar JSON (includes the registry snapshot under
-//	             "pdfshield" plus the Go runtime's standard vars)
-//
-// Go runtime health series (goroutines, heap, GC — see
-// RegisterRuntimeMetrics) are registered automatically, so a -metrics-addr
-// scrape answers "is the scanner healthy" without pprof. The server runs
-// until Close. This is what the CLIs' -metrics-addr flag mounts.
+// ServeMetrics starts an HTTP listener exposing the registry in
+// Prometheus text format on /metrics. Go runtime health series
+// (goroutines, heap, GC — see RegisterRuntimeMetrics) are registered
+// automatically, so a -metrics-addr scrape answers "is the scanner
+// healthy" without pprof. The server runs until Close. This is what the
+// CLIs' -metrics-addr flag mounts.
 func (r *Registry) ServeMetrics(addr string) (*MetricsServer, error) {
 	return r.serveMetrics(addr, nil)
 }
@@ -226,8 +185,10 @@ func (r *Registry) serveMetrics(addr string, extra func(mux *http.ServeMux)) (*M
 	if err != nil {
 		return nil, fmt.Errorf("obs: metrics listener: %w", err)
 	}
+	r.RegisterRuntimeMetrics()
+	RegisterBuildInfo(r)
 	mux := http.NewServeMux()
-	r.RegisterHTTP(mux)
+	mux.Handle("/metrics", r.Handler())
 	if extra != nil {
 		extra(mux)
 	}

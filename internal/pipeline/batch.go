@@ -14,7 +14,7 @@ import (
 	"pdfshield/internal/triage"
 )
 
-// BatchDoc is one input document for ProcessBatch.
+// BatchDoc is one input document for ProcessBatchContext.
 type BatchDoc struct {
 	// ID is the caller-chosen document identity (path or corpus id).
 	ID string
@@ -22,7 +22,7 @@ type BatchDoc struct {
 	Raw []byte
 }
 
-// BatchOptions tunes a ProcessBatch run.
+// BatchOptions tunes a ProcessBatchContext run.
 type BatchOptions struct {
 	// Workers is the number of concurrent reader sessions. Each worker
 	// owns one long-lived session (reader process + hook sink) that is
@@ -30,16 +30,17 @@ type BatchOptions struct {
 	// means runtime.NumCPU().
 	Workers int
 	// Depth overrides the system-wide scan depth for this batch (empty =
-	// inherit Options.Depth / the legacy resolution). An unknown value
-	// fails the whole batch: every slot carries the parse error.
+	// inherit Options.Depth). An unknown value fails the whole batch:
+	// every slot carries the parse error.
 	Depth Depth
 }
 
-// BatchResult collects the outcome of a ProcessBatch run. Both slices are
-// indexed like the input: Verdicts[i] and Errors[i] describe docs[i], and
-// exactly one of them is non-nil per document. When the batch's context
-// is cancelled mid-run, documents processed before the cancellation keep
-// their verdicts and every remaining slot carries ctx.Err().
+// BatchResult collects the outcome of a ProcessBatchContext run. Both
+// slices are indexed like the input: Verdicts[i] and Errors[i] describe
+// docs[i], and exactly one of them is non-nil per document. When the
+// batch's context is cancelled mid-run, documents processed before the
+// cancellation keep their verdicts and every remaining slot carries
+// ctx.Err().
 type BatchResult struct {
 	Verdicts []*Verdict
 	Errors   []error
@@ -69,15 +70,6 @@ func (r *BatchResult) Cancelled() int {
 		}
 	}
 	return n
-}
-
-// ProcessBatch runs the complete workflow over many documents with no
-// cancellation point; it is a thin wrapper over ProcessBatchContext.
-//
-// Deprecated: use ProcessBatchContext, which stops dispatching documents
-// once the context is cancelled.
-func (s *System) ProcessBatch(docs []BatchDoc, opts BatchOptions) *BatchResult {
-	return s.ProcessBatchContext(context.Background(), docs, opts)
 }
 
 // ProcessBatchContext runs the complete workflow over many documents
@@ -204,13 +196,16 @@ dispatch:
 	return out
 }
 
-// processWithSession runs one document through a worker's reusable session,
-// lazily creating it on first need and recycling it between documents.
+// processWithSession runs one document through a reusable session, lazily
+// creating it on first need and recycling it between documents. It is the
+// one per-document path: batch workers, Worker lanes and
+// ProcessDocumentContext (on a session it closes) all run through it.
 //
-// A panic while analyzing one document is contained to that document's slot:
-// the worker records a fail-closed error, throws away its session (the reader
-// process may be mid-open with arbitrary state), and keeps draining the
-// batch. The other documents' verdicts are unaffected.
+// A panic while analyzing one document is contained to that document: the
+// caller gets a fail-closed error, the session is thrown away (the reader
+// process may be mid-open with arbitrary state), and a batch keeps
+// draining. A document that crashes the analyzer is never reported benign
+// by omission.
 func (s *System) processWithSession(ctx context.Context, sess **Session, doc BatchDoc, depth Depth) (v *Verdict, err error) {
 	start := time.Now()
 	tr := obs.StartTrace(doc.ID)
@@ -229,27 +224,31 @@ func (s *System) processWithSession(ctx context.Context, sess **Session, doc Bat
 	if analysisHook != nil {
 		analysisHook(doc.ID)
 	}
-	res, err := s.frontEndBatch(ctx, doc, tr)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	prof := s.depthProfile(depth)
+	res, err, _ := s.frontEndTraced(ctx, doc.ID, doc.Raw, tr)
 	if err != nil {
 		if errors.Is(err, instrument.ErrNoJavaScript) {
-			return &Verdict{DocID: doc.ID, NoJavaScript: true, Instrument: res, Depth: string(s.depthProfile(depth).depth)}, nil
+			// No scripts means no open at any depth, but the verdict still
+			// records which depth it was produced under.
+			return &Verdict{DocID: doc.ID, NoJavaScript: true, Instrument: res, Depth: string(prof.depth)}, nil
 		}
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	prof := s.depthProfile(depth)
-	td := s.runTriage(doc.ID, doc.Raw, res, tr, prof.triage)
-	if td != nil && (prof.staticOnly || td.Route != triage.RouteUncertain) {
-		return s.verdictFromTriage(doc.ID, res, td, prof), nil
+	var td *triage.Decision
+	if prof.triage {
+		td = s.runTriage(doc.ID, doc.Raw, res, tr)
+		if prof.staticOnly || td.Route != triage.RouteUncertain {
+			return s.verdictFromTriage(doc.ID, res, td, prof), nil
+		}
 	}
 	if *sess == nil {
-		ns, err := s.NewSession()
-		if err != nil {
-			return nil, err
-		}
-		*sess = ns
+		*sess = s.NewSession()
 	} else {
 		(*sess).Recycle()
 	}
@@ -257,11 +256,4 @@ func (s *System) processWithSession(ctx context.Context, sess **Session, doc Bat
 	claimVerdict(v, doc.ID)
 	annotateTriage(v, td)
 	return v, err
-}
-
-// frontEndBatch is frontEndTraced for the batch path (kept tiny so the
-// panic-containment defer above stays readable).
-func (s *System) frontEndBatch(ctx context.Context, doc BatchDoc, tr *obs.Trace) (*instrument.Result, error) {
-	res, err, _ := s.frontEndTraced(ctx, doc.ID, doc.Raw, tr)
-	return res, err
 }

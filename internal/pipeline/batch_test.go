@@ -39,7 +39,7 @@ func TestProcessBatchMatchesSerial(t *testing.T) {
 	serial := newSystem(t, 8.0)
 	want := make([]*Verdict, len(docs))
 	for i, d := range docs {
-		v, err := serial.ProcessDocument(d.ID, d.Raw)
+		v, err := serial.ProcessDocumentContext(t.Context(), d.ID, d.Raw)
 		if err != nil {
 			t.Fatalf("serial %s: %v", d.ID, err)
 		}
@@ -47,7 +47,7 @@ func TestProcessBatchMatchesSerial(t *testing.T) {
 	}
 
 	parallel := newSystem(t, 8.0)
-	res := parallel.ProcessBatch(docs, BatchOptions{Workers: 8})
+	res := parallel.ProcessBatchContext(t.Context(), docs, BatchOptions{Workers: 8})
 	if len(res.Verdicts) != len(docs) || len(res.Errors) != len(docs) {
 		t.Fatalf("result length %d/%d, want %d", len(res.Verdicts), len(res.Errors), len(docs))
 	}
@@ -79,7 +79,7 @@ func TestProcessBatchMatchesSerial(t *testing.T) {
 func TestProcessBatchSingleWorkerIsSerial(t *testing.T) {
 	docs := mixedCorpus(t, 9)
 	sys := newSystem(t, 8.0)
-	res := sys.ProcessBatch(docs, BatchOptions{Workers: 1})
+	res := sys.ProcessBatchContext(t.Context(), docs, BatchOptions{Workers: 1})
 	if n := res.Failed(); n != 0 {
 		t.Fatalf("%d failures", n)
 	}
@@ -93,7 +93,7 @@ func TestProcessBatchSingleWorkerIsSerial(t *testing.T) {
 // TestProcessBatchEmpty covers the zero-document edge.
 func TestProcessBatchEmpty(t *testing.T) {
 	sys := newSystem(t, 8.0)
-	res := sys.ProcessBatch(nil, BatchOptions{Workers: 4})
+	res := sys.ProcessBatchContext(t.Context(), nil, BatchOptions{Workers: 4})
 	if len(res.Verdicts) != 0 || len(res.Errors) != 0 || res.Failed() != 0 {
 		t.Fatalf("unexpected result for empty batch: %+v", res)
 	}
@@ -105,7 +105,7 @@ func TestProcessBatchCollectsPerDocumentErrors(t *testing.T) {
 	docs := mixedCorpus(t, 6)
 	docs[3] = BatchDoc{ID: "broken", Raw: []byte("not a pdf at all")}
 	sys := newSystem(t, 8.0)
-	res := sys.ProcessBatch(docs, BatchOptions{Workers: 3})
+	res := sys.ProcessBatchContext(t.Context(), docs, BatchOptions{Workers: 3})
 	if res.Failed() != 1 {
 		t.Fatalf("failed = %d, want 1 (errors: %v)", res.Failed(), res.Errors)
 	}
@@ -132,10 +132,7 @@ func TestSessionRecycleFreshState(t *testing.T) {
 	if !ok {
 		t.Skip("crasher family missing")
 	}
-	sess, err := sys.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := sys.NewSession()
 	defer sess.Close()
 
 	if _, err := sess.OpenRaw("crash-1", crasher.Raw, reader.OpenOptions{}); err != nil {

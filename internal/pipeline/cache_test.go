@@ -59,7 +59,7 @@ func TestBatchWithCacheMatchesSerialUncached(t *testing.T) {
 	for _, docs := range byRound {
 		sys := newSystem(t, 8.0)
 		for _, d := range docs {
-			v, err := sys.ProcessDocument(d.ID, d.Raw)
+			v, err := sys.ProcessDocumentContext(t.Context(), d.ID, d.Raw)
 			if err != nil {
 				t.Fatalf("serial %s: %v", d.ID, err)
 			}
@@ -76,7 +76,7 @@ func TestBatchWithCacheMatchesSerialUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = cached.Close() })
-	res := cached.ProcessBatch(flat, BatchOptions{Workers: 4})
+	res := cached.ProcessBatchContext(t.Context(), flat, BatchOptions{Workers: 4})
 	if n := res.Failed(); n != 0 {
 		t.Fatalf("%d documents failed in the cached batch: %v", n, res.Errors)
 	}
@@ -130,7 +130,7 @@ func TestCacheStatsSurfacedInBatchResult(t *testing.T) {
 		{ID: "b", Raw: s.Raw},
 		{ID: "c", Raw: s.Raw},
 	}
-	res := sys.ProcessBatch(docs, BatchOptions{Workers: 1})
+	res := sys.ProcessBatchContext(t.Context(), docs, BatchOptions{Workers: 1})
 	if res.CacheStats == nil {
 		t.Fatal("BatchResult.CacheStats is nil on a cached system")
 	}
@@ -139,7 +139,7 @@ func TestCacheStatsSurfacedInBatchResult(t *testing.T) {
 	}
 
 	plain := newSystem(t, 8.0)
-	if pres := plain.ProcessBatch(docs[:1], BatchOptions{Workers: 1}); pres.CacheStats != nil {
+	if pres := plain.ProcessBatchContext(t.Context(), docs[:1], BatchOptions{Workers: 1}); pres.CacheStats != nil {
 		t.Fatal("uncached system must leave CacheStats nil")
 	}
 }

@@ -1,11 +1,5 @@
 package pipeline
 
-import (
-	"fmt"
-
-	"pdfshield/internal/obs"
-)
-
 // analysisHook, when non-nil, runs at the start of every contained
 // per-document analysis with the document's ID. It exists as a test seam:
 // the fuzzing work fixes every panic we can find, but containment must hold
@@ -19,19 +13,6 @@ var analysisHook func(docID string)
 // while concurrent documents keep getting verdicts. Same contract as
 // analysisHook: set only from tests, only while nothing is running.
 var openHook func(docID string)
-
-// containPanic converts an in-flight panic into a fail-closed per-document
-// error and counts it in the obs registry. It must be called directly from
-// a defer. A document that crashes the analyzer is never reported benign by
-// omission: the caller gets a non-nil error in the same slot a verdict
-// would have filled.
-func containPanic(reg *obs.Registry, v **Verdict, err *error) {
-	if r := recover(); r != nil {
-		reg.Inc(obs.MetricPanics)
-		*v = nil
-		*err = fmt.Errorf("analysis panic: %v", r)
-	}
-}
 
 // discardSession closes and clears a worker session whose document panicked.
 // The reader process may be mid-open with arbitrary state, so the session is

@@ -17,7 +17,7 @@ func TestBatchContainsPanickingDocument(t *testing.T) {
 	serial := newSystem(t, 8.0)
 	want := make([]*Verdict, len(docs))
 	for i, d := range docs {
-		v, err := serial.ProcessDocument(d.ID, d.Raw)
+		v, err := serial.ProcessDocumentContext(t.Context(), d.ID, d.Raw)
 		if err != nil {
 			t.Fatalf("serial %s: %v", d.ID, err)
 		}
@@ -32,7 +32,7 @@ func TestBatchContainsPanickingDocument(t *testing.T) {
 	defer func() { analysisHook = nil }()
 
 	parallel := newSystem(t, 8.0)
-	res := parallel.ProcessBatch(docs, BatchOptions{Workers: 8})
+	res := parallel.ProcessBatchContext(t.Context(), docs, BatchOptions{Workers: 8})
 
 	if n := res.Failed(); n != 1 {
 		t.Fatalf("failed count = %d, want exactly 1 (the corrupt slot)", n)
@@ -73,7 +73,7 @@ func TestSerialProcessContainsPanic(t *testing.T) {
 	defer func() { analysisHook = nil }()
 
 	sys := newSystem(t, 8.0)
-	v, err := sys.ProcessDocument(docs[0].ID, docs[0].Raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), docs[0].ID, docs[0].Raw)
 	if err == nil || !strings.Contains(err.Error(), "analysis panic") {
 		t.Fatalf("err = %v, want analysis panic", err)
 	}
@@ -82,7 +82,7 @@ func TestSerialProcessContainsPanic(t *testing.T) {
 	}
 
 	// The same system must still process the next document normally.
-	v, err = sys.ProcessDocument(docs[1].ID, docs[1].Raw)
+	v, err = sys.ProcessDocumentContext(t.Context(), docs[1].ID, docs[1].Raw)
 	if err != nil {
 		t.Fatalf("post-panic document: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestWorkerSessionDiscardedAfterPanic(t *testing.T) {
 	defer func() { analysisHook = nil }()
 
 	sys := newSystem(t, 8.0)
-	res := sys.ProcessBatch(docs, BatchOptions{Workers: 1})
+	res := sys.ProcessBatchContext(t.Context(), docs, BatchOptions{Workers: 1})
 	if n := res.Failed(); n != 1 {
 		t.Fatalf("failed count = %d, want 1; errors %v", n, res.Errors)
 	}

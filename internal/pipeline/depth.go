@@ -9,13 +9,11 @@ import (
 	"pdfshield/internal/js"
 	"pdfshield/internal/obs"
 	"pdfshield/internal/reader"
-	"pdfshield/internal/triage"
 )
 
 // Depth selects how hard one submission is scanned. It is the single
-// depth-axis knob of the pipeline, replacing the accreted per-tier
-// toggles (the deprecated Options.Triage field keeps working as an
-// alias for one release; see Options).
+// depth-axis knob of the pipeline: each depth fixes which tiers (static
+// triage, natural open, forced execution) a submission passes through.
 type Depth string
 
 const (
@@ -26,8 +24,7 @@ const (
 	DepthStatic Depth = "static"
 	// DepthStandard is the classic single-execution dynamic scan: each
 	// document opens once in a monitored reader and the detector judges
-	// the natural execution path. The deprecated Triage option still
-	// short-circuits confident documents when set.
+	// the natural execution path. The default when no depth is set.
 	DepthStandard Depth = "standard"
 	// DepthDeep forces execution of every document: conditional branches
 	// are explored on both arms (bounded by Options.DeepScan), runtime
@@ -42,8 +39,8 @@ const (
 )
 
 // ParseDepth validates a depth name from a flag or request field. The
-// empty string is accepted and means "unset" (the system default
-// resolution applies).
+// empty string is accepted and means "unset" (inherit the system depth,
+// DepthStandard by default).
 func ParseDepth(s string) (Depth, error) {
 	switch d := Depth(s); d {
 	case "", DepthStatic, DepthStandard, DepthDeep, DepthAuto:
@@ -64,22 +61,21 @@ func (d Depth) Valid() bool {
 
 func (d Depth) String() string { return string(d) }
 
-// depthProfile is one submission's resolved scan plan: which triage
-// config gates the open (nil = no triage), whether the verdict must be
-// synthesized statically, and which forced-execution bounds apply to
-// the reader open (nil = natural single execution).
+// depthProfile is one submission's resolved scan plan: whether the
+// static triage tier gates the open, whether the verdict must be
+// synthesized statically, and which forced-execution bounds apply to the
+// reader open (nil = natural single execution).
 type depthProfile struct {
 	depth      Depth
-	triage     *triage.Config
+	triage     bool
 	staticOnly bool
 	force      *js.ForceConfig
 }
 
 // depthProfile resolves the effective scan plan for one submission.
-// override (from BatchOptions or a serve request) wins over the
-// system-wide Options.Depth; when both are unset the legacy resolution
-// applies: the deprecated Options.Triage field selects triage+standard,
-// otherwise plain standard.
+// override (from BatchOptions, a Worker or a serve request) wins over the
+// system-wide Options.Depth; when both are unset the plan is
+// DepthStandard.
 func (s *System) depthProfile(override Depth) depthProfile {
 	d := override
 	if d == "" {
@@ -87,28 +83,16 @@ func (s *System) depthProfile(override Depth) depthProfile {
 	}
 	switch d {
 	case DepthStatic:
-		return depthProfile{depth: DepthStatic, triage: s.triageConfig(), staticOnly: true}
+		return depthProfile{depth: DepthStatic, triage: true, staticOnly: true}
 	case DepthDeep:
 		f := s.opts.DeepScan
 		return depthProfile{depth: DepthDeep, force: &f}
 	case DepthAuto:
 		f := s.opts.DeepScan
-		return depthProfile{depth: DepthAuto, triage: s.triageConfig(), force: &f}
+		return depthProfile{depth: DepthAuto, triage: true, force: &f}
 	default:
-		// DepthStandard, and the unset legacy default (which honours the
-		// deprecated Triage field).
-		return depthProfile{depth: DepthStandard, triage: s.opts.Triage}
+		return depthProfile{depth: DepthStandard}
 	}
-}
-
-// triageConfig returns the triage configuration for depths that require
-// the tier: the deprecated Options.Triage when set (so existing tuning
-// carries over), else the zero production default.
-func (s *System) triageConfig() *triage.Config {
-	if s.opts.Triage != nil {
-		return s.opts.Triage
-	}
-	return &triage.Config{}
 }
 
 // recordDeepScan publishes one deep open's forced-execution accounting:

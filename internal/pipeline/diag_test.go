@@ -50,7 +50,7 @@ func TestWatchdogFlagsWedgedOpen(t *testing.T) {
 	g := corpus.NewGenerator(771)
 	done := make(chan error, 1)
 	go func() {
-		_, err := sys.ProcessDocument(wedgedID, g.BenignFormJS().Raw)
+		_, err := sys.ProcessDocumentContext(t.Context(), wedgedID, g.BenignFormJS().Raw)
 		done <- err
 	}()
 	<-wedged // the doc is now inside the open phase, holding the seam
@@ -61,7 +61,7 @@ func TestWatchdogFlagsWedgedOpen(t *testing.T) {
 	if !ok {
 		t.Fatal("family missing")
 	}
-	v, err := sys.ProcessDocument(mal.ID, mal.Raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), mal.ID, mal.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestWatchdogFlagsWedgedOpen(t *testing.T) {
 		t.Error("malicious sample not detected while another doc is wedged")
 	}
 	benign := g.BenignFormJS()
-	v, err = sys.ProcessDocument("benign-during-wedge.pdf", benign.Raw)
+	v, err = sys.ProcessDocumentContext(t.Context(), "benign-during-wedge.pdf", benign.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +149,10 @@ func TestDiagnosticsThroughPipeline(t *testing.T) {
 	t.Cleanup(func() { _ = sys.Close() })
 
 	g := corpus.NewGenerator(772)
-	if _, err := sys.ProcessDocument("ok.pdf", g.BenignFormJS().Raw); err != nil {
+	if _, err := sys.ProcessDocumentContext(t.Context(), "ok.pdf", g.BenignFormJS().Raw); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.ProcessDocument("garbage.pdf", []byte("not a pdf at all")); err == nil {
+	if _, err := sys.ProcessDocumentContext(t.Context(), "garbage.pdf", []byte("not a pdf at all")); err == nil {
 		t.Fatal("garbage document processed without error")
 	}
 
@@ -199,7 +199,7 @@ func TestDiagnosticsThroughPipeline(t *testing.T) {
 	if off.Diagnostics() != nil {
 		t.Error("Disable did not turn diagnostics off")
 	}
-	if _, err := off.ProcessDocument("ok2.pdf", g.BenignFormJS().Raw); err != nil {
+	if _, err := off.ProcessDocumentContext(t.Context(), "ok2.pdf", g.BenignFormJS().Raw); err != nil {
 		t.Fatal(err)
 	}
 	if st := off.Stats(); st.Flight != nil || st.SLO != nil || st.Watchdog != nil {

@@ -33,10 +33,7 @@ func TestRecycledSessionKeepsCompiledUnits(t *testing.T) {
 		t.Fatalf("instrument-time precompilation left the unit cache empty: %+v", warmed)
 	}
 
-	sess, err := sys.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := sys.NewSession()
 	defer sess.Close()
 
 	if _, err := sess.Open(res, reader.OpenOptions{}); err != nil {
@@ -98,7 +95,7 @@ func TestConcurrentBatchSharesUnitCache(t *testing.T) {
 		docs[i] = BatchDoc{ID: s.ID, Raw: s.Raw}
 	}
 
-	res := sys.ProcessBatch(docs, BatchOptions{Workers: 8})
+	res := sys.ProcessBatchContext(t.Context(), docs, BatchOptions{Workers: 8})
 	if failed := res.Failed(); failed != 0 {
 		t.Fatalf("%d documents failed", failed)
 	}

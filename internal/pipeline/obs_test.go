@@ -65,7 +65,7 @@ func TestBatchCancellationPrefixIntact(t *testing.T) {
 	// connections) rather than attributing those to the cancelled batch.
 	// Distinct documents: the registry's duplicate rule forbids
 	// re-instrumenting bytes the warm-up already claimed.
-	warm := sys.ProcessBatch(warmDocs, BatchOptions{Workers: 2})
+	warm := sys.ProcessBatchContext(t.Context(), warmDocs, BatchOptions{Workers: 2})
 	if n := warm.Failed(); n != 0 {
 		t.Fatalf("warm-up failed %d docs: %v", n, warm.Errors)
 	}
@@ -133,7 +133,7 @@ func TestBatchCancellationPrefixIntact(t *testing.T) {
 func TestStatsAndTracesConsistentWithBatch(t *testing.T) {
 	sys, reg := newObservedSystem(t, true)
 	docs := mixedCorpus(t, 15)
-	res := sys.ProcessBatch(docs, BatchOptions{Workers: 3})
+	res := sys.ProcessBatchContext(t.Context(), docs, BatchOptions{Workers: 3})
 	if n := res.Failed(); n != 0 {
 		t.Fatalf("%d failures: %v", n, res.Errors)
 	}
@@ -256,10 +256,7 @@ func TestStatsAndTracesConsistentWithBatch(t *testing.T) {
 // double Close does not skew it.
 func TestSessionsActiveGauge(t *testing.T) {
 	sys, reg := newObservedSystem(t, false)
-	sess, err := sys.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := sys.NewSession()
 	if g := reg.Snapshot().Gauges[obs.MetricSessionsActive]; g != 1 {
 		t.Fatalf("gauge after open = %g, want 1", g)
 	}

@@ -7,7 +7,6 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -69,11 +68,8 @@ type Options struct {
 	// tree-walking engine instead of the bytecode VM (engine A/B
 	// benchmarking; verdicts are identical on both engines).
 	TreeWalkJS bool
-	// Depth is the system-wide scan depth (see the Depth constants).
-	// Empty means unset: the legacy resolution applies, where the
-	// deprecated Triage field selects triage-gated standard scanning and
-	// everything else runs plain DepthStandard. BatchOptions.Depth
-	// overrides this per batch.
+	// Depth is the system-wide scan depth (see the Depth constants;
+	// empty = DepthStandard). BatchOptions.Depth overrides this per batch.
 	Depth Depth
 	// DeepScan bounds the forced-execution explorer used by DepthDeep and
 	// DepthAuto (zero fields = js.DefaultForce* defaults). Ignored at
@@ -86,20 +82,6 @@ type Options struct {
 	// watchdog's reports automatically include the wedged document's
 	// recent journal events.
 	Diag obs.DiagConfig
-	// Triage enables the static fast-path tier between the front-end and
-	// the reader session (nil = off, every document opens dynamically).
-	// Confident-benign documents skip the sandbox, confident-malicious
-	// documents are convicted without ever being opened, and everything
-	// else ("uncertain") falls through to the full dynamic open
-	// unchanged. The zero triage.Config is the production default.
-	//
-	// Deprecated: set Depth instead (DepthAuto routes by triage and
-	// escalates uncertain documents to a deep scan; DepthStatic judges
-	// everything statically). Honoured as an alias for one release: when
-	// Depth is unset, a non-nil Triage behaves like triage-gated
-	// DepthStandard, and at DepthStatic/DepthAuto a non-nil Triage
-	// carries its tuning into the tier.
-	Triage *triage.Config
 }
 
 // System is a running instance of the whole protection stack.
@@ -358,9 +340,8 @@ type Session struct {
 }
 
 // NewSession starts a reader process whose hook DLL and context monitoring
-// code call the detector directly. It does not fail; the error result is
-// kept for API stability.
-func (s *System) NewSession() (*Session, error) {
+// code call the detector directly.
+func (s *System) NewSession() *Session {
 	sink := hook.NewDirectSink(s.Detector.Event)
 	proc := reader.NewProcess(reader.Config{
 		ViewerVersion: s.opts.ViewerVersion,
@@ -371,7 +352,7 @@ func (s *System) NewSession() (*Session, error) {
 		TreeWalkJS:    s.opts.TreeWalkJS,
 	})
 	s.Obs.GaugeAdd(obs.MetricSessionsActive, 1)
-	return &Session{Proc: proc, sink: sink, obs: s.Obs}, nil
+	return &Session{Proc: proc, sink: sink, obs: s.Obs}
 }
 
 // Open opens an instrumented document in this session's reader process.
@@ -448,66 +429,25 @@ type Verdict struct {
 	Depth string
 }
 
-// ProcessDocument runs the complete workflow on one document with no
-// cancellation point; it is a thin wrapper over ProcessDocumentContext.
-//
-// Deprecated: use ProcessDocumentContext, which honours cancellation
-// between pipeline phases.
-func (s *System) ProcessDocument(docID string, raw []byte) (*Verdict, error) {
-	return s.ProcessDocumentContext(context.Background(), docID, raw)
-}
-
 // ProcessDocumentContext runs the complete workflow on one document:
 // instrument, open in a fresh monitored reader process, and collect the
-// verdict. A panic anywhere in the analysis is contained and returned as
+// verdict. It is the batch engine's per-document path on a session of its
+// own, so a panic anywhere in the analysis is contained and returned as
 // an error: hostile documents fail closed instead of taking the caller
 // down. Cancellation is honoured between phases (before the front-end,
 // before the reader open, and between attachment opens); a cancelled
 // call returns ctx.Err() and the document gets no verdict.
-func (s *System) ProcessDocumentContext(ctx context.Context, docID string, raw []byte) (v *Verdict, err error) {
+func (s *System) ProcessDocumentContext(ctx context.Context, docID string, raw []byte) (*Verdict, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := time.Now()
-	tr := obs.StartTrace(docID)
-	wd := s.watchdog().Begin(docID)
-	tr.Watch(wd)
-	defer wd.Done()
-	s.journalDocOpen(docID, len(raw))
-	defer func() { s.finishDoc(tr, v, err, time.Since(start)) }()
-	defer containPanic(s.Obs, &v, &err)
-	if analysisHook != nil {
-		analysisHook(docID)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res, err, _ := s.frontEndTraced(ctx, docID, raw, tr)
-	if err != nil {
-		if errors.Is(err, instrument.ErrNoJavaScript) {
-			// No scripts means no open at any depth, but the verdict still
-			// records which depth it was produced under.
-			return &Verdict{DocID: docID, NoJavaScript: true, Instrument: res, Depth: string(s.depthProfile("").depth)}, nil
+	var sess *Session
+	defer func() {
+		if sess != nil {
+			sess.Close()
 		}
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	prof := s.depthProfile("")
-	td := s.runTriage(docID, raw, res, tr, prof.triage)
-	if td != nil && (prof.staticOnly || td.Route != triage.RouteUncertain) {
-		return s.verdictFromTriage(docID, res, td, prof), nil
-	}
-	sess, err := s.NewSession()
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-	v, err = s.openAndJudge(ctx, sess, res, tr, prof)
-	claimVerdict(v, docID)
-	annotateTriage(v, td)
-	return v, err
+	}()
+	return s.processWithSession(ctx, &sess, BatchDoc{ID: docID, Raw: raw}, "")
 }
 
 // finishDoc closes out one document's processing: outcome counters, the
@@ -610,8 +550,8 @@ func claimVerdict(v *Verdict, docID string) {
 
 // openAndJudge opens an instrumented document (and its instrumented
 // attachments) in the given session and assembles the verdict. The session
-// is left open; callers own its lifecycle (ProcessDocument closes it,
-// batch workers recycle it for the next document). Cancellation is
+// is left open; callers own its lifecycle (processWithSession's callers
+// close it or recycle it for the next document). Cancellation is
 // checked before the host open and between attachment opens; the runtime
 // state already accumulated stays with the detector (volatile state dies
 // with the session as usual).

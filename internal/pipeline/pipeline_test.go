@@ -26,7 +26,7 @@ func TestEndToEndMaliciousDetected(t *testing.T) {
 	if !ok {
 		t.Fatal("family missing")
 	}
-	v, err := sys.ProcessDocument(s.ID, s.Raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), s.ID, s.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestEndToEndBenignClean(t *testing.T) {
 	sys := newSystem(t, 9.0)
 	g := corpus.NewGenerator(102)
 	for _, s := range g.BenignWithJS(8) {
-		v, err := sys.ProcessDocument(s.ID, s.Raw)
+		v, err := sys.ProcessDocumentContext(t.Context(), s.ID, s.Raw)
 		if err != nil {
 			t.Fatalf("%s: %v", s.ID, err)
 		}
@@ -79,7 +79,7 @@ func TestEndToEndScriptlessOutOfScope(t *testing.T) {
 	sys := newSystem(t, 9.0)
 	g := corpus.NewGenerator(103)
 	s := g.BenignText(64 << 10)
-	v, err := sys.ProcessDocument(s.ID, s.Raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), s.ID, s.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestEndToEndAllFamilies(t *testing.T) {
 		t.Run(fam, func(t *testing.T) {
 			sys := newSystem(t, 8.0)
 			s, _ := g.MaliciousFamily(fam)
-			v, err := sys.ProcessDocument(s.ID, s.Raw)
+			v, err := sys.ProcessDocumentContext(t.Context(), s.ID, s.Raw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestEndToEndDetectionOnVersion9(t *testing.T) {
 	sys := newSystem(t, 9.0)
 	g := corpus.NewGenerator(105)
 	s, _ := g.MaliciousFamily("mal-newplayer")
-	v, err := sys.ProcessDocument(s.ID, s.Raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), s.ID, s.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestEndToEndDeinstrumentBenign(t *testing.T) {
 	defer func() { _ = sys.Close() }()
 	g := corpus.NewGenerator(106)
 	s := g.BenignFormJS()
-	v, err := sys.ProcessDocument(s.ID, s.Raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), s.ID, s.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,10 +189,7 @@ func TestMultiDocSessionContextAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sess, err := sys.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := sys.NewSession()
 	defer sess.Close()
 	if _, err := sess.Open(rb1, reader.OpenOptions{}); err != nil {
 		t.Fatal(err)
@@ -225,7 +222,7 @@ func TestBenignSOAPNotFalsePositive(t *testing.T) {
 	sys := newSystem(t, 9.0)
 	g := corpus.NewGenerator(108)
 	s := g.BenignSOAPJS()
-	v, err := sys.ProcessDocument(s.ID, s.Raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), s.ID, s.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +241,7 @@ func TestCrasherCleanIsFalseNegative(t *testing.T) {
 	sys := newSystem(t, 8.0)
 	g := corpus.NewGenerator(109)
 	s, _ := g.MaliciousFamily("mal-crasher-clean")
-	v, err := sys.ProcessDocument(s.ID, s.Raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), s.ID, s.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +258,7 @@ func TestInstrumentedOverheadScriptStillWorks(t *testing.T) {
 	sys := newSystem(t, 9.0)
 	g := corpus.NewGenerator(110)
 	s := g.BenignMultiScript()
-	v, err := sys.ProcessDocument(s.ID, s.Raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), s.ID, s.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +280,7 @@ func TestEmbeddedMaliciousAttachmentDetected(t *testing.T) {
 	if !ok {
 		t.Fatal("family missing")
 	}
-	v, err := sys.ProcessDocument(s.ID, s.Raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), s.ID, s.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // Stats is a consolidated point-in-time snapshot of a running System:
 // document outcomes, per-phase latency, detector activity, front-end
 // cache counters and quarantine state, all sourced from the same obs
-// registry the Prometheus and expvar endpoints read. It marshals cleanly
+// registry the Prometheus endpoints read. It marshals cleanly
 // to JSON, so callers can log or ship it as-is.
 //
 // Note that when several Systems share one registry (the default
@@ -29,7 +29,7 @@ type Stats struct {
 	// Options.JSUnits isolated one).
 	JSUnits js.UnitCacheStats `json:"js_units"`
 	// Triage counts the static triage tier's routing decisions (all zero
-	// when Options.Triage is off).
+	// unless a depth with the tier, DepthStatic or DepthAuto, ran).
 	Triage TriageStats `json:"triage"`
 	// Quarantined is how many artifacts runtime confinement has isolated.
 	Quarantined int `json:"quarantined"`
@@ -39,8 +39,8 @@ type Stats struct {
 	SLO      []obs.SLOStatus    `json:"slo,omitempty"`
 	Flight   *obs.FlightStats   `json:"flight,omitempty"`
 	Watchdog *obs.WatchdogStats `json:"watchdog,omitempty"`
-	// BatchQueueDepth and BatchWorkers reflect in-flight ProcessBatch
-	// calls; SessionsActive counts open reader sessions.
+	// BatchQueueDepth and BatchWorkers reflect in-flight
+	// ProcessBatchContext calls; SessionsActive counts open reader sessions.
 	BatchQueueDepth int64 `json:"batch_queue_depth"`
 	BatchWorkers    int64 `json:"batch_workers"`
 	SessionsActive  int64 `json:"sessions_active"`

@@ -144,10 +144,7 @@ func runParity(t *testing.T, base *System, docs []BatchDoc, wire bool) parityRun
 		keyLocks:     make(map[string]*keyLock),
 	}
 	newSession := func() *Session {
-		sess, err := sys.NewSession()
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := sys.NewSession()
 		return sess
 	}
 	if wire {

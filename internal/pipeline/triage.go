@@ -11,24 +11,19 @@ import (
 	"pdfshield/internal/triage"
 )
 
-// runTriage executes the static triage tier for one submission under
-// the given configuration (from the resolved depth profile), records
-// its telemetry (trace span, latency histogram, route counter, journal
-// event) and returns the decision. A nil config means the tier is off
-// for this depth and the document takes the dynamic path
-// unconditionally.
+// runTriage executes the static triage tier for one submission at the
+// production default configuration, records its telemetry (trace span,
+// latency histogram, route counter, journal event) and returns the
+// decision.
 //
 // Triage runs per submission, never from the front-end cache: the stage
 // is cheap enough that caching it would only buy the cost of a map
 // lookup, and running it fresh keeps the journal's per-document story
 // complete (every submission gets its own TypeTriage event).
-func (s *System) runTriage(docID string, raw []byte, res *instrument.Result, tr *obs.Trace, cfg *triage.Config) *triage.Decision {
-	if cfg == nil {
-		return nil
-	}
+func (s *System) runTriage(docID string, raw []byte, res *instrument.Result, tr *obs.Trace) *triage.Decision {
 	tr.MarkPhase(obs.PhaseTriage)
 	start := time.Now()
-	d := triage.Evaluate(*cfg, raw, res)
+	d := triage.Evaluate(triage.Config{}, raw, res)
 	dur := time.Since(start)
 	tr.AddSpan(obs.PhaseTriage, tr.Offset(start), dur)
 	s.Obs.Observe(obs.MetricTriageSeconds, dur)

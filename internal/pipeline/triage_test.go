@@ -15,7 +15,8 @@ import (
 	"pdfshield/internal/winos"
 )
 
-// triageSystem builds a triage-enabled system on a private registry.
+// triageSystem builds a triage-routed (DepthAuto) system on a private
+// registry.
 func triageSystem(t *testing.T, seed int64, j *journal.Writer) *System {
 	t.Helper()
 	sys, err := NewSystem(Options{
@@ -23,7 +24,7 @@ func triageSystem(t *testing.T, seed int64, j *journal.Writer) *System {
 		Seed:          seed,
 		Obs:           obs.NewRegistry(),
 		Journal:       j,
-		Triage:        &triage.Config{},
+		Depth:         DepthAuto,
 	})
 	if err != nil {
 		t.Fatal(err)

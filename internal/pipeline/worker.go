@@ -40,7 +40,7 @@ func (w *Worker) Process(ctx context.Context, doc BatchDoc) (*Verdict, error) {
 }
 
 // SetDepth pins this worker lane to a scan depth override (empty =
-// inherit the system's Options.Depth / legacy resolution). Call before
+// inherit the system's Options.Depth). Call before
 // the first Process; a Worker is single-goroutine by contract so no
 // locking applies.
 func (w *Worker) SetDepth(d Depth) { w.depth = d }

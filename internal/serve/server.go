@@ -21,7 +21,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
@@ -144,11 +143,9 @@ type Server struct {
 
 // New builds the daemon: the pipeline System underneath, the scan worker
 // pool, and the versioned HTTP routes (POST /v1/scan, GET /v1/healthz,
-// GET /v1/metrics, /debug/vars). The pre-versioning paths (/scan,
-// /healthz, /metrics) remain as deprecated aliases for one release,
-// answered with a 308 redirect and a Deprecation header. Call Start to
-// bind a listener, or mount Handler on a listener of your own; Close
-// drains and releases everything.
+// GET /v1/metrics, /v1/debug/*). Call Start to bind a listener, or mount
+// Handler on a listener of your own; Close drains and releases
+// everything.
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
@@ -209,7 +206,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/scan", s.handleScan)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.Handle("GET /v1/metrics", reg.Handler())
-	s.mux.Handle("/debug/vars", expvar.Handler())
 	// Live debug surface: retained traces, slowest documents, SLO burn
 	// rates, stall reports (see obs.Diagnostics.RegisterDebug).
 	sys.Diagnostics().RegisterDebug(s.mux, "/v1/debug")
@@ -218,13 +214,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	reg.RegisterRuntimeMetrics()
 	obs.RegisterBuildInfo(reg)
-	reg.PublishExpvar("pdfshield")
-	// Deprecated: the unversioned ingestion paths are an alias for one
-	// release. 308 preserves the method and body, so an old client's
-	// POST /scan lands on /v1/scan with the document intact.
-	s.mux.HandleFunc("POST /scan", redirectV1("/v1/scan"))
-	s.mux.HandleFunc("GET /healthz", redirectV1("/v1/healthz"))
-	s.mux.HandleFunc("GET /metrics", redirectV1("/v1/metrics"))
 
 	for i := 0; i < cfg.Workers; i++ {
 		s.workerWG.Add(1)
@@ -245,19 +234,6 @@ func (s *Server) preregisterMetrics() {
 	}
 	s.obs.GaugeAdd(obs.MetricServeInFlight, 0)
 	s.obs.Histogram(obs.MetricServeSeconds, obs.LatencyBuckets)
-}
-
-// redirectV1 answers a pre-versioning path with a 308 to its /v1
-// successor. 308 (not 301) because the scan endpoint is a POST: the
-// permanent redirect preserves method and body, so old clients keep
-// working through the alias window. The Deprecation header (plus a
-// successor-version Link) is the machine-readable removal notice.
-func redirectV1(target string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+target+`>; rel="successor-version"`)
-		http.Redirect(w, r, target, http.StatusPermanentRedirect)
-	}
 }
 
 // Handler returns the daemon's HTTP routes (tests mount it on httptest).

@@ -536,60 +536,44 @@ func TestProxyRouting(t *testing.T) {
 	}
 }
 
-// TestDeprecatedUnversionedAlias pins the one-release compatibility
-// window: the pre-versioning paths answer 308 with a Deprecation header
-// and a /v1 Location, and a client that follows the redirect (Go's
-// default for 308, re-sending the body) still gets its verdict.
-func TestDeprecatedUnversionedAlias(t *testing.T) {
+// TestRouteSet pins the daemon's one route set: every route lives under
+// /v1, and the pre-versioning paths and the expvar endpoint are not
+// served at all.
+func TestRouteSet(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	noFollow := &http.Client{
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-	}
 	doc := corpus.NewGenerator(7).BenignText(4 << 10).Raw
-	for _, tc := range []struct{ method, path, want string }{
-		{http.MethodPost, "/scan", "/v1/scan"},
-		{http.MethodGet, "/healthz", "/v1/healthz"},
-		{http.MethodGet, "/metrics", "/v1/metrics"},
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodPost, "/scan", http.StatusNotFound},
+		{http.MethodGet, "/healthz", http.StatusNotFound},
+		{http.MethodGet, "/metrics", http.StatusNotFound},
+		{http.MethodGet, "/debug/vars", http.StatusNotFound},
+		{http.MethodPost, "/v1/scan", http.StatusOK},
+		{http.MethodGet, "/v1/healthz", http.StatusOK},
+		{http.MethodGet, "/v1/metrics", http.StatusOK},
+		{http.MethodGet, "/v1/debug/slo", http.StatusOK},
 	} {
-		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader(doc))
+		var body io.Reader
+		if tc.method == http.MethodPost {
+			body = bytes.NewReader(doc)
+		}
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, body)
 		if err != nil {
 			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
 		}
-		resp, err := noFollow.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
 		}
 		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Errorf("%s %s: status %d, want 308", tc.method, tc.path, resp.StatusCode)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
-		if loc := resp.Header.Get("Location"); loc != tc.want {
-			t.Errorf("%s %s: Location %q, want %q", tc.method, tc.path, loc, tc.want)
-		}
-		if resp.Header.Get("Deprecation") == "" {
-			t.Errorf("%s %s: missing Deprecation header", tc.method, tc.path)
-		}
-	}
-
-	// A default client follows the 308 (re-POSTing the body) end to end.
-	resp, err := http.Post(ts.URL+"/scan", "application/pdf", bytes.NewReader(doc))
-	if err != nil {
-		t.Fatalf("POST /scan via alias: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("alias follow-through: status %d, body %s", resp.StatusCode, body)
-	}
-	var sr ScanResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatalf("verdict JSON: %v", err)
-	}
-	if sr.Malicious {
-		t.Errorf("benign text doc convicted via alias: %+v", sr)
 	}
 }
 

@@ -48,7 +48,7 @@ const (
 )
 
 // Config tunes the stage. The zero value is the production default and is
-// what pipeline.Options.Triage enables.
+// what the pipeline runs at DepthStatic and DepthAuto.
 type Config struct {
 	// MaliciousThreshold is the abstract-interpretation score at or above
 	// which a document routes confident-malicious (0 = default 8, the

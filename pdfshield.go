@@ -42,13 +42,10 @@ import (
 	"pdfshield/internal/obs"
 	"pdfshield/internal/pipeline"
 	"pdfshield/internal/reader"
-	"pdfshield/internal/triage"
 )
 
 // Depth selects how hard a submission is scanned — the single
-// depth-axis knob of the API (see the Depth* constants). It replaces
-// the accreted per-tier toggles: the deprecated Options.Triage field
-// and the commands' -triage flags remain as aliases for one release.
+// depth-axis knob of the API (see the Depth* constants).
 type Depth = pipeline.Depth
 
 const (
@@ -56,7 +53,7 @@ const (
 	// no reader process is ever created.
 	DepthStatic = pipeline.DepthStatic
 	// DepthStandard is the classic single-execution dynamic scan (the
-	// default when Depth is unset and Triage is nil).
+	// default when Depth is unset).
 	DepthStandard = pipeline.DepthStandard
 	// DepthDeep force-executes every document: conditional branches are
 	// explored on both arms and runtime features are unioned across all
@@ -70,7 +67,7 @@ const (
 )
 
 // ParseDepth validates a depth name from a flag or request field ("" is
-// accepted and means "unset": the system default resolution applies).
+// accepted and means "unset": inherit the system depth).
 func ParseDepth(s string) (Depth, error) { return pipeline.ParseDepth(s) }
 
 // DeepScanConfig bounds the forced-execution explorer used at DepthDeep
@@ -117,29 +114,12 @@ type Options struct {
 	// `pdfshield-detect -replay`.
 	Journal *Journal
 	// Depth is the system-wide scan depth (DepthStatic, DepthStandard,
-	// DepthDeep or DepthAuto). Empty means unset: the legacy resolution
-	// applies, where a non-nil Triage selects triage-gated standard
-	// scanning and everything else runs DepthStandard.
-	// BatchOptions.Depth overrides this per batch.
+	// DepthDeep or DepthAuto; empty = DepthStandard). BatchOptions.Depth
+	// overrides this per batch.
 	Depth Depth
 	// DeepScan bounds the forced-execution explorer used at DepthDeep
 	// and DepthAuto (zero fields = defaults). Ignored at other depths.
 	DeepScan DeepScanConfig
-	// Triage enables the static fast-path tier between the front-end and
-	// the reader session (nil = off). Confident-benign documents skip the
-	// sandbox, confident-malicious documents are convicted without being
-	// opened, and everything uncertain falls through to the full dynamic
-	// open unchanged. Routing is fail-safe: any parse ambiguity,
-	// encryption, unknown API or analysis-budget blowup routes the
-	// document to the dynamic tier. The zero TriageConfig is the
-	// production default.
-	//
-	// Deprecated: set Depth instead — DepthAuto gives triage routing with
-	// deep-scan escalation, DepthStatic gives triage-only verdicts.
-	// Honoured as an alias for one release: with Depth unset, a non-nil
-	// Triage behaves like triage-gated DepthStandard; at
-	// DepthStatic/DepthAuto it carries its tuning into the tier.
-	Triage *TriageConfig
 	// Diag tunes the diagnostics layer — flight recorder ring sizes, SLO
 	// objectives, stall-watchdog deadlines — or disables it entirely
 	// (Diag.Disable). The zero value enables everything with bounded
@@ -158,9 +138,6 @@ type Diagnostics = obs.Diagnostics
 // Diagnostics exposes the System's diagnostics layer (nil when
 // Options.Diag.Disable was set).
 func (s *System) Diagnostics() *Diagnostics { return s.inner.Diagnostics() }
-
-// TriageConfig tunes the static triage tier; see Options.Triage.
-type TriageConfig = triage.Config
 
 // Journal is the append-only forensic event log (JSONL, sequence-numbered,
 // fail-open). See Options.Journal.
@@ -283,7 +260,6 @@ func New(opts Options) (*System, error) {
 		Journal:            opts.Journal,
 		Depth:              opts.Depth,
 		DeepScan:           opts.DeepScan,
-		Triage:             opts.Triage,
 		Diag:               opts.Diag,
 	})
 	if err != nil {
@@ -349,15 +325,6 @@ type Trace = obs.Trace
 // TraceSpan is one phase's interval inside a Trace.
 type TraceSpan = obs.Span
 
-// ProcessDocument runs the full pipeline on one document with no
-// cancellation point.
-//
-// Deprecated: use ProcessDocumentContext, which honors ctx between
-// pipeline phases.
-func (s *System) ProcessDocument(docID string, raw []byte) (*Verdict, error) {
-	return s.ProcessDocumentContext(context.Background(), docID, raw)
-}
-
 // ProcessDocumentContext runs the full pipeline on one document. The
 // context is checked at every phase boundary (front-end, session open,
 // detection): once it ends, processing stops and ctx.Err() is returned
@@ -396,7 +363,7 @@ func toVerdict(v *pipeline.Verdict) *Verdict {
 	return out
 }
 
-// BatchDoc is one input document for ProcessBatch.
+// BatchDoc is one input document for ProcessBatchContext.
 type BatchDoc struct {
 	ID  string
 	Raw []byte
@@ -422,15 +389,6 @@ type BatchResult struct {
 	// CacheStats snapshots the front-end cache after the batch (nil when
 	// the system runs without one).
 	CacheStats *CacheStats
-}
-
-// ProcessBatch runs the full pipeline over many documents with no
-// cancellation point.
-//
-// Deprecated: use ProcessBatchContext, which stops dispatching documents
-// once the context ends.
-func (s *System) ProcessBatch(docs []BatchDoc, opts BatchOptions) *BatchResult {
-	return s.ProcessBatchContext(context.Background(), docs, opts)
 }
 
 // ProcessBatchContext runs the full pipeline over many documents with a
@@ -511,12 +469,8 @@ type Session struct {
 }
 
 // NewSession starts a hooked reader process.
-func (s *System) NewSession() (*Session, error) {
-	inner, err := s.inner.NewSession()
-	if err != nil {
-		return nil, fmt.Errorf("pdfshield: session: %w", err)
-	}
-	return &Session{sys: s, inner: inner}, nil
+func (s *System) NewSession() *Session {
+	return &Session{sys: s, inner: s.inner.NewSession()}
 }
 
 // Open instruments (if needed) and opens a document inside the session's
@@ -554,14 +508,6 @@ func (s *System) Alerts() []detect.Alert {
 	return s.inner.Detector.Alerts()
 }
 
-// QuarantinedCount returns how many artifacts confinement has isolated.
-//
-// Deprecated: use Stats, which reports the same value alongside every
-// other counter.
-func (s *System) QuarantinedCount() int {
-	return s.inner.OS.QuarantineCount()
-}
-
 // DocStats counts per-document pipeline outcomes.
 type DocStats = pipeline.DocStats
 
@@ -586,9 +532,8 @@ type WatchdogStats = obs.WatchdogStats
 // Stats is a consolidated point-in-time snapshot of the System: document
 // outcomes, per-phase latency (keys "parse", "analyze", "instrument",
 // "open", "detect", plus "total" for end-to-end), detector activity,
-// front-end cache counters and quarantine state. It is the one-call
-// replacement for the scattered CacheStats/Alerts/QuarantinedCount
-// accessors and marshals cleanly to JSON.
+// front-end cache counters and quarantine state, and marshals cleanly to
+// JSON.
 type Stats struct {
 	Docs   DocStats              `json:"docs"`
 	Phases map[string]PhaseStats `json:"phases,omitempty"`
@@ -596,8 +541,8 @@ type Stats struct {
 	// Cache snapshots the front-end cache (nil when the System runs
 	// without one).
 	Cache *CacheStats `json:"cache,omitempty"`
-	// Triage counts static triage routes (all zero when Options.Triage is
-	// nil).
+	// Triage counts static triage routes (all zero unless the depth runs
+	// the triage tier: DepthStatic or DepthAuto).
 	Triage TriageStats `json:"triage"`
 	// Quarantined is how many artifacts runtime confinement has isolated.
 	Quarantined int `json:"quarantined"`

@@ -23,7 +23,7 @@ func TestPublicAPIMaliciousVerdict(t *testing.T) {
 	g := corpus.NewGenerator(301)
 	s, _ := g.MaliciousFamily("mal-newplayer")
 
-	v, err := sys.ProcessDocument(s.ID, s.Raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), s.ID, s.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPublicAPIBenignVerdict(t *testing.T) {
 	sys := newTestSystem(t, 9.0)
 	g := corpus.NewGenerator(302)
 	s := g.BenignFormJS()
-	v, err := sys.ProcessDocument(s.ID, s.Raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), s.ID, s.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestPublicAPINoJavaScript(t *testing.T) {
 	sys := newTestSystem(t, 9.0)
 	g := corpus.NewGenerator(303)
 	s := g.BenignText(32 << 10)
-	v, err := sys.ProcessDocument(s.ID, s.Raw)
+	v, err := sys.ProcessDocumentContext(t.Context(), s.ID, s.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +124,7 @@ func TestPublicAPISessionMultiDoc(t *testing.T) {
 	benign := g.BenignNavJS()
 	mal, _ := g.MaliciousFamily("mal-printf")
 
-	sess, err := sys.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := sys.NewSession()
 	if err := sess.Open(benign.ID, benign.Raw); err != nil {
 		t.Fatal(err)
 	}
