@@ -86,7 +86,8 @@ bench-compare:
 # Fuzz every attacker-facing decoder for FUZZTIME each: full-document PDF
 # parsing, the stream filter codecs, the Javascript interpreter (single
 # run and forced-execution exploration — arbitrary scripts must never
-# panic, hang, or leak forcing state out of the explorer), the SOAP
+# panic, hang, or leak forcing state out of the explorer — plus the rope
+# differential: rope strings must be invisible next to flat ones), the SOAP
 # envelope codec, the in-process context and hook delivery paths (each
 # must accept, reject and normalise exactly what its wire path does), and
 # the static triage tier (census + abstract interpretation over arbitrary
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzFilters$$' -fuzztime $(FUZZTIME) ./internal/pdf/
 	$(GO) test -fuzz '^FuzzJSInterp$$' -fuzztime $(FUZZTIME) ./internal/js/
 	$(GO) test -fuzz '^FuzzForcedExec$$' -fuzztime $(FUZZTIME) ./internal/js/
+	$(GO) test -fuzz '^FuzzRopeVsFlat$$' -fuzztime $(FUZZTIME) ./internal/js/
 	$(GO) test -fuzz '^FuzzEnvelope$$' -fuzztime $(FUZZTIME) ./internal/soapsrv/
 	$(GO) test -fuzz '^FuzzDirectVsWire$$' -fuzztime $(FUZZTIME) ./internal/soapsrv/
 	$(GO) test -fuzz '^FuzzDirectVsWire$$' -fuzztime $(FUZZTIME) ./internal/hook/

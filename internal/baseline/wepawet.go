@@ -57,8 +57,8 @@ func (d *Wepawet) Classify(raw []byte) (bool, error) {
 	it.MaxHeap = 512 << 20
 	shellcodeSeen := false
 	it.LargeStringUnits = 4096
-	it.OnLargeString = func(s string) {
-		if nonPrintableRun(s) >= wepawetShellcodeRun {
+	it.OnLargeString = func(v js.Value) {
+		if nonPrintableRun(v.Str()) >= wepawetShellcodeRun {
 			shellcodeSeen = true
 		}
 	}

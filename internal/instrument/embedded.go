@@ -105,12 +105,13 @@ func EmbeddedDocID(hostID string, index int) string {
 
 // instrumentEmbedded recursively instruments embedded PDFs inside doc,
 // replacing each /EmbeddedFile stream with the instrumented bytes. Returns
-// the per-embedded instrumentation results.
-func (ins *Instrumenter) instrumentEmbedded(hostID string, doc *pdf.Document, depth int) ([]*Result, error) {
+// the per-embedded instrumentation results, and whether any attachment
+// was left as-is because it has object streams the parser does not
+// resolve (the host inherits that fail-safe flag).
+func (ins *Instrumenter) instrumentEmbedded(hostID string, doc *pdf.Document, depth int) (results []*Result, unresolved bool, err error) {
 	if depth >= maxEmbeddedDepth {
-		return nil, nil
+		return nil, false, nil
 	}
-	var results []*Result
 	for i, emb := range ExtractEmbeddedPDFs(doc) {
 		id := EmbeddedDocID(hostID, i)
 		res, err := ins.instrumentBytesDepth(id, emb.Raw, "", depth+1)
@@ -118,10 +119,16 @@ func (ins *Instrumenter) instrumentEmbedded(hostID string, doc *pdf.Document, de
 			if errors.Is(err, ErrNoJavaScript) {
 				continue // scriptless attachment: leave as-is
 			}
+			if errors.Is(err, ErrUnresolvedObjectStreams) {
+				// Nothing visible to instrument, but scripts may hide in
+				// its object streams: leave it as-is and flag the host.
+				unresolved = true
+				continue
+			}
 			if errors.Is(err, ErrDuplicate) {
 				continue // already instrumented elsewhere
 			}
-			return nil, fmt.Errorf("embedded %s: %w", id, err)
+			return nil, false, fmt.Errorf("embedded %s: %w", id, err)
 		}
 		obj, _ := doc.Get(emb.StreamNum)
 		stream, ok := obj.Object.(*pdf.Stream)
@@ -130,12 +137,12 @@ func (ins *Instrumenter) instrumentEmbedded(hostID string, doc *pdf.Document, de
 		}
 		rawOut, filterObj, err := pdf.EncodeChain([]pdf.Name{pdf.FilterFlate}, res.Output)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		newDict := stream.Dict.Clone()
 		newDict["Filter"] = filterObj
 		doc.Put(pdf.IndirectObject{Num: emb.StreamNum, Gen: obj.Gen, Object: &pdf.Stream{Dict: newDict, Raw: rawOut}})
 		results = append(results, res)
 	}
-	return results, nil
+	return results, unresolved, nil
 }

@@ -47,6 +47,12 @@ type Options struct {
 // Callers typically treat this as "benign by scope" rather than a failure.
 var ErrNoJavaScript = errors.New("document contains no javascript")
 
+// ErrUnresolvedObjectStreams is returned instead of ErrNoJavaScript when no
+// script was found but the document has object streams or cross-reference
+// streams the parser does not expand: scripts may sit inside them, so the
+// document must not be treated as out of scope. The Result is non-nil.
+var ErrUnresolvedObjectStreams = errors.New("document has object streams the parser does not resolve")
+
 // Instrumenter is the front-end component: it statically analyzes
 // documents, extracts features, and inserts context monitoring code.
 type Instrumenter struct {
@@ -171,6 +177,10 @@ type Result struct {
 	// Embedded holds the instrumentation results of embedded PDF
 	// documents (§VI extension); each has its own protection key.
 	Embedded []*Result
+	// UnresolvedObjectStreams is set with ErrUnresolvedObjectStreams, and
+	// on an instrumented host when an attachment was left as-is because
+	// of its unresolved object streams.
+	UnresolvedObjectStreams bool
 }
 
 // ContentHash computes the registry identity of raw document bytes.
@@ -276,7 +286,7 @@ func (ins *Instrumenter) instrumentBytesDepth(docID string, raw []byte, hash str
 	}
 	parseDur := time.Since(t0)
 
-	embedded, err := ins.instrumentEmbedded(docID, doc, depth)
+	embedded, embUnresolved, err := ins.instrumentEmbedded(docID, doc, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -300,8 +310,13 @@ func (ins *Instrumenter) instrumentBytesDepth(docID string, raw []byte, hash str
 			ObjectCount: doc.Len(),
 			Embedded:    embedded,
 			Timing:      PhaseTiming{ParseDecompress: parseDur, FeatureExtraction: featDur},
+
+			UnresolvedObjectStreams: embUnresolved || doc.UnresolvedObjectStreams(),
 		}
 		if len(embedded) == 0 {
+			if res.UnresolvedObjectStreams {
+				return res, ErrUnresolvedObjectStreams
+			}
 			return res, ErrNoJavaScript
 		}
 		// The host carries no script but its attachments do: emit the host
@@ -333,6 +348,8 @@ func (ins *Instrumenter) instrumentBytesDepth(docID string, raw []byte, hash str
 		OwnerPasswordRemoved: removedPw,
 		Embedded:             embedded,
 		Spec:                 DeinstrumentSpec{DocID: docID, InstrKey: instrKey},
+
+		UnresolvedObjectStreams: embUnresolved,
 	}
 
 	// Holders that appear in another chain's /Next sequence are folded into

@@ -17,7 +17,7 @@ func arg(args []Value, i int) Value {
 
 // ---- UTF-16 helpers ----
 
-func isASCII(v Value) bool { return len(v.str) == v.strLen }
+func isASCII(v Value) bool { return v.byteLen() == v.strLen }
 
 // stringUnits returns s as UTF-16 code units (non-ASCII slow path).
 func stringUnits(s string) []uint16 { return utf16.Encode([]rune(s)) }
@@ -29,14 +29,14 @@ func (it *Interp) stringCharAt(v Value, idx int) (Value, error) {
 		return StringValue(""), nil
 	}
 	if isASCII(v) {
-		return it.newString(v.str[idx : idx+1])
+		return it.newString(v.Str()[idx : idx+1])
 	}
 	// Re-encoding the whole string is O(len); bill it, or per-character
 	// loops over non-ASCII strings turn quadratic for free.
-	if err := it.work(len(v.str)); err != nil {
+	if err := it.work(v.byteLen()); err != nil {
 		return Undefined(), err
 	}
-	u := it.units16(v.str)
+	u := it.units16(v.Str())
 	return it.newString(unitsToString(u[idx : idx+1]))
 }
 
@@ -45,9 +45,9 @@ func (it *Interp) stringCharCodeAt(v Value, idx int) float64 {
 		return math.NaN()
 	}
 	if isASCII(v) {
-		return float64(v.str[idx])
+		return float64(v.Str()[idx])
 	}
-	u := it.units16(v.str)
+	u := it.units16(v.Str())
 	return float64(u[idx])
 }
 
@@ -68,12 +68,12 @@ func (it *Interp) stringSlice(v Value, start, end int) (Value, error) {
 		start, end = end, start
 	}
 	if isASCII(v) {
-		return it.newString(v.str[start:end])
+		return it.newString(v.Str()[start:end])
 	}
-	if err := it.work(len(v.str)); err != nil {
+	if err := it.work(v.byteLen()); err != nil {
 		return Undefined(), err
 	}
-	u := it.units16(v.str)
+	u := it.units16(v.Str())
 	return it.newString(unitsToString(u[start:end]))
 }
 
@@ -145,7 +145,7 @@ func init() {
 			if !isASCII(sv) {
 				// Billing the UTF-16 re-encode keeps shellcode-style
 				// charCodeAt loops within the step budget's time bound.
-				if err := it.work(len(sv.str)); err != nil {
+				if err := it.work(sv.byteLen()); err != nil {
 					return Undefined(), err
 				}
 			}
@@ -160,7 +160,7 @@ func init() {
 			if err != nil {
 				return Undefined(), err
 			}
-			s := sv.str
+			s := sv.Str()
 			if err := it.work(len(s) + len(needle)); err != nil {
 				return Undefined(), err
 			}

@@ -273,7 +273,7 @@ func (c *Code) SizeEstimate() int64 {
 		n += int64(len(s)) + 16
 	}
 	for _, v := range c.Consts {
-		n += int64(len(v.str)) + 48
+		n += int64(v.byteLen()) + 48
 	}
 	n += int64(len(c.Handlers))*16 + int64(len(c.Unwinds))*20
 	n += int64(c.srcLen) / 4 // AST kept alive via FuncLit back-references

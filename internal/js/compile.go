@@ -43,7 +43,6 @@ func CompileSource(src string) (*Code, error) {
 type constKey struct {
 	kind ValueKind
 	num  float64
-	b    bool
 	str  string
 }
 
@@ -54,7 +53,7 @@ type compiler struct {
 }
 
 func (c *compiler) constIndex(v Value) int32 {
-	k := constKey{kind: v.Kind(), num: v.num, b: v.b, str: v.str}
+	k := constKey{kind: v.Kind(), num: v.num, str: v.Str()}
 	if idx, ok := c.constIdx[k]; ok {
 		return idx
 	}

@@ -279,25 +279,23 @@ func (it *Interp) binaryOp(op string, l, r Value) (Value, error) {
 	switch op {
 	case "+":
 		if l.IsString() && r.IsString() {
-			// Both unit counts are already cached and UTF-16 length is
-			// additive over concatenation, so the result needs no rescan.
-			return it.newStringUnits(l.str+r.str, l.strLen+r.strLen)
+			return it.concat(l, r)
 		}
 		if l.IsString() || r.IsString() ||
 			(l.IsObject() && !r.IsObject()) || (r.IsObject() && !l.IsObject()) ||
 			(l.IsObject() && r.IsObject()) {
-			ls, lu, err := valueToStringUnits(it, l)
+			ls, err := toStringValue(it, l)
 			if err != nil {
 				return Undefined(), err
 			}
-			rs, ru, err := valueToStringUnits(it, r)
+			rs, err := toStringValue(it, r)
 			if err != nil {
 				return Undefined(), err
 			}
 			// Objects that are not arrays/strings still concatenate via
 			// their string form, matching ES ToPrimitive-with-string hint
 			// closely enough for document scripts.
-			return it.newStringUnits(ls+rs, lu+ru)
+			return it.concat(ls, rs)
 		}
 		return NumberValue(l.ToNumber() + r.ToNumber()), nil
 	case "-":
@@ -371,11 +369,7 @@ func (it *Interp) chargeCompare(l, r Value) error {
 	if !l.IsString() || !r.IsString() {
 		return nil
 	}
-	n := len(l.str)
-	if len(r.str) < n {
-		n = len(r.str)
-	}
-	return it.work(n)
+	return it.work(min(l.byteLen(), r.byteLen()))
 }
 
 func (it *Interp) compareOp(op string, l, r Value) (Value, error) {
@@ -383,16 +377,17 @@ func (it *Interp) compareOp(op string, l, r Value) (Value, error) {
 		if err := it.chargeCompare(l, r); err != nil {
 			return Undefined(), err
 		}
+		ls, rs := l.Str(), r.Str()
 		var res bool
 		switch op {
 		case "<":
-			res = l.str < r.str
+			res = ls < rs
 		case ">":
-			res = l.str > r.str
+			res = ls > rs
 		case "<=":
-			res = l.str <= r.str
+			res = ls <= rs
 		default:
-			res = l.str >= r.str
+			res = ls >= rs
 		}
 		return BoolValue(res), nil
 	}

@@ -116,10 +116,13 @@ type Interp struct {
 	// OnAlloc, when set, observes every allocation delta.
 	OnAlloc func(delta int64)
 	// OnLargeString, when set, observes every string allocation of at
-	// least LargeStringUnits UTF-16 units. The reader's exploit emulation
-	// uses it to locate sprayed payload blocks, the way a hijacked control
-	// flow would land inside spray memory.
-	OnLargeString func(s string)
+	// least LargeStringUnits UTF-16 units, in allocation order, right after
+	// its OnAlloc charge. The reader's exploit emulation uses it to locate
+	// sprayed payload blocks, the way a hijacked control flow would land
+	// inside spray memory. The value may be an unflattened concatenation:
+	// Value.Contains searches it without building its bytes, and Str()
+	// builds them once (a cost the observer should pay only when it must).
+	OnLargeString func(v Value)
 	// LargeStringUnits overrides the large-string threshold (0 = 32768).
 	LargeStringUnits int
 	// StepLimit bounds interpreter steps (0 = DefaultStepLimit).
@@ -242,21 +245,37 @@ func (it *Interp) alloc(delta int64) error {
 	return nil
 }
 
-// newString wraps a string with heap accounting (two bytes per UTF-16
-// unit, as in real engines).
+// newString wraps a flat string with heap accounting.
 func (it *Interp) newString(s string) (Value, error) {
-	return it.newStringUnits(s, utf16Len(s))
+	return it.track(StringValue(s))
 }
 
-// newStringUnits is newString for callers that already know the UTF-16
-// length (concatenation: unit counts are additive, and both operands carry
-// theirs). Skipping the recount turns spray-style concat loops from
-// rescanning every byte of the growing string into pure copies.
-func (it *Interp) newStringUnits(s string, units int) (Value, error) {
-	if len(s) > maxStringLen {
+// concat implements string `+`. Unit counts are additive and both operands
+// carry theirs, so the result needs no rescan. A result of ropeMinBytes or
+// more becomes a rope node sharing both operands instead of a copy; the
+// accounting is that of the flat string it stands for.
+func (it *Interp) concat(l, r Value) (Value, error) {
+	n := l.byteLen() + r.byteLen()
+	v := Value{kind: KindString, strLen: l.strLen + r.strLen}
+	switch {
+	case n < ropeMinBytes:
+		v.str = l.Str() + r.Str()
+	case r.byteLen() == 0:
+		v = l
+	case l.byteLen() == 0:
+		v = r
+	default:
+		v.rope = newRope(l, r, n)
+	}
+	return it.track(v)
+}
+
+// track charges a new string value to the heap — two bytes per UTF-16
+// unit, as in real engines — and reports it to OnLargeString when large.
+func (it *Interp) track(v Value) (Value, error) {
+	if v.byteLen() > maxStringLen {
 		return Undefined(), ErrHeapLimit
 	}
-	v := Value{kind: KindString, str: s, strLen: units}
 	if err := it.alloc(int64(v.strLen) * 2); err != nil {
 		return Undefined(), err
 	}
@@ -266,7 +285,7 @@ func (it *Interp) newStringUnits(s string, units int) (Value, error) {
 			threshold = 32768
 		}
 		if v.strLen >= threshold {
-			it.OnLargeString(s)
+			it.OnLargeString(v)
 		}
 	}
 	return v, nil
@@ -766,18 +785,17 @@ func ToDisplay(v Value) string {
 	return s
 }
 
-// valueToStringUnits is valueToString plus the result's UTF-16 unit count,
-// reusing the cached count for string values so concatenation never
-// rescans an operand it already measured.
-func valueToStringUnits(it *Interp, v Value) (string, int, error) {
+// toStringValue is ToString returning a string Value. String values pass
+// through untouched, keeping a rope unflattened and its unit count cached.
+func toStringValue(it *Interp, v Value) (Value, error) {
 	if v.IsString() {
-		return v.str, v.strLen, nil
+		return v, nil
 	}
 	s, err := valueToString(it, v)
 	if err != nil {
-		return "", 0, err
+		return Undefined(), err
 	}
-	return s, utf16Len(s), nil
+	return StringValue(s), nil
 }
 
 // valueToString implements ToString; it may need the interpreter for
@@ -789,14 +807,14 @@ func valueToString(it *Interp, v Value) (string, error) {
 	case KindNull:
 		return "null", nil
 	case KindBool:
-		if v.b {
+		if v.Bool() {
 			return "true", nil
 		}
 		return "false", nil
 	case KindNumber:
 		return numberToString(v.num), nil
 	case KindString:
-		return v.str, nil
+		return v.Str(), nil
 	default:
 		o := v.obj
 		if o == nil {
@@ -858,12 +876,10 @@ func strictEquals(a, b Value) bool {
 	switch a.Kind() {
 	case KindUndefined, KindNull:
 		return true
-	case KindBool:
-		return a.b == b.b
-	case KindNumber:
+	case KindBool, KindNumber:
 		return a.num == b.num // NaN != NaN naturally
 	case KindString:
-		return a.str == b.str
+		return a.Str() == b.Str()
 	default:
 		return a.obj == b.obj
 	}

@@ -24,13 +24,19 @@ const (
 // Value is a Javascript value. The zero Value is undefined.
 type Value struct {
 	kind ValueKind
-	num  float64
-	b    bool
-	str  string
-	// strLen caches the UTF-16 length of str (code units); JS semantics
-	// count UTF-16 units, and heap accounting charges two bytes per unit.
+	// num is the number payload, or 1/0 for a bool.
+	num float64
+	// str is a flat string payload; Str() is the one reader, because a
+	// string may instead be an unflattened rope.
+	str string
+	// strLen caches the UTF-16 length of the string (code units); JS
+	// semantics count UTF-16 units, and heap accounting charges two bytes
+	// per unit.
 	strLen int
 	obj    *Object
+	// rope, when set, holds the string as an unflattened concatenation
+	// (see rope.go); str is then empty.
+	rope *rope
 }
 
 // Undefined is the undefined value.
@@ -40,7 +46,12 @@ func Undefined() Value { return Value{kind: KindUndefined} }
 func NullValue() Value { return Value{kind: KindNull} }
 
 // BoolValue wraps a Go bool.
-func BoolValue(b bool) Value { return Value{kind: KindBool, b: b} }
+func BoolValue(b bool) Value {
+	if b {
+		return Value{kind: KindBool, num: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // NumberValue wraps a Go float64.
 func NumberValue(f float64) Value { return Value{kind: KindNumber, num: f} }
@@ -115,8 +126,32 @@ func (v Value) Object() *Object {
 	return nil
 }
 
-// Str returns the raw string payload (only meaningful for strings).
-func (v Value) Str() string { return v.str }
+// Str returns the raw string payload (only meaningful for strings). A rope
+// is flattened on the first call and memoized.
+func (v Value) Str() string {
+	if v.rope != nil {
+		return v.rope.flatten()
+	}
+	return v.str
+}
+
+// byteLen returns the byte length of a string value without flattening.
+func (v Value) byteLen() int {
+	if v.rope != nil {
+		return v.rope.n
+	}
+	return len(v.str)
+}
+
+// Contains reports whether a string value contains sub. A rope answers
+// without flattening: each node memoizes its answer, and a match that
+// straddles a boundary between two pieces is found too.
+func (v Value) Contains(sub string) bool {
+	if v.rope == nil || sub == "" {
+		return strings.Contains(v.str, sub)
+	}
+	return v.rope.contains(sub)
+}
 
 // StrLen returns the UTF-16 length of a string value.
 func (v Value) StrLen() int { return v.strLen }
@@ -125,7 +160,7 @@ func (v Value) StrLen() int { return v.strLen }
 func (v Value) Num() float64 { return v.num }
 
 // Bool returns the raw bool payload.
-func (v Value) Bool() bool { return v.b }
+func (v Value) Bool() bool { return v.num != 0 }
 
 // ToBoolean implements the ES abstract operation.
 func (v Value) ToBoolean() bool {
@@ -133,11 +168,11 @@ func (v Value) ToBoolean() bool {
 	case KindUndefined, KindNull:
 		return false
 	case KindBool:
-		return v.b
+		return v.num != 0
 	case KindNumber:
 		return v.num != 0 && !math.IsNaN(v.num)
 	case KindString:
-		return len(v.str) > 0
+		return v.byteLen() > 0
 	default:
 		return true
 	}
@@ -150,15 +185,10 @@ func (v Value) ToNumber() float64 {
 		return math.NaN()
 	case KindNull:
 		return 0
-	case KindBool:
-		if v.b {
-			return 1
-		}
-		return 0
-	case KindNumber:
+	case KindBool, KindNumber:
 		return v.num
 	case KindString:
-		return stringToNumber(v.str)
+		return stringToNumber(v.Str())
 	default:
 		// Object -> primitive via valueOf-ish: arrays join, others NaN.
 		if v.obj != nil && v.obj.Class == ClassArray && v.obj.arrayLen() == 1 {
@@ -371,9 +401,17 @@ func (o *Object) truncate(n int) {
 		o.length = n
 		return
 	}
-	for i := n; i < o.length; i++ {
-		o.Delete(strconv.Itoa(i))
+	// One pass over keys: deleting index by index rescans and shifts keys
+	// per element, which is quadratic in the array length.
+	kept := o.keys[:0]
+	for _, k := range o.keys {
+		if idx, ok := arrayIndex(k); ok && idx >= n && idx < o.length {
+			delete(o.props, k)
+			continue
+		}
+		kept = append(kept, k)
 	}
+	o.keys = kept
 	o.length = n
 }
 

@@ -3,6 +3,7 @@ package js
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -25,6 +26,31 @@ type engineTrace struct {
 	heap    int64
 	allocs  []int64
 	large   []int
+	// seen digests each large string as the observer received it — its
+	// content hash and whether it carries ropeTestMarker — read without
+	// flattening, so a roped run is observed in its unflattened form.
+	seen []largeDigest
+}
+
+type largeDigest struct {
+	sum    uint64
+	marker bool
+}
+
+// ropeTestMarker stands in for the reader's payload marker.
+const ropeTestMarker = "PAYLOAD:"
+
+func digestLarge(v Value) largeDigest {
+	h := fnv.New64a()
+	if v.rope != nil {
+		v.rope.walk(false, func(s string) bool {
+			h.Write([]byte(s))
+			return true
+		})
+	} else {
+		h.Write([]byte(v.str))
+	}
+	return largeDigest{sum: h.Sum64(), marker: v.Contains(ropeTestMarker)}
 }
 
 type diffLimits struct {
@@ -52,7 +78,10 @@ func runEngine(src string, treeWalk bool, lim diffLimits, units *UnitCache) engi
 	}
 	var tr engineTrace
 	it.OnAlloc = func(delta int64) { tr.allocs = append(tr.allocs, delta) }
-	it.OnLargeString = func(s string) { tr.large = append(tr.large, len(s)) }
+	it.OnLargeString = func(v Value) {
+		tr.large = append(tr.large, v.byteLen())
+		tr.seen = append(tr.seen, digestLarge(v))
+	}
 	v, err := it.Run(src)
 	tr.steps = it.Steps()
 	tr.heap = it.HeapBytes

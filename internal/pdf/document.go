@@ -138,6 +138,26 @@ func (d *Document) CatalogRef() (Ref, bool) {
 	return ref, ok
 }
 
+// UnresolvedObjectStreams reports object-stream structure the parser does
+// not expand: a stream whose /Type is /ObjStm or /XRef, or a trailer
+// naming an /XRefStm. Objects packed inside object streams are invisible
+// to chain reconstruction, so a document showing any of these cannot be
+// called script-free. It inspects parsed objects only, never the source
+// bytes; hex-escaped names arrive here already decoded by the lexer.
+func (d *Document) UnresolvedObjectStreams() bool {
+	if d.Trailer.Get("XRefStm") != nil {
+		return true
+	}
+	for _, obj := range d.objects {
+		if s, ok := obj.Object.(*Stream); ok {
+			if t, _ := s.Dict.Get("Type").(Name); t == "ObjStm" || t == "XRef" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // IsEmptyObject reports whether an object body counts as an "empty object"
 // for static feature F4: a null body, an empty dictionary, or an empty
 // array. Malicious documents use these as decoys at the end of Javascript

@@ -235,6 +235,13 @@ func (s *System) processWithSession(ctx context.Context, sess **Session, doc Bat
 			// records which depth it was produced under.
 			return &Verdict{DocID: doc.ID, NoJavaScript: true, Instrument: res, Depth: string(prof.depth)}, nil
 		}
+		if errors.Is(err, instrument.ErrUnresolvedObjectStreams) && res != nil && prof.triage {
+			// Scripts may hide in the object streams nobody expanded, so
+			// the document is never out of scope. Triage finds no script
+			// and routes it uncertain; with nothing found to open, the
+			// verdict stops there. Standard and deep return the error.
+			return s.verdictFromTriage(doc.ID, res, s.runTriage(doc.ID, doc.Raw, res, tr), prof), nil
+		}
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {

@@ -27,17 +27,18 @@ func (p *Process) newDocInterp(od *OpenDoc) *js.Interp {
 			p.emitMemSample()
 		}
 	}
-	it.OnLargeString = func(s string) {
+	it.OnLargeString = func(v js.Value) {
 		// Keep only blocks that could carry a payload program, bounded.
-		if !strings.Contains(s, PayloadMarker) {
+		// Contains answers for a concatenated block without building it.
+		if !v.Contains(PayloadMarker) {
 			return
 		}
 		if len(od.sprayBlocks) >= maxSprayBlocks {
 			copy(od.sprayBlocks, od.sprayBlocks[1:])
-			od.sprayBlocks[len(od.sprayBlocks)-1] = s
+			od.sprayBlocks[len(od.sprayBlocks)-1] = v
 			return
 		}
-		od.sprayBlocks = append(od.sprayBlocks, s)
+		od.sprayBlocks = append(od.sprayBlocks, v)
 	}
 
 	g := it.Global

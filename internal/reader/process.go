@@ -112,7 +112,7 @@ type OpenDoc struct {
 
 	interp      *js.Interp
 	proc        *Process
-	sprayBlocks []string
+	sprayBlocks []js.Value
 	heapBytes   int64
 	memMB       float64
 
@@ -602,9 +602,11 @@ func (p *Process) attemptExploit(od *OpenDoc, cve string, payloadFromContent []P
 }
 
 // findSprayPayload scans recently sprayed blocks for the payload program.
+// It is the only reader of their bytes, so at most maxSprayBlocks blocks
+// are ever flattened, and only once an exploit lands.
 func (od *OpenDoc) findSprayPayload() []PayloadOp {
 	for i := len(od.sprayBlocks) - 1; i >= 0; i-- {
-		if ops, ok := DecodePayload(od.sprayBlocks[i]); ok {
+		if ops, ok := DecodePayload(od.sprayBlocks[i].Str()); ok {
 			return ops
 		}
 	}

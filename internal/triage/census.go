@@ -155,6 +155,9 @@ func TakeCensus(raw []byte, res *instrument.Result) Census {
 		if c.EmbeddedPDFs > 0 {
 			flag("embedded-pdf")
 		}
+		if res.UnresolvedObjectStreams {
+			flag("objstm-unresolved")
+		}
 	}
 	if c.EOFMarkers > 1 {
 		flag("multiple-eof")

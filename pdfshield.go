@@ -461,6 +461,10 @@ func (s *System) Instrument(docID string, raw []byte) (*InstrumentResult, error)
 // ErrNoJavaScript re-exports the out-of-scope sentinel.
 var ErrNoJavaScript = instrument.ErrNoJavaScript
 
+// ErrUnresolvedObjectStreams re-exports the fail-safe error for documents
+// whose object streams may hide scripts the parser cannot see.
+var ErrUnresolvedObjectStreams = instrument.ErrUnresolvedObjectStreams
+
 // Session opens multiple documents inside one simulated reader process,
 // reproducing the paper's multi-document attribution scenario.
 type Session struct {
