@@ -10,7 +10,7 @@ LDFLAGS := -ldflags "-X pdfshield/internal/obs.Version=$(VERSION)"
 # internal/*/testdata/fuzz/ replay on every plain `make test` regardless.
 FUZZTIME ?= 30s
 
-.PHONY: build vet test race bench bench-json bench-compare fuzz journal-check serve-smoke lint-metrics
+.PHONY: build vet test race bench fuzz journal-check serve-smoke lint-metrics
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -66,28 +66,12 @@ race:
 bench:
 	$(GO) test -bench 'BenchmarkProcessBatch|BenchmarkParseReuse' -benchmem .
 
-# Machine-readable batch + cache benchmark over the duplicate-heavy
-# corpus. Writes BENCH.json (commit it as BENCH_pr<N>.json to extend the
-# trajectory started by BENCH_pr3.json).
-BENCHJSON ?= BENCH.json
-bench-json:
-	$(GO) run ./cmd/pdfshield-bench -json $(BENCHJSON)
-
-# Perf regression gate: diff two committed benchmark records and fail on a
-# >10% warm open-phase p50 regression or a >10% end-to-end docs/sec drop
-# in the parallel-cached pass. Records that predate a section (schema/1
-# has no open phase, serve-only schema/3 has no batch sections, pre-/4 has
-# no triage) are accepted; the missing gates are skipped with a note.
-BENCH_OLD ?= BENCH_pr8.json
-BENCH_NEW ?= BENCH_pr9.json
-bench-compare:
-	$(GO) run ./cmd/pdfshield-bench -compare $(BENCH_OLD) $(BENCH_NEW)
-
 # Fuzz every attacker-facing decoder for FUZZTIME each: full-document PDF
 # parsing, the stream filter codecs, the Javascript interpreter (single
 # run and forced-execution exploration — arbitrary scripts must never
-# panic, hang, or leak forcing state out of the explorer — plus the rope
-# differential: rope strings must be invisible next to flat ones), the SOAP
+# panic, hang, or leak forcing state out of the explorer — plus two
+# differentials: the bytecode VM must match the tree-walking reference
+# evaluator, and rope strings must be invisible next to flat ones), the SOAP
 # envelope codec, the in-process context and hook delivery paths (each
 # must accept, reject and normalise exactly what its wire path does), and
 # the static triage tier (census + abstract interpretation over arbitrary
@@ -99,6 +83,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzFilters$$' -fuzztime $(FUZZTIME) ./internal/pdf/
 	$(GO) test -fuzz '^FuzzJSInterp$$' -fuzztime $(FUZZTIME) ./internal/js/
 	$(GO) test -fuzz '^FuzzForcedExec$$' -fuzztime $(FUZZTIME) ./internal/js/
+	$(GO) test -fuzz '^FuzzCompileVsTreeWalk$$' -fuzztime $(FUZZTIME) ./internal/js/
 	$(GO) test -fuzz '^FuzzRopeVsFlat$$' -fuzztime $(FUZZTIME) ./internal/js/
 	$(GO) test -fuzz '^FuzzEnvelope$$' -fuzztime $(FUZZTIME) ./internal/soapsrv/
 	$(GO) test -fuzz '^FuzzDirectVsWire$$' -fuzztime $(FUZZTIME) ./internal/soapsrv/

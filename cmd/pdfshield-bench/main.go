@@ -8,12 +8,8 @@
 //
 //	pdfshield-bench [-scale 0.1] [-seed 20140623] [-only table-viii]
 //	                [-out results.txt] [-list] [-workers N]
-//	                [-json bench.json] [-depth static|standard|deep|auto]
-//	                [-bench-docs 50] [-bench-unique 10]
-//	                [-cache-entries N] [-cache-bytes N] [-cache-ttl d]
 //	                [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	                [-metrics-addr host:port]
-//	pdfshield-bench -compare OLD.json NEW.json
 //
 // -metrics-addr serves live counters and phase-latency histograms in
 // Prometheus text format on /metrics while the run is in flight — point a
@@ -24,21 +20,11 @@
 // pass, Figure 6's analysis sweep, the ablations). Verdicts are identical at
 // any width; only wall-clock changes.
 //
-// -json switches to the machine-readable batch benchmark instead of the
-// experiment suite: a duplicate-heavy corpus (-bench-docs documents over
-// -bench-unique unique carriers) is processed serial-uncached,
-// parallel-uncached and parallel-cached, and the docs/sec, cache hit rate
-// and per-phase front-end timings are written as one JSON record
-// (committed as BENCH_pr<N>.json to track the perf trajectory across PRs).
-// The -cache-* flags bound the cached pass's front-end cache.
+// -cpuprofile / -memprofile write pprof profiles of the run, so perf work
+// starts from a profile instead of a guess.
 //
-// -cpuprofile / -memprofile write pprof profiles of whichever mode ran, so
-// perf work starts from a profile instead of a guess.
-//
-// -compare diffs two committed records and exits non-zero on a
-// regression: warm open-phase p50 or parallel-cached docs/sec more than
-// 10% worse, or any decrease in the deep-depth evasive detection rate —
-// the CI gates behind `make bench-compare`.
+// Throughput and latency are measured by perfbench (bash perfbench/run.sh);
+// the per-family verdict gate is internal/experiments' TestDetectionGate.
 package main
 
 import (
@@ -51,11 +37,9 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"pdfshield/internal/cache"
 	"pdfshield/internal/cli"
 	"pdfshield/internal/experiments"
 	"pdfshield/internal/obs"
-	"pdfshield/internal/pipeline"
 )
 
 func main() {
@@ -72,18 +56,10 @@ func run() error {
 	outPath := flag.String("out", "", "also write rendered results to this file")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	workers := flag.Int("workers", 1, "worker-pool width for pipeline corpus passes (1 = serial, matching the paper; try runtime.NumCPU())")
-	jsonPath := flag.String("json", "", "write a machine-readable batch/cache benchmark record to this file (skips the experiment suite)")
-	depthFlag := flag.String("depth", "", "scan depth for the -json batch passes: static|standard|deep|auto (empty = standard; the experiment suite always runs the paper's standard depth)")
-	benchDocs := flag.Int("bench-docs", 50, "total documents in the -json benchmark corpus")
-	benchUnique := flag.Int("bench-unique", 5, "unique documents in the -json benchmark corpus (the rest are byte-identical duplicates)")
-	cacheEntries := flag.Int("cache-entries", 0, "front-end cache entry cap for the -json cached pass (0 = default)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "front-end cache byte cap for the -json cached pass (0 = default)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "front-end cache TTL for the -json cached pass (0 = never expires)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics on this address (/metrics); empty = off")
 	pprofOn := flag.Bool("pprof", false, "also mount net/http/pprof at /debug/pprof on -metrics-addr (opt-in)")
-	compare := flag.Bool("compare", false, "compare two BENCH_*.json records (positional args: OLD NEW); non-zero exit on >10% open-p50 regression")
 	logOpts := cli.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -99,17 +75,9 @@ func run() error {
 		return nil
 	}
 
-	if *compare {
-		if flag.NArg() != 2 {
-			return fmt.Errorf("-compare needs exactly two record paths: OLD NEW")
-		}
-		return runCompare(flag.Arg(0), flag.Arg(1))
-	}
-
 	if *metricsAddr != "" {
-		// Both modes report into the process-wide default registry (systems
-		// built without an explicit Obs option land there), so one endpoint
-		// covers the experiment suite and the -json benchmark alike.
+		// Systems built without an explicit Obs option report into the
+		// process-wide default registry, so one endpoint covers the suite.
 		srv, err := obs.Default.ServeMetricsDiag(*metricsAddr, nil, *pprofOn)
 		if err != nil {
 			return fmt.Errorf("metrics server: %w", err)
@@ -142,21 +110,6 @@ func run() error {
 				logger.Error("memprofile", "err", err)
 			}
 		}()
-	}
-
-	depth, err := pipeline.ParseDepth(*depthFlag)
-	if err != nil {
-		return err
-	}
-
-	if *jsonPath != "" {
-		cfg := cache.Config{MaxEntries: *cacheEntries, MaxBytes: *cacheBytes, TTL: *cacheTTL}
-		return runJSONBench(*jsonPath, *seed, *workers, *benchDocs, *benchUnique, depth, cfg)
-	}
-	if depth != "" && depth != pipeline.DepthStandard {
-		// The suite regenerates the paper's tables; its configuration is the
-		// paper's (standard depth), not an operator choice.
-		return fmt.Errorf("-depth %s: the experiment suite reproduces the paper at standard depth (use -json for depth-aware benchmarks)", depth)
 	}
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Workers: *workers}

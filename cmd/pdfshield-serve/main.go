@@ -43,12 +43,12 @@
 //
 //	pdfshield-serve -load -target http://host:port [-load-docs N]
 //	                [-load-unique N] [-load-concurrency N] [-load-tenant T]
-//	                [-load-journal events.jsonl] [-json BENCH.json]
+//	                [-load-journal events.jsonl] [-json load.json]
 //
 // -load replays a duplicate-heavy corpus (or, with -load-journal, the
-// doc-open stream of a recorded journal) against -target and emits a
-// schema pdfshield-bench/3 record: docs/sec, p50/p99 end-to-end latency,
-// and the rejection rate under backpressure.
+// doc-open stream of a recorded journal) against -target and emits one
+// JSON record (schema pdfshield-bench/3): docs/sec, p50/p99 end-to-end
+// latency, and the rejection rate under backpressure.
 package main
 
 import (
@@ -102,7 +102,7 @@ func run() error {
 	loadConcurrency := flag.Int("load-concurrency", 16, "load: parallel submitters")
 	loadTenant := flag.String("load-tenant", "", "load: X-Tenant stamped on every submission")
 	loadJournal := flag.String("load-journal", "", "load: replay this journal's doc-open stream as the submission order")
-	jsonPath := flag.String("json", "", "load: write the pdfshield-bench/3 record to this file")
+	jsonPath := flag.String("json", "", "load: write the JSON load record to this file (empty = print a summary to stdout)")
 
 	logOpts := cli.RegisterLogFlags(flag.CommandLine)
 	jOpts := cli.RegisterJournalFlags(flag.CommandLine, "pdfshield-serve")

@@ -26,6 +26,7 @@ func AblationFeatures(cfg Config) Result {
 		alerted bool
 	}
 	var all []labelled
+	failed := 0
 
 	collect := func(samples []corpus.Sample, version float64, mal bool) {
 		sys, err := pipeline.NewSystem(pipeline.Options{ViewerVersion: version, Seed: cfg.seed() + 21})
@@ -33,7 +34,9 @@ func AblationFeatures(cfg Config) Result {
 			return
 		}
 		defer func() { _ = sys.Close() }()
-		for _, v := range batchVerdicts(sys, samples, cfg.workers()) {
+		verdicts, f := batchVerdicts(sys, samples, cfg.workers())
+		failed += f
+		for _, v := range verdicts {
 			if v.NoJavaScript {
 				continue
 			}
@@ -107,6 +110,9 @@ func AblationFeatures(cfg Config) Result {
 		"runtime-only misses single-behaviour samples (e.g. spray-then-crash);",
 		"the hybrid weighting reaches the paper's 0 FP / ~97% TP operating point",
 	)
+	if failed > 0 {
+		table.Notes = append(table.Notes, fmt.Sprintf("failed documents (scored under no rule): %d", failed))
+	}
 	return Result{Tables: []Table{table}}
 }
 

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"pdfshield/internal/corpus"
+	"pdfshield/internal/obs"
+	"pdfshield/internal/pipeline"
 )
 
 // tinyCfg keeps experiment tests fast; the cmd harness runs real scales.
@@ -146,6 +150,9 @@ func TestTableVIIIAccuracy(t *testing.T) {
 	if len(res.Tables) != 1 {
 		t.Fatal("no table")
 	}
+	if acc.Failed != 0 {
+		t.Errorf("failed documents = %d, want 0", acc.Failed)
+	}
 	if acc.BenignFlagged != 0 {
 		t.Errorf("false positives = %d, want 0 (paper)", acc.BenignFlagged)
 	}
@@ -154,6 +161,30 @@ func TestTableVIIIAccuracy(t *testing.T) {
 	}
 	if acc.MalNoise == 0 {
 		t.Log("no noise samples at this tiny scale (paper: 5.8%)")
+	}
+}
+
+// TestBatchVerdictsCountsFailures feeds one garbage document among valid
+// ones: it must come back as a failure, not silently vanish.
+func TestBatchVerdictsCountsFailures(t *testing.T) {
+	samples := corpus.NewGenerator(7).BenignWithJS(3)
+	samples = append(samples[:1], append([]corpus.Sample{{ID: "garbage", Raw: []byte("%PDF-1.4 garbage")}}, samples[1:]...)...)
+	sys, err := pipeline.NewSystem(pipeline.Options{ViewerVersion: 9.0, Seed: 7, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = sys.Close() }()
+	verdicts, failed := batchVerdicts(sys, samples, 2)
+	if failed != 1 {
+		t.Errorf("failed = %d, want 1", failed)
+	}
+	if len(verdicts) != 3 {
+		t.Fatalf("verdicts = %d, want 3", len(verdicts))
+	}
+	for i, want := range []string{samples[0].ID, samples[2].ID, samples[3].ID} {
+		if verdicts[i].DocID != want {
+			t.Errorf("verdict %d is %s, want %s", i, verdicts[i].DocID, want)
+		}
 	}
 }
 

@@ -175,7 +175,9 @@ func TableVIII(cfg Config) (Result, Accuracy) {
 	if err != nil {
 		return Result{}, acc
 	}
-	for _, v := range batchVerdicts(sysB, g.BenignWithJS(nBenign), cfg.workers()) {
+	verdicts, failed := batchVerdicts(sysB, g.BenignWithJS(nBenign), cfg.workers())
+	acc.Failed += failed
+	for _, v := range verdicts {
 		acc.BenignTotal++
 		if v.Malicious {
 			acc.BenignFlagged++
@@ -188,7 +190,9 @@ func TableVIII(cfg Config) (Result, Accuracy) {
 	if err != nil {
 		return Result{}, acc
 	}
-	for _, v := range batchVerdicts(sysM, g.MaliciousBatch(nMal), cfg.workers()) {
+	verdicts, failed = batchVerdicts(sysM, g.MaliciousBatch(nMal), cfg.workers())
+	acc.Failed += failed
+	for _, v := range verdicts {
 		acc.MalTotal++
 		switch {
 		case v.Malicious:
@@ -213,15 +217,17 @@ func TableVIII(cfg Config) (Result, Accuracy) {
 			fmt.Sprintf("false positives: %d (paper: 0)", acc.BenignFlagged),
 			fmt.Sprintf("detection rate on working samples: %.1f%% (paper: 97.3%% = 917/942)", 100*acc.DetectionRate()),
 			fmt.Sprintf("noise (samples that did nothing): %.1f%% (paper: 5.8%% = 58/1000)", 100*float64(acc.MalNoise)/float64(maxInt(acc.MalTotal, 1))),
+			fmt.Sprintf("failed documents (no verdict, counted in no column): %d", acc.Failed),
 		},
 	}
 	return Result{Tables: []Table{table}}, acc
 }
 
 // batchVerdicts pushes a corpus slice through the worker-pool batch engine
-// and returns the successful verdicts in input order (failed documents are
-// skipped, matching the old per-document `continue` behaviour).
-func batchVerdicts(sys *pipeline.System, samples []corpus.Sample, workers int) []*pipeline.Verdict {
+// and returns the successful verdicts in input order plus the number of
+// documents that failed (they have no verdict, so callers must report them
+// rather than let them vanish from every count).
+func batchVerdicts(sys *pipeline.System, samples []corpus.Sample, workers int) ([]*pipeline.Verdict, int) {
 	docs := make([]pipeline.BatchDoc, len(samples))
 	for i, s := range samples {
 		docs[i] = pipeline.BatchDoc{ID: s.ID, Raw: s.Raw}
@@ -233,7 +239,7 @@ func batchVerdicts(sys *pipeline.System, samples []corpus.Sample, workers int) [
 			out = append(out, v)
 		}
 	}
-	return out
+	return out, res.Failed()
 }
 
 // isNoise reports the paper's "did nothing when opened" condition.
@@ -253,6 +259,9 @@ func isNoise(v *pipeline.Verdict) bool {
 type Accuracy struct {
 	BenignTotal, BenignFlagged                 int
 	MalTotal, MalDetected, MalMissed, MalNoise int
+	// Failed counts documents that ended in a pipeline error; they are in
+	// none of the totals above.
+	Failed int
 }
 
 // DetectionRate is TP over working (non-noise) malicious samples.

@@ -184,20 +184,3 @@ func (c *UnitCache) Stats() UnitCacheStats {
 		Bytes:     c.bytes.Load(),
 	}
 }
-
-// Purge empties the cache (tests).
-func (c *UnitCache) Purge() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for k, el := range sh.entries {
-			ent := el.Value.(*unitEntry)
-			c.entries.Add(-1)
-			c.bytes.Add(-ent.size)
-			delete(sh.entries, k)
-		}
-		sh.lru.Init()
-		sh.bytes = 0
-		sh.mu.Unlock()
-	}
-}

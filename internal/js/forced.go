@@ -132,13 +132,13 @@ func (it *Interp) ExploreForced(cfg ForceConfig, run func() error) ForceResult {
 
 	prevForce := it.Force
 	prevLimit := it.StepLimit
-	prevTree := it.TreeWalk
+	prevTree := it.treeWalk
 	defer func() {
 		it.Force = prevForce
 		it.StepLimit = prevLimit
-		it.TreeWalk = prevTree
+		it.treeWalk = prevTree
 	}()
-	it.TreeWalk = false // forcing is VM-only; see package comment
+	it.treeWalk = false // forcing is VM-only; see package comment
 
 	var res ForceResult
 	visited := map[string]bool{"": true}

@@ -201,11 +201,11 @@ func TestForcedDeterministic(t *testing.T) {
 }
 
 // TestForcedRestoresInterp: ExploreForced must leave the interpreter's
-// Force/StepLimit/TreeWalk exactly as it found them.
+// Force/StepLimit/treeWalk exactly as it found them.
 func TestForcedRestoresInterp(t *testing.T) {
 	it, _ := probeInterp()
 	it.StepLimit = 12345678
-	it.TreeWalk = true
+	it.treeWalk = true
 	explore(t, it, ForceConfig{}, `if (false) { probe("x"); }`)
 	if it.Force != nil {
 		t.Fatal("Force state leaked")
@@ -213,7 +213,7 @@ func TestForcedRestoresInterp(t *testing.T) {
 	if it.StepLimit != 12345678 {
 		t.Fatalf("StepLimit = %d, want 12345678", it.StepLimit)
 	}
-	if !it.TreeWalk {
-		t.Fatal("TreeWalk flag not restored")
+	if !it.treeWalk {
+		t.Fatal("treeWalk flag not restored")
 	}
 }

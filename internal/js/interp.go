@@ -129,9 +129,6 @@ type Interp struct {
 	StepLimit int64
 	// MaxHeap bounds HeapBytes (0 = DefaultMaxHeap).
 	MaxHeap int64
-	// TreeWalk forces the recursive evaluator instead of the bytecode VM.
-	// The differential harness uses it; production opens leave it false.
-	TreeWalk bool
 	// Force, when non-nil, intercepts force-eligible conditional branches
 	// in the bytecode VM (if/else and ternaries; never loop back-edges):
 	// each decision consults the ForceState, which may override the
@@ -143,6 +140,10 @@ type Interp struct {
 
 	steps    int64
 	curScope *Scope
+	// treeWalk runs the recursive evaluator instead of the bytecode VM. It
+	// is the reference the differential tests compare the VM against;
+	// nothing outside them sets it.
+	treeWalk bool
 
 	// unitsMemo caches the most recent UTF-16 re-encoding done by the
 	// string builtins. Decoder loops (charCodeAt over an escaped payload)
@@ -308,7 +309,7 @@ func (it *Interp) throwNamed(name, msg string) error {
 // value (the value of the last expression statement). Compiled units are
 // reused across runs through the content-addressed unit cache.
 func (it *Interp) Run(src string) (Value, error) {
-	if it.TreeWalk {
+	if it.treeWalk {
 		prog, err := Parse(src)
 		if err != nil {
 			return Undefined(), err
@@ -324,7 +325,7 @@ func (it *Interp) Run(src string) (Value, error) {
 
 // RunProgram executes a parsed program in the global scope.
 func (it *Interp) RunProgram(prog *Program) (Value, error) {
-	if it.TreeWalk {
+	if it.treeWalk {
 		return it.runProgramTree(prog)
 	}
 	return it.runCode(Compile(prog), it.Global, modeProgram)
@@ -743,7 +744,7 @@ func (it *Interp) CurrentScope() *Scope {
 // Compiled units are cached by content hash, so unpacker loops that eval the
 // same decoded payload repeatedly compile it once.
 func (it *Interp) EvalInScope(src string, sc *Scope) (Value, error) {
-	if it.TreeWalk {
+	if it.treeWalk {
 		return it.evalInScopeTree(src, sc)
 	}
 	code, err := it.units().Load(src)

@@ -12,7 +12,7 @@ import (
 )
 
 // The differential harness runs every script through both engines — the
-// recursive tree-walker (TreeWalk=true) and the bytecode VM — and demands
+// recursive tree-walker (treeWalk=true) and the bytecode VM — and demands
 // bit-identical observables: completion value, error class, step totals,
 // heap totals, the full allocation event stream, and the large-string hook
 // stream. These observables are exactly what the detector's feature vectors
@@ -61,7 +61,7 @@ type diffLimits struct {
 
 func runEngine(src string, treeWalk bool, lim diffLimits, units *UnitCache) engineTrace {
 	it := New()
-	it.TreeWalk = treeWalk
+	it.treeWalk = treeWalk
 	it.Units = units
 	if lim.steps != 0 {
 		it.StepLimit = lim.steps

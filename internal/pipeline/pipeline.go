@@ -64,10 +64,6 @@ type Options struct {
 	// js.DefaultUnits). Pass a private cache to isolate hit/miss counters
 	// (tests, benchmark passes).
 	JSUnits *js.UnitCache
-	// TreeWalkJS runs reader sessions on the interpreter's recursive
-	// tree-walking engine instead of the bytecode VM (engine A/B
-	// benchmarking; verdicts are identical on both engines).
-	TreeWalkJS bool
 	// Depth is the system-wide scan depth (see the Depth constants;
 	// empty = DepthStandard). BatchOptions.Depth overrides this per batch.
 	Depth Depth
@@ -349,7 +345,6 @@ func (s *System) NewSession() *Session {
 		OS:            s.OS,
 		Notifier:      soapsrv.NewDirect(s.Detector.Notify),
 		Units:         s.jsUnits,
-		TreeWalkJS:    s.opts.TreeWalkJS,
 	})
 	s.Obs.GaugeAdd(obs.MetricSessionsActive, 1)
 	return &Session{Proc: proc, sink: sink, obs: s.Obs}

@@ -18,7 +18,6 @@ func (p *Process) newDocInterp(od *OpenDoc) *js.Interp {
 	it.StepLimit = p.cfg.StepLimit
 	it.MaxHeap = p.cfg.MaxHeap
 	it.Units = p.cfg.Units
-	it.TreeWalk = p.cfg.TreeWalkJS
 	it.OnAlloc = func(delta int64) {
 		p.jsHeapBytes += delta
 		od.heapBytes += delta

@@ -36,11 +36,6 @@ type Config struct {
 	// this process creates (nil = js.DefaultUnits). The cache outlives
 	// Reset, so recycled sessions keep their precompiled monitoring code.
 	Units *js.UnitCache
-	// TreeWalkJS forces the interpreter's recursive tree-walking engine
-	// instead of the bytecode VM. Detection semantics are identical on both
-	// engines (the differential suite pins that); the switch exists for
-	// engine A/B benchmarking and as an escape hatch.
-	TreeWalkJS bool
 }
 
 // Memory model constants, tuned so the shapes of Figures 7 and 8 hold:

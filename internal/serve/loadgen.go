@@ -89,9 +89,9 @@ type LoadCorpus struct {
 	TotalBytes int64 `json:"total_bytes"`
 }
 
-// LoadRecord is the schema/3 bench record a load pass emits. The header
-// matches pdfshield-bench's records field for field, so the -compare
-// tooling and the committed BENCH_pr*.json trajectory read both.
+// LoadRecord is the JSON record a load pass emits: one self-contained
+// capacity measurement (host header, corpus, throughput, latency,
+// rejections). Compare two passes by reading their records side by side.
 type LoadRecord struct {
 	Schema     string     `json:"schema"`
 	Timestamp  string     `json:"timestamp"`
@@ -377,8 +377,7 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[i]
 }
 
-// WriteRecord writes a load record as an indented JSON file — the
-// BENCH_pr*.json trajectory format.
+// WriteRecord writes a load record as an indented JSON file.
 func (r *LoadRecord) WriteRecord(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
