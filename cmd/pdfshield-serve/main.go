@@ -2,11 +2,9 @@
 // submissions over POST /v1/scan (body = the raw PDF bytes) and answers the
 // pipeline's verdict as JSON, with the document's trace and journal
 // correlation IDs. The daemon fronts the pipeline with admission control:
-// a bounded queue whose overflow answers 429 + Retry-After, per-tenant
-// token-bucket rate limits keyed on the X-Tenant header, and — in a
-// multi-backend deployment (-peers/-self) — consistent-hash routing on
-// the document content hash so each peer's front-end cache holds its
-// shard of the content space.
+// a bounded queue whose overflow answers 429 + Retry-After, and
+// per-tenant token-bucket rate limits keyed on the X-Tenant header. Each
+// daemon is one node that scans every document it admits.
 //
 // SIGINT/SIGTERM drain the daemon: the listener stops accepting,
 // in-flight documents finish under -drain-timeout, and the forensic
@@ -24,7 +22,6 @@
 //	pdfshield-serve [-addr :8947] [-workers N] [-queue N]
 //	                [-max-doc-bytes N] [-drain-timeout d]
 //	                [-tenant-rate R] [-tenant-burst N]
-//	                [-peers a:1,b:2] [-self a:1]
 //	                [-cache] [-cache-entries N] [-cache-bytes N] [-cache-ttl d]
 //	                [-depth static|standard|deep|auto]
 //	                [-seed N] [-journal events.jsonl] [-log-level info]
@@ -39,16 +36,8 @@
 //
 //	pdfshield-serve -doctor host:port
 //
-// Load generator (capacity measurement against a running daemon):
-//
-//	pdfshield-serve -load -target http://host:port [-load-docs N]
-//	                [-load-unique N] [-load-concurrency N] [-load-tenant T]
-//	                [-load-journal events.jsonl] [-json load.json]
-//
-// -load replays a duplicate-heavy corpus (or, with -load-journal, the
-// doc-open stream of a recorded journal) against -target and emits one
-// JSON record (schema pdfshield-bench/3): docs/sec, p50/p99 end-to-end
-// latency, and the rejection rate under backpressure.
+// Throughput is measured with the repository benchmark,
+// bash perfbench/run.sh.
 package main
 
 import (
@@ -59,7 +48,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 
 	"pdfshield/internal/cache"
@@ -84,8 +72,6 @@ func run() error {
 	drainTimeout := flag.Duration("drain-timeout", serve.DefaultDrainTimeout, "how long shutdown waits for in-flight documents")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admitted docs/second (0 = unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant burst ceiling (0 = max(rate,1))")
-	peers := flag.String("peers", "", "comma-separated backend list for consistent-hash routing (empty = single node)")
-	self := flag.String("self", "", "this node's entry in -peers")
 	useCache := flag.Bool("cache", true, "content-addressed front-end cache (byte-identical documents share instrumentation)")
 	cacheEntries := flag.Int("cache-entries", 0, "cache entry cap (0 = default, negative = unlimited)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "cache byte cap (0 = default, negative = unlimited)")
@@ -94,15 +80,6 @@ func run() error {
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof (opt-in: profiles expose goroutine stacks and heap contents)")
 	doctor := flag.String("doctor", "", "one-shot: fetch and pretty-print a running daemon's diagnostics (health, SLO burn rates, slow traces, stalls) from this address, then exit")
 	depthFlag := flag.String("depth", "", "scan depth: static|standard|deep|auto (empty = standard; auto adds forced-execution deep scans for triage-uncertain documents)")
-
-	load := flag.Bool("load", false, "run the load generator against -target instead of serving")
-	target := flag.String("target", "", "load: base URL of the running daemon (http://host:port)")
-	loadDocs := flag.Int("load-docs", 200, "load: total documents to submit")
-	loadUnique := flag.Int("load-unique", 5, "load: unique documents (the rest are byte-identical duplicates)")
-	loadConcurrency := flag.Int("load-concurrency", 16, "load: parallel submitters")
-	loadTenant := flag.String("load-tenant", "", "load: X-Tenant stamped on every submission")
-	loadJournal := flag.String("load-journal", "", "load: replay this journal's doc-open stream as the submission order")
-	jsonPath := flag.String("json", "", "load: write the JSON load record to this file (empty = print a summary to stdout)")
 
 	logOpts := cli.RegisterLogFlags(flag.CommandLine)
 	jOpts := cli.RegisterJournalFlags(flag.CommandLine, "pdfshield-serve")
@@ -115,18 +92,6 @@ func run() error {
 
 	if *doctor != "" {
 		return serve.RunDoctor(*doctor, os.Stdout)
-	}
-
-	if *load {
-		return runLoad(serve.LoadConfig{
-			Target:      *target,
-			Docs:        *loadDocs,
-			Unique:      *loadUnique,
-			Concurrency: *loadConcurrency,
-			Seed:        *seed,
-			Tenant:      *loadTenant,
-			JournalPath: *loadJournal,
-		}, *jsonPath)
 	}
 
 	jw, err := jOpts.Open(obs.Default)
@@ -157,15 +122,7 @@ func run() error {
 		DrainTimeout: *drainTimeout,
 		TenantRate:   *tenantRate,
 		TenantBurst:  *tenantBurst,
-		Self:         *self,
 		Pprof:        *pprofOn,
-	}
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				cfg.Peers = append(cfg.Peers, p)
-			}
-		}
 	}
 	if *useCache {
 		cfg.Pipeline.Cache = &cache.Config{
@@ -187,7 +144,7 @@ func run() error {
 	if err := srv.Start(*addr); err != nil {
 		return err
 	}
-	logger.Info("listening", "addr", srv.Addr(), "workers", cfg.Workers, "queue", cfg.QueueDepth, "peers", len(cfg.Peers))
+	logger.Info("listening", "addr", srv.Addr(), "workers", cfg.Workers, "queue", cfg.QueueDepth)
 
 	// Drain on SIGINT/SIGTERM: stop accepting, finish in-flight documents
 	// under the drain deadline, flush the journal, then exit. SIGQUIT
@@ -213,29 +170,5 @@ func run() error {
 		return fmt.Errorf("drain: %w", err)
 	}
 	logger.Info("drained")
-	return nil
-}
-
-// runLoad drives one load pass and writes/prints its record.
-func runLoad(cfg serve.LoadConfig, jsonPath string) error {
-	rec, err := serve.RunLoad(cfg, os.Stderr)
-	if err != nil {
-		return err
-	}
-	if jsonPath != "" {
-		if err := rec.WriteRecord(jsonPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "load: record written to %s\n", jsonPath)
-		return nil
-	}
-	// No -json: print the record to stdout so the pass is still capturable.
-	s := rec.Serve
-	fmt.Printf("target:            %s\n", s.Target)
-	fmt.Printf("submitted:         %d docs (%d unique), concurrency %d\n", s.Docs, rec.Corpus.Unique, s.Concurrency)
-	fmt.Printf("completed:         %d (%d malicious, %d no-js, %d failed)\n", s.Completed, s.Malicious, s.NoJS, s.Failed)
-	fmt.Printf("backpressure:      %d x 429 (%.1f%% rejection), %d retries\n", s.Rejected429, s.RejectionRate*100, s.Retries)
-	fmt.Printf("throughput:        %.1f docs/sec over %.2fs\n", s.DocsPerSec, s.Seconds)
-	fmt.Printf("latency:           p50 %.2fms, p90 %.2fms, p99 %.2fms\n", s.P50Ms, s.P90Ms, s.P99Ms)
 	return nil
 }

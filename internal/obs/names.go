@@ -45,13 +45,11 @@ const (
 	// Ingestion daemon series (internal/serve). Admission is the bounded
 	// queue in front of the scan workers; rejections carry a reason label
 	// ("queue" = backpressure 429, "ratelimit" = tenant bucket empty,
-	// "draining" = shutdown in progress). Proxied counts documents routed
-	// to their consistent-hash owner peer.
+	// "draining" = shutdown in progress).
 	MetricServeQueueDepth = "pdfshield_serve_queue_depth"
 	MetricServeInFlight   = "pdfshield_serve_inflight"
 	MetricServeAccepted   = "pdfshield_serve_accepted_total"
 	MetricServeRejected   = "pdfshield_serve_rejected_total"
-	MetricServeProxied    = "pdfshield_serve_proxied_total"
 	MetricServeSeconds    = "pdfshield_serve_request_seconds"
 
 	// Forensic event journal health (internal/journal). The fail-open

@@ -212,17 +212,23 @@ func TestDoctorReport(t *testing.T) {
 		t.Fatalf("scan status %d", resp.StatusCode)
 	}
 
+	// The target may be a bare host:port or a base URL with a trailing
+	// slash; both normalize to the same base.
 	var sb strings.Builder
-	if err := RunDoctor(strings.TrimPrefix(ts.URL, "http://"), &sb); err != nil {
-		t.Fatalf("RunDoctor: %v", err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"== health ==", "== slo burn rates ==", "== slowest retained traces ==",
-		"== stall watchdog ==", "== key metrics ==", "pdfshield_build_info",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("doctor report missing %q\n---\n%s", want, out)
+	for _, target := range []string{strings.TrimPrefix(ts.URL, "http://"), ts.URL + "/"} {
+		sb.Reset()
+		if err := RunDoctor(target, &sb); err != nil {
+			t.Fatalf("RunDoctor(%q): %v", target, err)
+		}
+		out := sb.String()
+		for _, want := range []string{
+			"pdfshield doctor: " + ts.URL + "\n",
+			"== health ==", "== slo burn rates ==", "== slowest retained traces ==",
+			"== stall watchdog ==", "== key metrics ==", "pdfshield_build_info",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("doctor report for %q missing %q\n---\n%s", target, want, out)
+			}
 		}
 	}
 

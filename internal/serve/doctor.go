@@ -24,7 +24,7 @@ const doctorTimeout = 10 * time.Second
 // error only when the node is unreachable; a degraded node (burning
 // SLO budget, stalled documents) still produces a report.
 func RunDoctor(target string, w io.Writer) error {
-	base := peerURL(target)
+	base := targetURL(target)
 	client := &http.Client{Timeout: doctorTimeout}
 
 	fmt.Fprintf(w, "pdfshield doctor: %s\n\n", base)
@@ -119,6 +119,15 @@ func RunDoctor(target string, w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// targetURL normalizes the doctor's target ("host:port" or
+// "http://host:port/") to a base URL without a trailing slash.
+func targetURL(target string) string {
+	if strings.Contains(target, "://") {
+		return strings.TrimSuffix(target, "/")
+	}
+	return "http://" + target
 }
 
 // doctorGet fetches one URL, accepting any HTTP status (a draining

@@ -12,6 +12,12 @@ import (
 // only its own bucket, so a scraper hammering the endpoint cannot starve
 // the other tenants' admission — quota isolation at the front door,
 // before a document costs any pipeline work.
+//
+// Tenant names come from clients, so the bucket map is swept: a bucket
+// that has refilled to burst answers Allow exactly like a fresh one and
+// is dropped. The sweep runs when the map reaches sweepAt, which then
+// becomes twice the surviving count, so its cost is amortised over the
+// insertions that filled the map.
 type TenantLimiter struct {
 	rate  float64
 	burst float64
@@ -19,7 +25,11 @@ type TenantLimiter struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
+	sweepAt int
 }
+
+// minSweepAt is the smallest bucket count that triggers a sweep.
+const minSweepAt = 1024
 
 type bucket struct {
 	tokens float64
@@ -41,7 +51,7 @@ func NewTenantLimiter(rate float64, burst int, now func() time.Time) *TenantLimi
 	if now == nil {
 		now = time.Now
 	}
-	return &TenantLimiter{rate: rate, burst: b, now: now, buckets: make(map[string]*bucket)}
+	return &TenantLimiter{rate: rate, burst: b, now: now, buckets: make(map[string]*bucket), sweepAt: minSweepAt}
 }
 
 // Allow spends one token from tenant's bucket. When the bucket is empty
@@ -56,6 +66,9 @@ func (l *TenantLimiter) Allow(tenant string) (ok bool, retryAfter time.Duration)
 	now := l.now()
 	b := l.buckets[tenant]
 	if b == nil {
+		if len(l.buckets) >= l.sweepAt {
+			l.sweep(now)
+		}
 		b = &bucket{tokens: l.burst, last: now}
 		l.buckets[tenant] = b
 	} else {
@@ -70,7 +83,17 @@ func (l *TenantLimiter) Allow(tenant string) (ok bool, retryAfter time.Duration)
 	return false, time.Duration(deficit / l.rate * float64(time.Second))
 }
 
-// Tenants returns how many tenants have touched the limiter (metrics).
+// sweep drops every bucket that has refilled to burst by now.
+func (l *TenantLimiter) sweep(now time.Time) {
+	for tenant, b := range l.buckets {
+		if b.tokens+now.Sub(b.last).Seconds()*l.rate >= l.burst {
+			delete(l.buckets, tenant)
+		}
+	}
+	l.sweepAt = max(2*len(l.buckets), minSweepAt)
+}
+
+// Tenants returns how many tenants hold a bucket that has not been swept.
 func (l *TenantLimiter) Tenants() int {
 	if l == nil {
 		return 0

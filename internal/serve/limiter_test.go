@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -87,5 +89,61 @@ func TestLimiterDisabled(t *testing.T) {
 	}
 	if l.Tenants() != 0 {
 		t.Error("nil limiter should report 0 tenants")
+	}
+}
+
+// TestLimiterBucketsBounded: a stream of distinct tenants on an advancing
+// clock keeps the bucket map bounded.
+func TestLimiterBucketsBounded(t *testing.T) {
+	clk := newFakeClock()
+	l := NewTenantLimiter(10, 1, clk.now) // a spent token refills in 100ms
+	for i := 0; i < 100_000; i++ {
+		if ok, _ := l.Allow(fmt.Sprintf("tenant-%d", i)); !ok {
+			t.Fatalf("fresh tenant %d denied", i)
+		}
+		if n := l.Tenants(); n > minSweepAt {
+			t.Fatalf("after %d tenants the limiter holds %d buckets, want <= %d", i+1, n, minSweepAt)
+		}
+		clk.advance(time.Millisecond)
+	}
+}
+
+// TestLimiterSweepKeepsDrainedBuckets: a sweep drops only refilled
+// buckets, so a tenant that spent its tokens stays limited.
+func TestLimiterSweepKeepsDrainedBuckets(t *testing.T) {
+	clk := newFakeClock()
+	l := NewTenantLimiter(1, 1, clk.now)
+	l.Allow("hot")
+	for i := 0; i < minSweepAt; i++ { // the last insertion sweeps
+		l.Allow(fmt.Sprintf("tenant-%d", i))
+	}
+	if ok, _ := l.Allow("hot"); ok {
+		t.Fatal("sweep forgave the drained hot tenant")
+	}
+	if n := l.Tenants(); n != minSweepAt+1 {
+		t.Errorf("Tenants() = %d, want %d: no bucket had refilled", n, minSweepAt+1)
+	}
+}
+
+// TestLimiterConcurrentTenants runs Allow from many goroutines with
+// distinct tenants, enough to trigger sweeps (run it under -race).
+func TestLimiterConcurrentTenants(t *testing.T) {
+	l := NewTenantLimiter(1000, 1, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if ok, _ := l.Allow(fmt.Sprintf("g%d-t%d", g, i)); !ok {
+					t.Errorf("fresh tenant g%d-t%d denied", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := l.Tenants(); n > 8000 {
+		t.Errorf("Tenants() = %d, more than were ever seen", n)
 	}
 }

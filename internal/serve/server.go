@@ -4,20 +4,17 @@
 //
 // The design goal is not raw throughput — the batch engine already has
 // that — but *admission control*: under sustained traffic the correctness
-// concern is what happens at saturation. Every document passes three
-// gates before it costs any pipeline work: a per-tenant token bucket
-// (one hot tenant cannot starve the rest), consistent-hash ownership
-// routing (a multi-backend deployment shards its front-end cache on
-// instrument.ContentHash instead of duplicating it — non-owned documents
-// are proxied to their owner), and a bounded admission queue whose
+// concern is what happens at saturation. Every document passes two gates
+// before it costs any pipeline work: a per-tenant token bucket (one hot
+// tenant cannot starve the rest) and a bounded admission queue whose
 // overflow answers 429 with a Retry-After instead of queueing unbounded
-// latency. Shutdown is a drain: the listener stops accepting, in-flight
-// documents finish under a deadline, and the forensic journal is flushed
-// before the process exits.
+// latency. The daemon is one node: like the paper's per-host detector,
+// it scans every document it admits. Shutdown is a drain: the listener
+// stops accepting, in-flight documents finish under a deadline, and the
+// forensic journal is flushed before the process exits.
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,7 +24,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,10 +53,6 @@ const (
 	// HeaderDocID names the document; generated from the content hash when
 	// absent. The ID is the correlation key into journal events and traces.
 	HeaderDocID = "X-Doc-Id"
-	// HeaderRouted marks a proxied submission with the routing peer, so
-	// ownership disagreement during a ring change cannot bounce a document
-	// between peers forever — a routed submission is always served locally.
-	HeaderRouted = "X-Pdfshield-Routed"
 )
 
 // Config tunes a Server.
@@ -84,14 +76,6 @@ type Config struct {
 	// (0 = unlimited); TenantBurst is the bucket ceiling (0 = max(rate,1)).
 	TenantRate  float64
 	TenantBurst int
-	// Peers is the full backend list ("host:port" or "http://host:port")
-	// of a multi-backend deployment, and Self is this node's entry in it.
-	// When set, documents are consistent-hash routed on their content hash:
-	// non-owned submissions are proxied to the owner, so each peer's
-	// front-end cache holds its shard of the content space instead of a
-	// copy of all of it. Empty = single-node, everything owned locally.
-	Peers []string
-	Self  string
 	// Pprof mounts the net/http/pprof profiling handlers at /debug/pprof.
 	// Off by default: the profiles expose goroutine stacks and heap
 	// contents, so they are opt-in (-pprof on the daemon CLI).
@@ -120,9 +104,7 @@ type Server struct {
 	cfg     Config
 	sys     *pipeline.System
 	obs     *obs.Registry
-	ring    *Ring
 	limiter *TenantLimiter
-	proxy   *http.Client
 	mux     *http.ServeMux
 
 	queue     chan *job
@@ -159,21 +141,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
 	}
-	if len(cfg.Peers) > 0 {
-		if cfg.Self == "" {
-			return nil, errors.New("serve: Peers set but Self empty")
-		}
-		found := false
-		for _, p := range cfg.Peers {
-			if p == cfg.Self {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("serve: Self %q not in Peers", cfg.Self)
-		}
-	}
 	sys, err := pipeline.NewSystem(cfg.Pipeline)
 	if err != nil {
 		return nil, err
@@ -189,10 +156,6 @@ func New(cfg Config) (*Server, error) {
 		limiter: NewTenantLimiter(cfg.TenantRate, cfg.TenantBurst, cfg.Now),
 		queue:   make(chan *job, cfg.QueueDepth),
 		stop:    make(chan struct{}),
-		proxy:   &http.Client{Timeout: 2 * time.Minute},
-	}
-	if len(cfg.Peers) > 1 {
-		s.ring = NewRing(cfg.Peers, 0)
 	}
 	s.process = func(ctx context.Context, w *pipeline.Worker, doc pipeline.BatchDoc) (*pipeline.Verdict, error) {
 		return w.Process(ctx, doc)
@@ -228,8 +191,7 @@ func New(cfg Config) (*Server, error) {
 // closed set; see reject call sites).
 func (s *Server) preregisterMetrics() {
 	s.obs.CounterAdd(obs.MetricServeAccepted, 0)
-	s.obs.CounterAdd(obs.MetricServeProxied, 0)
-	for _, reason := range []string{"queue", "ratelimit", "draining", "toolarge", "body", "empty", "proxy"} {
+	for _, reason := range []string{"queue", "ratelimit", "draining", "toolarge", "body", "empty"} {
 		s.obs.CounterAdd(obs.Series(obs.MetricServeRejected, "reason", reason), 0)
 	}
 	s.obs.GaugeAdd(obs.MetricServeInFlight, 0)
@@ -317,10 +279,7 @@ type ScanResponse struct {
 	ElapsedMS      float64    `json:"elapsed_ms"`
 	JournalSession string     `json:"journal_session,omitempty"`
 	Trace          *obs.Trace `json:"trace,omitempty"`
-	// Node is the peer that actually scanned the document (set on
-	// responses served via ownership proxying).
-	Node  string `json:"node,omitempty"`
-	Error string `json:"error,omitempty"`
+	Error          string     `json:"error,omitempty"`
 }
 
 // errorResponse is the JSON body of every non-200 answer.
@@ -396,17 +355,6 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		docID = fmt.Sprintf("serve-%d-%s", s.docSeq.Add(1), hash[:12])
 	}
 
-	// Ownership routing: a document whose content hash lands on another
-	// peer's arc is proxied there, so the fleet's front-end caches shard
-	// the content space. Already-routed submissions are always served
-	// locally (ring-view disagreement must not bounce documents around).
-	if s.ring != nil && r.Header.Get(HeaderRouted) == "" {
-		if owner := s.ring.Owner(hash); owner != "" && owner != s.cfg.Self {
-			s.proxyScan(w, r, owner, raw, tenant, docID)
-			return
-		}
-	}
-
 	jb := &job{
 		ctx: r.Context(),
 		doc: pipeline.BatchDoc{ID: docID, Raw: raw},
@@ -472,57 +420,6 @@ func (s *Server) writeVerdict(w http.ResponseWriter, docID, hash string, res job
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
-}
-
-// proxyScan forwards a submission to its consistent-hash owner and relays
-// the response verbatim (status, Retry-After, verdict body). The Node
-// field of a relayed verdict is stamped with the owner so the submitter
-// can see where the document actually ran.
-func (s *Server) proxyScan(w http.ResponseWriter, r *http.Request, owner string, raw []byte, tenant, docID string) {
-	s.obs.Inc(obs.MetricServeProxied)
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, peerURL(owner)+"/v1/scan", bytes.NewReader(raw))
-	if err != nil {
-		s.reject(w, http.StatusBadGateway, "proxy", 0, fmt.Sprintf("routing to %s: %v", owner, err))
-		return
-	}
-	req.Header.Set(HeaderRouted, s.cfg.Self)
-	req.Header.Set(HeaderTenant, tenant)
-	req.Header.Set(HeaderDocID, docID)
-	resp, err := s.proxy.Do(req)
-	if err != nil {
-		s.reject(w, http.StatusBadGateway, "proxy", queueRetryAfter, fmt.Sprintf("owner %s unreachable: %v", owner, err))
-		return
-	}
-	defer func() { _ = resp.Body.Close() }()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		s.reject(w, http.StatusBadGateway, "proxy", 0, fmt.Sprintf("owner %s response: %v", owner, err))
-		return
-	}
-	if resp.StatusCode == http.StatusOK {
-		// Stamp the serving node into the verdict for route visibility.
-		var sr ScanResponse
-		if json.Unmarshal(body, &sr) == nil {
-			sr.Node = owner
-			if rebody, err := json.Marshal(sr); err == nil {
-				body = rebody
-			}
-		}
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(body)
-}
-
-// peerURL normalizes a peer entry to a base URL.
-func peerURL(peer string) string {
-	if strings.Contains(peer, "://") {
-		return strings.TrimSuffix(peer, "/")
-	}
-	return "http://" + peer
 }
 
 // Close drains and shuts the daemon down: the listener stops accepting

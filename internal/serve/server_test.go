@@ -4,17 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
+	"pdfshield/internal/cache"
 	"pdfshield/internal/corpus"
 	"pdfshield/internal/instrument"
 	"pdfshield/internal/journal"
@@ -62,10 +63,16 @@ func postScan(t *testing.T, url string, body []byte, hdr map[string]string) (*ht
 }
 
 // TestScanVerdict drives the full pipeline through POST /scan: a benign
-// text document (no Javascript) and a JS-bearing benign document, then the
-// degenerate submissions (empty body, oversized body).
+// text document (no Javascript), a JS-bearing benign document and its
+// byte-identical resubmission, then the degenerate submissions (empty
+// body, oversized body). The daemon runs with its front-end cache on, as
+// the CLI does by default.
 func TestScanVerdict(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2, MaxDocBytes: 1 << 20})
+	s := newTestServer(t, Config{
+		Pipeline:    pipeline.Options{Cache: &cache.Config{}},
+		Workers:     2,
+		MaxDocBytes: 1 << 20,
+	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -109,6 +116,26 @@ func TestScanVerdict(t *testing.T) {
 	}
 	if sr.DocID == "" || sr.ContentHash == "" {
 		t.Error("generated doc_id/content_hash missing")
+	}
+
+	// Resubmitting the same JS-bearing bytes is served from the front-end
+	// cache with the same verdict; without the cache the registry's
+	// no-duplicate-instrumentation rule would fail it.
+	first := sr
+	resp, body = postScan(t, ts.URL, js.Raw, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resubmitted js doc: status %d, body %s", resp.StatusCode, body)
+	}
+	sr = ScanResponse{}
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatalf("verdict JSON: %v", err)
+	}
+	if first.Cache != "miss" || sr.Cache != "hit" {
+		t.Errorf("cache annotations %q then %q, want miss then hit", first.Cache, sr.Cache)
+	}
+	if sr.Malicious != first.Malicious || sr.NoJS != first.NoJS || sr.Malscore != first.Malscore ||
+		!slices.Equal(sr.Features, first.Features) {
+		t.Errorf("resubmission verdict %+v differs from first %+v", sr, first)
 	}
 
 	// Degenerate submissions.
@@ -456,83 +483,6 @@ func TestNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("goroutines: %d before, %d after close", before, runtime.NumGoroutine())
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// TestProxyRouting: in a two-peer deployment, a document owned by the
-// other peer is proxied there (verdict stamped with the serving node,
-// owner's accepted counter moves), while an already-routed submission is
-// always served locally — the loop-prevention rule.
-func TestProxyRouting(t *testing.T) {
-	regB := obs.NewRegistry()
-	b := newTestServer(t, Config{Pipeline: pipeline.Options{Obs: regB, Seed: 4242}, Workers: 1})
-	b.process = func(ctx context.Context, w *pipeline.Worker, doc pipeline.BatchDoc) (*pipeline.Verdict, error) {
-		return &pipeline.Verdict{DocID: doc.ID}, nil
-	}
-	if err := b.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("start peer B: %v", err)
-	}
-	addrB := b.Addr()
-
-	regA := obs.NewRegistry()
-	a := newTestServer(t, Config{
-		Pipeline: pipeline.Options{Obs: regA, Seed: 4242},
-		Workers:  1,
-		Peers:    []string{"nodeA", addrB},
-		Self:     "nodeA",
-	})
-	a.process = func(ctx context.Context, w *pipeline.Worker, doc pipeline.BatchDoc) (*pipeline.Verdict, error) {
-		return &pipeline.Verdict{DocID: doc.ID}, nil
-	}
-	ts := httptest.NewServer(a.Handler())
-	defer ts.Close()
-
-	// Find a payload whose content hash lands on B's arc.
-	ring := NewRing([]string{"nodeA", addrB}, 0)
-	var owned []byte
-	for i := 0; i < 10000; i++ {
-		p := []byte(fmt.Sprintf("%%PDF-1.5 routing probe %d", i))
-		if ring.Owner(instrument.ContentHash(p)) == addrB {
-			owned = p
-			break
-		}
-	}
-	if owned == nil {
-		t.Fatal("no probe payload hashed onto peer B")
-	}
-
-	resp, body := postScan(t, ts.URL, owned, map[string]string{HeaderDocID: "routed-doc"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("proxied scan: status %d, body %s", resp.StatusCode, body)
-	}
-	var sr ScanResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatalf("verdict JSON: %v", err)
-	}
-	if sr.Node != addrB {
-		t.Errorf("verdict node %q, want owner %q", sr.Node, addrB)
-	}
-	if got := regB.Snapshot().Counters[obs.MetricServeAccepted]; got != 1 {
-		t.Errorf("owner accepted counter = %d, want 1", got)
-	}
-	if got := regA.Snapshot().Counters[obs.MetricServeProxied]; got != 1 {
-		t.Errorf("router proxied counter = %d, want 1", got)
-	}
-
-	// Same B-owned payload with the routed marker: A must serve locally.
-	resp, body = postScan(t, ts.URL, owned, map[string]string{HeaderRouted: addrB})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("routed-marker scan: status %d, body %s", resp.StatusCode, body)
-	}
-	sr = ScanResponse{}
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatalf("verdict JSON: %v", err)
-	}
-	if sr.Node != "" {
-		t.Errorf("routed submission was proxied again (node %q): bounce loop", sr.Node)
-	}
-	if got := regA.Snapshot().Counters[obs.MetricServeProxied]; got != 1 {
-		t.Errorf("router proxied counter moved to %d on a routed submission", got)
 	}
 }
 

@@ -185,53 +185,16 @@ type CacheConfig struct {
 	TTL time.Duration
 }
 
-// CacheStats is a point-in-time snapshot of the front-end cache counters.
-type CacheStats struct {
-	// Hits counts submissions served from a completed cache entry.
-	Hits uint64 `json:"hits"`
-	// Misses counts submissions that ran the full static front-end.
-	Misses uint64 `json:"misses"`
-	// Shared counts submissions that joined another submission's
-	// in-flight front-end pass (the singleflight layer).
-	Shared uint64 `json:"shared"`
-	// Evictions and Expired count entries dropped by the capacity bounds
-	// and by TTL expiry.
-	Evictions uint64 `json:"evictions"`
-	Expired   uint64 `json:"expired"`
-	// Entries and Bytes describe current residency.
-	Entries int   `json:"entries"`
-	Bytes   int64 `json:"bytes"`
-}
-
-// HitRate is the fraction of submissions that skipped the front-end.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Shared + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits+s.Shared) / float64(total)
-}
-
-func toCacheStats(in cache.Stats) CacheStats {
-	return CacheStats{
-		Hits:      in.Hits,
-		Misses:    in.Misses,
-		Shared:    in.Shared,
-		Evictions: in.Evictions,
-		Expired:   in.Expired,
-		Entries:   in.Entries,
-		Bytes:     in.Bytes,
-	}
-}
+// CacheStats is a point-in-time snapshot of the front-end cache counters
+// (hits, misses, singleflight-shared lookups, evictions, expiries and
+// residency); HitRate is the fraction of submissions that skipped the
+// front-end.
+type CacheStats = cache.Stats
 
 // CacheStats snapshots the front-end cache; ok is false when the system
 // runs without one.
 func (s *System) CacheStats() (stats CacheStats, ok bool) {
-	inner, ok := s.inner.CacheStats()
-	if !ok {
-		return CacheStats{}, false
-	}
-	return toCacheStats(inner), true
+	return s.inner.CacheStats()
 }
 
 // System is a running protection stack: front-end instrumenter plus the
@@ -404,11 +367,7 @@ func (s *System) ProcessBatchContext(ctx context.Context, docs []BatchDoc, opts 
 		in[i] = pipeline.BatchDoc{ID: d.ID, Raw: d.Raw}
 	}
 	res := s.inner.ProcessBatchContext(ctx, in, pipeline.BatchOptions{Workers: opts.Workers, Depth: opts.Depth})
-	out := &BatchResult{Verdicts: make([]*Verdict, len(docs)), Errors: make([]error, len(docs))}
-	if res.CacheStats != nil {
-		stats := toCacheStats(*res.CacheStats)
-		out.CacheStats = &stats
-	}
+	out := &BatchResult{Verdicts: make([]*Verdict, len(docs)), Errors: make([]error, len(docs)), CacheStats: res.CacheStats}
 	for i, v := range res.Verdicts {
 		if err := res.Errors[i]; err != nil {
 			out.Errors[i] = fmt.Errorf("pdfshield: process %s: %w", docs[i].ID, err)
@@ -568,10 +527,11 @@ type Stats struct {
 // Quarantined are always this System's own.
 func (s *System) Stats() Stats {
 	in := s.inner.Stats()
-	out := Stats{
+	return Stats{
 		Docs:            in.Docs,
 		Phases:          in.Phases,
 		Detect:          in.Detect,
+		Cache:           in.Cache,
 		Triage:          in.Triage,
 		Quarantined:     in.Quarantined,
 		BatchQueueDepth: in.BatchQueueDepth,
@@ -581,11 +541,6 @@ func (s *System) Stats() Stats {
 		Flight:          in.Flight,
 		Watchdog:        in.Watchdog,
 	}
-	if in.Cache != nil {
-		cs := toCacheStats(*in.Cache)
-		out.Cache = &cs
-	}
-	return out
 }
 
 // Version reports the reproduced system's provenance.
