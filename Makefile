@@ -10,7 +10,7 @@ LDFLAGS := -ldflags "-X pdfshield/internal/obs.Version=$(VERSION)"
 # internal/*/testdata/fuzz/ replay on every plain `make test` regardless.
 FUZZTIME ?= 30s
 
-.PHONY: build vet test race bench fuzz journal-check serve-smoke lint-metrics
+.PHONY: build vet fmt test race bench fuzz journal-check serve-smoke lint-metrics
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -18,7 +18,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-test: vet lint-metrics journal-check serve-smoke
+# Formatting gate: fails when gofmt would rewrite any Go file.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+test: vet fmt lint-metrics journal-check serve-smoke
 	$(GO) test ./...
 
 # Metric vocabulary drift gate: every Metric* constant in internal/obs

@@ -24,10 +24,6 @@ type Config struct {
 	OS *winos.OS
 	// DownloadsPath persists the JS-context executable list ("" = memory).
 	DownloadsPath string
-	// W1, W2, Threshold override Table VII (0 = defaults).
-	W1, W2, Threshold int
-	// MemoryThresholdMB overrides the F8 cutoff (0 = 100 MB).
-	MemoryThresholdMB float64
 	// Obs, when non-nil, receives alert / fake-message / per-feature
 	// trigger counters.
 	Obs *obs.Registry
@@ -79,8 +75,9 @@ type DocState struct {
 	PeakMemMB float64
 	// InContext reports the document is currently executing Javascript.
 	InContext bool
-	// Alerted latches once an alert fires.
-	Alerted bool
+	// Alert is the alert this document raised (nil until one fires; it
+	// latches until ForgetDoc drops the state).
+	Alert *Alert
 	// Ops logs recorded suspicious operations.
 	Ops []string
 	// DroppedFiles are files written while this document was active.
@@ -137,18 +134,6 @@ func New(cfg Config) (*Detector, error) {
 	}
 	if cfg.OS == nil {
 		cfg.OS = winos.NewOS()
-	}
-	if cfg.W1 == 0 {
-		cfg.W1 = DefaultW1
-	}
-	if cfg.W2 == 0 {
-		cfg.W2 = DefaultW2
-	}
-	if cfg.Threshold == 0 {
-		cfg.Threshold = DefaultThreshold
-	}
-	if cfg.MemoryThresholdMB == 0 {
-		cfg.MemoryThresholdMB = MemoryThresholdMB
 	}
 	downloads, err := NewDownloadList(cfg.DownloadsPath)
 	if err != nil {
@@ -438,7 +423,7 @@ func (d *Detector) updateMemoryFeatureLocked(st *DocState, curMemMB float64) {
 	if curMemMB > st.PeakMemMB {
 		st.PeakMemMB = curMemMB
 	}
-	if st.PeakMemMB-st.EnterMemMB >= d.cfg.MemoryThresholdMB {
+	if st.PeakMemMB-st.EnterMemMB >= MemoryThresholdMB {
 		if st.Features[FMemory] == 0 {
 			op := fmt.Sprintf("injs-memory: +%.0f MB", st.PeakMemMB-st.EnterMemMB)
 			st.Ops = append(st.Ops, op)
@@ -464,12 +449,12 @@ func (d *Detector) onDropLocked(ev hook.Event, active *DocState) hook.Decision {
 		if winos.IsExecutablePath(path) {
 			_ = d.downloads.Add(DownloadEntry{Path: path, DocID: active.DocID, Key: active.InstrKey})
 		}
-		if active.Alerted {
+		if active.Alert != nil {
 			d.journalConfine(active, journal.ConfineDropBlocked, path, 0)
 			return hook.Decision{Action: hook.ActionReject, Note: "post-alert: drop blocked"}
 		}
 		d.evaluateLocked(active)
-		if active.Alerted {
+		if active.Alert != nil {
 			// This very drop tipped the malscore; block it so the file
 			// never lands (earlier drops are quarantined by the alert).
 			d.journalConfine(active, journal.ConfineDropBlocked, path, 0)
@@ -498,7 +483,7 @@ func (d *Detector) onNetworkLocked(ev hook.Event, active *DocState) hook.Decisio
 	}
 	if active != nil && active.InContext {
 		d.markLocked(active, FNetwork, fmt.Sprintf("injs-network: %s(%s)", ev.API, host))
-		if active.Alerted {
+		if active.Alert != nil {
 			return hook.Decision{Action: hook.ActionReject, Note: "post-alert: network blocked"}
 		}
 		d.evaluateLocked(active)
@@ -549,7 +534,7 @@ func (d *Detector) onProcessLocked(ev hook.Event, active *DocState) hook.Decisio
 	if owner == nil {
 		owner = d.someArmedDocLocked(ev.PID)
 	}
-	if owner != nil && owner.Alerted {
+	if owner != nil && owner.Alert != nil {
 		d.journalConfine(owner, journal.ConfineProcessBlocked, path, 0)
 		return hook.Decision{Action: hook.ActionReject, Note: "post-alert: process creation blocked"}
 	}
@@ -620,11 +605,11 @@ func (d *Detector) markOutJSLocked(st *DocState, feature int, op string) {
 // evaluateLocked recomputes the malscore and raises an alert when it
 // crosses the threshold.
 func (d *Detector) evaluateLocked(st *DocState) {
-	if st.Alerted || !st.Armed {
+	if st.Alert != nil || !st.Armed {
 		return
 	}
-	score := st.Features.Malscore(d.cfg.W1, d.cfg.W2)
-	if score >= d.cfg.Threshold {
+	score := st.Features.Malscore(DefaultW1, DefaultW2)
+	if score >= DefaultThreshold {
 		d.raiseAlertLocked(st, "malscore", "")
 	}
 }
@@ -633,21 +618,21 @@ func (d *Detector) evaluateLocked(st *DocState) {
 // records the alert (cause carries the fake-message validation error, ""
 // for malscore alerts).
 func (d *Detector) raiseAlertLocked(st *DocState, reason, cause string) {
-	if st.Alerted {
+	if st.Alert != nil {
 		return
 	}
-	st.Alerted = true
 	d.cfg.Obs.Inc(obs.MetricAlerts)
 
-	alert := Alert{
+	alert := &Alert{
 		DocID:    st.DocID,
 		InstrKey: st.InstrKey,
-		Malscore: st.Features.Malscore(d.cfg.W1, d.cfg.W2),
+		Malscore: st.Features.Malscore(DefaultW1, DefaultW2),
 		Features: st.Features,
 		Reason:   reason,
 		Cause:    cause,
 		Ops:      append([]string(nil), st.Ops...),
 	}
+	st.Alert = alert
 	// Isolate dropped files.
 	for _, f := range st.DroppedFiles {
 		if d.cfg.OS.Quarantine(f, "alert: dropped by "+st.DocID) {
@@ -675,6 +660,6 @@ func (d *Detector) raiseAlertLocked(st *DocState, reason, cause string) {
 			d.journalConfine(st, journal.ConfineIsolated, dll, 0)
 		}
 	}
-	d.alerts = append(d.alerts, alert)
-	d.journalAlert(st, alert)
+	d.alerts = append(d.alerts, *alert)
+	d.journalAlert(st, *alert)
 }

@@ -110,7 +110,7 @@ func (d *Detector) journalAlert(st *DocState, a Alert) {
 	if d.cfg.Journal == nil {
 		return
 	}
-	contrib := a.Features.Contributions(d.cfg.W1, d.cfg.W2)
+	contrib := a.Features.Contributions(DefaultW1, DefaultW2)
 	breakdown := make(map[string]int)
 	for i, c := range contrib {
 		if c != 0 {

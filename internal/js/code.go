@@ -258,9 +258,6 @@ type Code struct {
 	srcLen int
 }
 
-// Instructions returns the top-level instruction count (diagnostics).
-func (c *Code) Instructions() int { return len(c.ins) }
-
 // SizeEstimate approximates the resident size of the unit in bytes for
 // cache accounting: instructions across all protos plus pool overhead.
 func (c *Code) SizeEstimate() int64 {

@@ -160,9 +160,6 @@ func (c *UnitCache) Load(src string) (*Code, error) {
 // monitoring code so the first reader open of a document runs warm.
 func (c *UnitCache) Warm(src string) { _, _ = c.Load(src) }
 
-// Precompile warms the process-wide default unit cache.
-func Precompile(src string) { DefaultUnits.Warm(src) }
-
 // Contains reports whether a unit for src is cached, without touching LRU
 // order or counters (used by tests and the recycle regression check).
 func (c *UnitCache) Contains(src string) bool {

@@ -331,13 +331,6 @@ func (it *Interp) RunProgram(prog *Program) (Value, error) {
 	return it.runCode(Compile(prog), it.Global, modeProgram)
 }
 
-// RunCode executes a precompiled unit in the global scope with program
-// semantics. The reader uses it to run instrumentation prologue/epilogue
-// units compiled once at instrument time.
-func (it *Interp) RunCode(code *Code) (Value, error) {
-	return it.runCode(code, it.Global, modeProgram)
-}
-
 func (it *Interp) units() *UnitCache {
 	if it.Units != nil {
 		return it.Units
@@ -720,15 +713,6 @@ func (it *Interp) callFunction(fn *Object, this Value, args []Value) (Value, err
 		}
 	}
 	return Undefined(), nil
-}
-
-// CallValue invokes a callable value from host code.
-func (it *Interp) CallValue(v Value, this Value, args []Value) (Value, error) {
-	o := v.Object()
-	if o == nil || !o.IsCallable() {
-		return Undefined(), it.throwTypeError("value is not callable")
-	}
-	return it.callFunction(o, this, args)
 }
 
 // CurrentScope exposes the scope of the innermost active call (used by the

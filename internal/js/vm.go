@@ -53,11 +53,11 @@ type vmCallInfo struct {
 
 // vmHandler is one active try statement.
 type vmHandler struct {
-	def               handlerDef
-	sp, iters, calls  int
-	scope             *Scope
-	phase             uint8 // 0 = body, 1 = catch, 2 = finally
-	pending           vmComp
+	def              handlerDef
+	sp, iters, calls int
+	scope            *Scope
+	phase            uint8 // 0 = body, 1 = catch, 2 = finally
+	pending          vmComp
 }
 
 type vmFrame struct {

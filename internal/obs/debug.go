@@ -14,9 +14,6 @@ import (
 // DiagConfig configures the diagnostics subsystem a pipeline carries.
 // The zero value enables everything with defaults.
 type DiagConfig struct {
-	// Disable turns diagnostics off entirely (NewDiagnostics returns nil,
-	// and every method on a nil *Diagnostics is a no-op).
-	Disable bool
 	// Flight tunes the flight recorder.
 	Flight FlightConfig
 	// SLOs are the latency objectives (nil = DefaultSLOs).
@@ -29,7 +26,9 @@ type DiagConfig struct {
 
 // Diagnostics bundles the runtime's introspection surfaces — flight
 // recorder, SLO tracker, stall watchdog — behind one handle the
-// pipeline owns and servers mount. A nil *Diagnostics is fully inert.
+// pipeline owns and servers mount. A nil *Diagnostics is fully inert;
+// commands that run no pipeline pass one to ServeMetricsDiag and
+// WriteDump.
 type Diagnostics struct {
 	Flight   *FlightRecorder
 	SLO      *SLOTracker
@@ -37,11 +36,8 @@ type Diagnostics struct {
 }
 
 // NewDiagnostics builds the subsystem and exports its metric series into
-// reg. Returns nil when cfg.Disable is set.
+// reg.
 func NewDiagnostics(reg *Registry, cfg DiagConfig) *Diagnostics {
-	if cfg.Disable {
-		return nil
-	}
 	cfg.Flight.Obs = reg
 	cfg.Watchdog.Obs = reg
 	d := &Diagnostics{

@@ -143,9 +143,9 @@ func TestSLOTrackerBurnRate(t *testing.T) {
 		t.Fatalf("tracker kept %d objectives, want 2 (invalid ones skipped)", got)
 	}
 
-	tr.Observe("deep", "", 500*time.Millisecond, false) // deep: in bound
-	tr.Observe("deep", "", 2*time.Second, false)        // deep: breach
-	tr.Observe("standard", "", 2*time.Second, false)    // all: breach
+	tr.Observe("deep", "", 500*time.Millisecond, false)    // deep: in bound
+	tr.Observe("deep", "", 2*time.Second, false)           // deep: breach
+	tr.Observe("standard", "", 2*time.Second, false)       // all: breach
 	tr.Observe("standard", "", 100*time.Millisecond, true) // all: fast but failed = breach
 
 	byName := func(sts []SLOStatus, name string) SLOStatus {
@@ -574,13 +574,5 @@ func TestWriteDump(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("live dump missing %q\n%s", want, out)
 		}
-	}
-}
-
-// TestDiagnosticsDisable: DiagConfig.Disable yields a nil, fully inert
-// subsystem.
-func TestDiagnosticsDisable(t *testing.T) {
-	if d := NewDiagnostics(NewRegistry(), DiagConfig{Disable: true}); d != nil {
-		t.Fatal("Disable did not return nil diagnostics")
 	}
 }

@@ -363,16 +363,6 @@ func (r *Registry) Observe(name string, d time.Duration) {
 	r.Histogram(name, LatencyBuckets).ObserveDuration(d)
 }
 
-// ObserveBuckets records a duration into a histogram created with
-// explicit bucket bounds on first use (wider-range families like
-// MetricDeepScanSeconds); no-op on a nil registry.
-func (r *Registry) ObserveBuckets(name string, bounds []float64, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.Histogram(name, bounds).ObserveDuration(d)
-}
-
 // ObserveDoc records a duration into a latency histogram and retains
 // docID as the bucket's exemplar when this is the slowest observation the
 // bucket has seen; no-op on a nil registry.

@@ -74,9 +74,6 @@ func (d *Document) Get(num int) (IndirectObject, bool) {
 // Len returns the number of indirect objects.
 func (d *Document) Len() int { return len(d.objects) }
 
-// MaxNum returns the highest allocated object number.
-func (d *Document) MaxNum() int { return d.maxNum }
-
 // Numbers returns all object numbers in ascending order.
 func (d *Document) Numbers() []int {
 	nums := make([]int, 0, len(d.objects))
@@ -130,12 +127,6 @@ func (d *Document) Catalog() (Dict, error) {
 		return nil, fmt.Errorf("catalog: %w", ErrNotFound)
 	}
 	return cat, nil
-}
-
-// CatalogRef returns the reference held in /Root, if any.
-func (d *Document) CatalogRef() (Ref, bool) {
-	ref, ok := d.Trailer.Get("Root").(Ref)
-	return ref, ok
 }
 
 // UnresolvedObjectStreams reports object-stream structure the parser does

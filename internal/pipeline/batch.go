@@ -209,7 +209,7 @@ dispatch:
 func (s *System) processWithSession(ctx context.Context, sess **Session, doc BatchDoc, depth Depth) (v *Verdict, err error) {
 	start := time.Now()
 	tr := obs.StartTrace(doc.ID)
-	wd := s.watchdog().Begin(doc.ID)
+	wd := s.diag.Watchdog.Begin(doc.ID)
 	tr.Watch(wd)
 	defer wd.Done()
 	s.journalDocOpen(doc.ID, len(doc.Raw))

@@ -1,5 +1,7 @@
 package pipeline
 
+import "pdfshield/internal/obs"
+
 // analysisHook, when non-nil, runs at the start of every contained
 // per-document analysis with the document's ID. It exists as a test seam:
 // the fuzzing work fixes every panic we can find, but containment must hold
@@ -13,6 +15,13 @@ var analysisHook func(docID string)
 // while concurrent documents keep getting verdicts. Same contract as
 // analysisHook: set only from tests, only while nothing is running.
 var openHook func(docID string)
+
+// watchdogTuning is the stall watchdog configuration NewSystem builds
+// diagnostics with (zero = the obs defaults). Test seam: the wedged-open
+// test shortens the deadline so the watchdog fires within the test. Same
+// contract as analysisHook: set only from tests, only while nothing is
+// running.
+var watchdogTuning obs.WatchdogConfig
 
 // discardSession closes and clears a worker session whose document panicked.
 // The reader process may be mid-open with arbitrary state, so the session is

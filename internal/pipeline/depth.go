@@ -27,9 +27,10 @@ const (
 	// the natural execution path. The default when no depth is set.
 	DepthStandard Depth = "standard"
 	// DepthDeep forces execution of every document: conditional branches
-	// are explored on both arms (bounded by Options.DeepScan), runtime
-	// features are unioned across all explored paths, and triage is
-	// bypassed so nothing is judged on static evidence alone.
+	// are explored on both arms (bounded by the js.DefaultForce*
+	// budgets), runtime features are unioned across all explored paths,
+	// and triage is bypassed so nothing is judged on static evidence
+	// alone.
 	DepthDeep Depth = "deep"
 	// DepthAuto routes by triage: confident documents are judged
 	// statically, and everything uncertain escalates straight to a
@@ -85,11 +86,9 @@ func (s *System) depthProfile(override Depth) depthProfile {
 	case DepthStatic:
 		return depthProfile{depth: DepthStatic, triage: true, staticOnly: true}
 	case DepthDeep:
-		f := s.opts.DeepScan
-		return depthProfile{depth: DepthDeep, force: &f}
+		return depthProfile{depth: DepthDeep, force: &js.ForceConfig{}}
 	case DepthAuto:
-		f := s.opts.DeepScan
-		return depthProfile{depth: DepthAuto, triage: true, force: &f}
+		return depthProfile{depth: DepthAuto, triage: true, force: &js.ForceConfig{}}
 	default:
 		return depthProfile{depth: DepthStandard}
 	}

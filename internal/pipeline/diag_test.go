@@ -20,17 +20,12 @@ import (
 func TestWatchdogFlagsWedgedOpen(t *testing.T) {
 	var jbuf bytes.Buffer
 	jw := journal.NewWriter(&jbuf, journal.Options{Session: "wedge-test"})
-	sys, err := NewSystem(Options{
-		Seed:    99,
-		Obs:     obs.NewRegistry(),
-		Journal: jw,
-		Diag: obs.DiagConfig{
-			Watchdog: obs.WatchdogConfig{
-				Deadline: 150 * time.Millisecond,
-				Interval: 25 * time.Millisecond,
-			},
-		},
-	})
+	watchdogTuning = obs.WatchdogConfig{
+		Deadline: 150 * time.Millisecond,
+		Interval: 25 * time.Millisecond,
+	}
+	sys, err := NewSystem(Options{Seed: 99, Obs: obs.NewRegistry(), Journal: jw})
+	watchdogTuning = obs.WatchdogConfig{}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +152,6 @@ func TestDiagnosticsThroughPipeline(t *testing.T) {
 	}
 
 	d := sys.Diagnostics()
-	if d == nil {
-		t.Fatal("diagnostics disabled by default")
-	}
 	recs := d.Flight.Find("garbage.pdf")
 	if len(recs) != 1 {
 		t.Fatalf("errored doc not in flight recorder: %d records", len(recs))
@@ -188,22 +180,6 @@ func TestDiagnosticsThroughPipeline(t *testing.T) {
 	}
 	if st.Watchdog == nil || st.Watchdog.DeadlineSeconds <= 0 {
 		t.Errorf("Stats.Watchdog = %+v", st.Watchdog)
-	}
-
-	// Disable switch: no diagnostics, nil-safe stats.
-	off, err := NewSystem(Options{Seed: 99, Obs: obs.NewRegistry(), Diag: obs.DiagConfig{Disable: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = off.Close() })
-	if off.Diagnostics() != nil {
-		t.Error("Disable did not turn diagnostics off")
-	}
-	if _, err := off.ProcessDocumentContext(t.Context(), "ok2.pdf", g.BenignFormJS().Raw); err != nil {
-		t.Fatal(err)
-	}
-	if st := off.Stats(); st.Flight != nil || st.SLO != nil || st.Watchdog != nil {
-		t.Errorf("disabled diagnostics still in Stats: %+v", st)
 	}
 }
 

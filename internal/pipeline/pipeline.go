@@ -8,7 +8,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -38,10 +37,6 @@ type Options struct {
 	// DeinstrumentBenign restores original scripts after a benign verdict
 	// (§III-F).
 	DeinstrumentBenign bool
-	// W1, W2, Threshold override Table VII parameters (0 = defaults).
-	W1, W2, Threshold int
-	// SpawnHelper makes reader processes emit the benign AdobeARM spawn.
-	SpawnHelper bool
 	// Cache enables the content-addressed front-end cache (nil = off).
 	// On a hit the whole static front-end is skipped and the stored
 	// instrument.Result is reused; runtime detection still runs per open,
@@ -67,17 +62,6 @@ type Options struct {
 	// Depth is the system-wide scan depth (see the Depth constants;
 	// empty = DepthStandard). BatchOptions.Depth overrides this per batch.
 	Depth Depth
-	// DeepScan bounds the forced-execution explorer used by DepthDeep and
-	// DepthAuto (zero fields = js.DefaultForce* defaults). Ignored at
-	// other depths.
-	DeepScan js.ForceConfig
-	// Diag tunes the diagnostics subsystem — flight recorder, SLO
-	// tracking, stall watchdog (see obs.DiagConfig; DESIGN.md §16). The
-	// zero value enables everything with defaults; set Diag.Disable to
-	// run without diagnostics. When a Journal is configured, the stall
-	// watchdog's reports automatically include the wedged document's
-	// recent journal events.
-	Diag obs.DiagConfig
 }
 
 // System is a running instance of the whole protection stack.
@@ -143,9 +127,6 @@ func NewSystem(opts Options) (*System, error) {
 		Registry:      registry,
 		OS:            osState,
 		DownloadsPath: opts.DownloadsPath,
-		W1:            opts.W1,
-		W2:            opts.W2,
-		Threshold:     opts.Threshold,
 		Obs:           obsReg,
 		Journal:       opts.Journal,
 	})
@@ -177,9 +158,11 @@ func NewSystem(opts Options) (*System, error) {
 		sys.cache.RegisterMetrics(obsReg)
 	}
 	registerJSUnitMetrics(obsReg, jsUnits)
-	diagCfg := opts.Diag
-	if diagCfg.Watchdog.Context == nil && opts.Journal != nil {
-		jw := opts.Journal
+	// Diagnostics (flight recorder, SLO tracking, stall watchdog) run with
+	// the obs defaults; with a Journal, stall reports carry the wedged
+	// document's recent journal events.
+	diagCfg := obs.DiagConfig{Watchdog: watchdogTuning}
+	if jw := opts.Journal; jw != nil {
 		diagCfg.Watchdog.Context = func(docID string) any { return jw.Recent(docID, 64) }
 	}
 	sys.diag = obs.NewDiagnostics(obsReg, diagCfg)
@@ -188,18 +171,9 @@ func NewSystem(opts Options) (*System, error) {
 }
 
 // Diagnostics exposes the System's flight recorder, SLO tracker and
-// stall watchdog (nil when Options.Diag.Disable is set — all their
-// methods are nil-safe). Servers mount its debug endpoints; operators
-// read it through Stats and the SIGQUIT dump.
+// stall watchdog. Servers mount its debug endpoints; operators read it
+// through Stats and the SIGQUIT dump.
 func (s *System) Diagnostics() *obs.Diagnostics { return s.diag }
-
-// watchdog returns the stall watchdog (nil when diagnostics are off).
-func (s *System) watchdog() *obs.Watchdog {
-	if s.diag == nil {
-		return nil
-	}
-	return s.diag.Watchdog
-}
 
 // registerJSUnitMetrics exposes the compiled-unit cache through the obs
 // registry: callback-backed counters/gauges from UnitCache.Stats plus a
@@ -384,7 +358,8 @@ type Verdict struct {
 	DocID string
 	// Malicious reports a detector alert named this document.
 	Malicious bool
-	// Alert is the first alert for this document (nil when benign).
+	// Alert is the alert that convicted the document: the host's own, else
+	// the first alerted attachment's in Embedded order (nil when benign).
 	Alert *detect.Alert
 	// NoJavaScript reports the document was out of scope (nothing to
 	// instrument or monitor).
@@ -483,12 +458,10 @@ func (s *System) finishDoc(tr *obs.Trace, v *Verdict, err error, total time.Dura
 		}
 		v.Trace = tr
 	}
-	if s.diag != nil {
-		// The trace is complete now (no span is added after finishDoc), so
-		// the flight recorder may retain and share it.
-		s.diag.SLO.Observe(tr.Depth, tr.Route, total, err != nil || v == nil)
-		s.diag.Flight.Record(tr, total)
-	}
+	// The trace is complete now (no span is added after finishDoc), so
+	// the flight recorder may retain and share it.
+	s.diag.SLO.Observe(tr.Depth, tr.Route, total, err != nil || v == nil)
+	s.diag.Flight.Record(tr, total)
 	s.journalVerdict(tr.DocID, v, err)
 }
 
@@ -571,7 +544,7 @@ func (s *System) openAndJudge(ctx context.Context, sess *Session, res *instrumen
 		openHook(docID)
 	}
 	openStart := time.Now()
-	openRes, err := sess.Open(res, reader.OpenOptions{SpawnHelper: s.opts.SpawnHelper, ForceExec: prof.force})
+	openRes, err := sess.Open(res, reader.OpenOptions{ForceExec: prof.force})
 	if err != nil {
 		return nil, err
 	}
@@ -602,30 +575,31 @@ func (s *System) openAndJudge(ctx context.Context, sess *Session, res *instrumen
 		s.Obs.ObserveDoc(obs.PhaseSeries(obs.PhaseDetect), detectDur, docID)
 	}()
 
-	// An alert on the host or on any of its attachments convicts the
-	// document the user received.
-	v.Malicious = s.Detector.IsMalicious(docID)
-	for _, emb := range res.Embedded {
-		if s.Detector.IsMalicious(emb.DocID) {
-			v.Malicious = true
-		}
-	}
-	for _, a := range s.Detector.Alerts() {
-		if a.DocID == docID || strings.HasPrefix(a.DocID, docID+"::") {
-			alert := a
-			v.Alert = &alert
-			break
-		}
-	}
-
+	// The verdict comes from this open's detector state alone: an alert
+	// on the host or on any of its attachments convicts the document the
+	// user received, and the host's alert is reported before the
+	// attachments' (in Embedded order). Alerts an earlier submission
+	// raised, under the same document ID or the same key, play no part.
+	// Volatile per-document state dies with the reader process, so each
+	// state is read once and then forgotten.
 	if st, ok := s.Detector.DocStateFor(res.Key.InstrKey); ok {
+		v.Alert = st.Alert
 		v.FeatureVector = st.Features
 		v.PeakMemMB = st.PeakMemMB
 		v.EnterMemMB = st.EnterMemMB
 	}
-
-	// Volatile per-document state dies with the reader process.
 	s.Detector.ForgetDoc(res.Key.InstrKey)
+	for _, emb := range res.Embedded {
+		st, ok := s.Detector.DocStateFor(emb.Key.InstrKey)
+		if !ok {
+			continue
+		}
+		if v.Alert == nil {
+			v.Alert = st.Alert
+		}
+		s.Detector.ForgetDoc(emb.Key.InstrKey)
+	}
+	v.Malicious = v.Alert != nil
 
 	if !v.Malicious && s.opts.DeinstrumentBenign && res.ScriptsInstrumented > 0 {
 		restored, err := s.Instrumenter.Restore(res.Output, res.Spec)

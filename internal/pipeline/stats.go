@@ -34,8 +34,7 @@ type Stats struct {
 	// Quarantined is how many artifacts runtime confinement has isolated.
 	Quarantined int `json:"quarantined"`
 	// SLO is the per-objective burn-rate status, Flight the flight
-	// recorder occupancy, and Watchdog the stall watchdog state (all
-	// empty/nil when Options.Diag.Disable turned diagnostics off).
+	// recorder occupancy, and Watchdog the stall watchdog state.
 	SLO      []obs.SLOStatus    `json:"slo,omitempty"`
 	Flight   *obs.FlightStats   `json:"flight,omitempty"`
 	Watchdog *obs.WatchdogStats `json:"watchdog,omitempty"`
@@ -163,12 +162,10 @@ func (s *System) Stats() Stats {
 		st.Cache = &cs
 	}
 	st.JSUnits = s.jsUnits.Stats()
-	if s.diag != nil {
-		st.SLO = s.diag.SLO.Status()
-		fs := s.diag.Flight.Stats()
-		st.Flight = &fs
-		ws := s.diag.Watchdog.Stats()
-		st.Watchdog = &ws
-	}
+	st.SLO = s.diag.SLO.Status()
+	fs := s.diag.Flight.Stats()
+	st.Flight = &fs
+	ws := s.diag.Watchdog.Stats()
+	st.Watchdog = &ws
 	return st
 }

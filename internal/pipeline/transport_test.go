@@ -132,17 +132,20 @@ func runParity(t *testing.T, base *System, docs []BatchDoc, wire bool) parityRun
 	defer func() { _ = det.Close() }()
 	opts := base.opts
 	opts.Journal = jw
+	reg := obs.NewRegistry()
 	sys := &System{
 		Registry:     base.Registry,
 		Instrumenter: base.Instrumenter,
 		Detector:     det,
 		OS:           osState,
-		Obs:          obs.NewRegistry(),
+		Obs:          reg,
 		opts:         opts,
 		cache:        base.cache,
 		jsUnits:      base.jsUnits,
+		diag:         obs.NewDiagnostics(reg, obs.DiagConfig{}),
 		keyLocks:     make(map[string]*keyLock),
 	}
+	defer sys.diag.Close()
 	newSession := func() *Session {
 		sess := sys.NewSession()
 		return sess

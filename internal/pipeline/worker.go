@@ -15,9 +15,8 @@ import "context"
 // the batch pool; every shared component underneath (instrumenter,
 // registry, detector, cache) is concurrency-safe across Workers.
 type Worker struct {
-	sys   *System
-	sess  *Session
-	depth Depth
+	sys  *System
+	sess *Session
 }
 
 // NewWorker creates an idle worker lane. The session is created lazily on
@@ -36,14 +35,8 @@ func (w *Worker) Process(ctx context.Context, doc BatchDoc) (*Verdict, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return w.sys.processWithSession(ctx, &w.sess, doc, w.depth)
+	return w.sys.processWithSession(ctx, &w.sess, doc, "")
 }
-
-// SetDepth pins this worker lane to a scan depth override (empty =
-// inherit the system's Options.Depth). Call before
-// the first Process; a Worker is single-goroutine by contract so no
-// locking applies.
-func (w *Worker) SetDepth(d Depth) { w.depth = d }
 
 // Close releases the worker's reader session, if one was ever created.
 func (w *Worker) Close() {

@@ -15,8 +15,6 @@ import (
 // exploit emulator.
 func (p *Process) newDocInterp(od *OpenDoc) *js.Interp {
 	it := js.New()
-	it.StepLimit = p.cfg.StepLimit
-	it.MaxHeap = p.cfg.MaxHeap
 	it.Units = p.cfg.Units
 	it.OnAlloc = func(delta int64) {
 		p.jsHeapBytes += delta

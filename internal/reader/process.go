@@ -28,10 +28,6 @@ type Config struct {
 	// DetectorSOAP is a standalone detector's SOAP endpoint, used when
 	// Notifier is nil. Empty on both means no detector is installed.
 	DetectorSOAP string
-	// StepLimit and MaxHeap bound each document's scripts (0 = js
-	// defaults).
-	StepLimit int64
-	MaxHeap   int64
 	// Units is the compiled-unit cache shared by every document interpreter
 	// this process creates (nil = js.DefaultUnits). The cache outlives
 	// Reset, so recycled sessions keep their precompiled monitoring code.
@@ -49,7 +45,6 @@ const (
 	compactFactor    = 0.45
 	compactAtMB      = 800.0
 	readerExeName    = `C:\Program Files\Adobe\Reader\AcroRd32.exe`
-	helperExeName    = `C:\Program Files\Common Files\Adobe\ARM\AdobeARM.exe`
 	maxSprayBlocks   = 8
 	eggHuntProbes    = 8
 	maxDynamicRounds = 16
@@ -88,9 +83,6 @@ type OpenOptions struct {
 	// OptimizeHint marks documents that trigger the reader's memory
 	// optimization observed for one document in Figure 8.
 	OptimizeHint bool
-	// SpawnHelper emits the benign out-of-JS AdobeARM process creation
-	// that real readers produce occasionally (false-positive pressure).
-	SpawnHelper bool
 	// ForceExec, when non-nil, runs every script under JSForce-style
 	// forced execution with the given bounds (the deep-scan tier): both
 	// arms of each if/ternary are explored, forced-path crashes are
@@ -358,9 +350,6 @@ func (p *Process) Open(id string, raw []byte, opts OpenOptions) (*OpenResult, er
 	p.runDocScripts(od)
 	if !p.crashed {
 		p.renderEmbedded(od)
-	}
-	if !p.crashed && opts.SpawnHelper {
-		p.sysCreateProcess(helperExeName)
 	}
 
 	res := &OpenResult{

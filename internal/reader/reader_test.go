@@ -437,21 +437,6 @@ func (rejectAllSink) OnAPICall(hook.Event) (hook.Decision, error) {
 }
 func (rejectAllSink) Close() error { return nil }
 
-func TestSpawnHelperWhitelistNoise(t *testing.T) {
-	sink := &hook.RecordingSink{}
-	p := NewProcess(Config{Sink: sink})
-	if _, err := p.Open("noisy", buildJSDoc(t, "1;"), OpenOptions{SpawnHelper: true}); err != nil {
-		t.Fatal(err)
-	}
-	events := sink.Events()
-	if len(events) != 1 || events[0].Behavior() != hook.BehaviorProcessCreation {
-		t.Fatalf("events = %+v", events)
-	}
-	if !strings.Contains(events[0].Arg(0), "AdobeARM") {
-		t.Errorf("helper path = %q", events[0].Arg(0))
-	}
-}
-
 func TestPayloadCodecRoundTrip(t *testing.T) {
 	ops := []PayloadOp{
 		{Kind: OpDrop, Args: []string{`C:\a.exe`}},

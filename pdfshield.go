@@ -38,7 +38,6 @@ import (
 	"pdfshield/internal/detect"
 	"pdfshield/internal/instrument"
 	"pdfshield/internal/journal"
-	"pdfshield/internal/js"
 	"pdfshield/internal/obs"
 	"pdfshield/internal/pipeline"
 	"pdfshield/internal/reader"
@@ -69,11 +68,6 @@ const (
 // ParseDepth validates a depth name from a flag or request field ("" is
 // accepted and means "unset": inherit the system depth).
 func ParseDepth(s string) (Depth, error) { return pipeline.ParseDepth(s) }
-
-// DeepScanConfig bounds the forced-execution explorer used at DepthDeep
-// and DepthAuto; see Options.DeepScan. Zero fields take the built-in
-// defaults (16 paths, 64 decisions, 2M steps per path).
-type DeepScanConfig = js.ForceConfig
 
 // Options configures a System.
 type Options struct {
@@ -115,28 +109,18 @@ type Options struct {
 	Journal *Journal
 	// Depth is the system-wide scan depth (DepthStatic, DepthStandard,
 	// DepthDeep or DepthAuto; empty = DepthStandard). BatchOptions.Depth
-	// overrides this per batch.
+	// overrides this per batch. The deep lane explores at most 16 paths,
+	// 64 forced decisions per path and 2M interpreter steps per path.
 	Depth Depth
-	// DeepScan bounds the forced-execution explorer used at DepthDeep
-	// and DepthAuto (zero fields = defaults). Ignored at other depths.
-	DeepScan DeepScanConfig
-	// Diag tunes the diagnostics layer — flight recorder ring sizes, SLO
-	// objectives, stall-watchdog deadlines — or disables it entirely
-	// (Diag.Disable). The zero value enables everything with bounded
-	// defaults; see Stats.SLO/Flight/Watchdog and System.Diagnostics.
-	Diag DiagConfig
 }
-
-// DiagConfig tunes the diagnostics subsystem (flight recorder, SLO
-// tracking, stall watchdog); see Options.Diag.
-type DiagConfig = obs.DiagConfig
 
 // Diagnostics is the live diagnostics handle: retained traces, SLO burn
 // rates, stall reports, and the WriteDump operator report.
 type Diagnostics = obs.Diagnostics
 
-// Diagnostics exposes the System's diagnostics layer (nil when
-// Options.Diag.Disable was set).
+// Diagnostics exposes the System's diagnostics layer (flight recorder,
+// SLO tracking, stall watchdog), which every System runs with bounded
+// defaults; see Stats.SLO/Flight/Watchdog.
 func (s *System) Diagnostics() *Diagnostics { return s.inner.Diagnostics() }
 
 // Journal is the append-only forensic event log (JSONL, sequence-numbered,
@@ -222,8 +206,6 @@ func New(opts Options) (*System, error) {
 		Obs:                opts.Metrics,
 		Journal:            opts.Journal,
 		Depth:              opts.Depth,
-		DeepScan:           opts.DeepScan,
-		Diag:               opts.Diag,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("pdfshield: %w", err)
@@ -326,22 +308,15 @@ func toVerdict(v *pipeline.Verdict) *Verdict {
 	return out
 }
 
-// BatchDoc is one input document for ProcessBatchContext.
-type BatchDoc struct {
-	ID  string
-	Raw []byte
-}
+// BatchDoc is one input document for ProcessBatchContext: a
+// caller-chosen ID and the document's bytes.
+type BatchDoc = pipeline.BatchDoc
 
-// BatchOptions tunes a batch run.
-type BatchOptions struct {
-	// Workers is the number of concurrent reader sessions, each a
-	// long-lived recycled reader process wired to the shared detector.
-	// Zero or negative means runtime.NumCPU().
-	Workers int
-	// Depth overrides the system-wide Options.Depth for this batch
-	// (empty = inherit). An unknown value fails every slot in the batch.
-	Depth Depth
-}
+// BatchOptions tunes a batch run: Workers concurrent reader sessions
+// (zero or negative = runtime.NumCPU()) and a Depth that overrides
+// Options.Depth for this batch (empty = inherit; an unknown value fails
+// every slot).
+type BatchOptions = pipeline.BatchOptions
 
 // BatchResult collects a batch run's outcome. Verdicts and Errors are
 // indexed like the input documents; exactly one of Verdicts[i]/Errors[i]
@@ -362,11 +337,7 @@ type BatchResult struct {
 // already processed keep their verdicts, and every remaining slot's
 // error satisfies errors.Is(err, ctx.Err()).
 func (s *System) ProcessBatchContext(ctx context.Context, docs []BatchDoc, opts BatchOptions) *BatchResult {
-	in := make([]pipeline.BatchDoc, len(docs))
-	for i, d := range docs {
-		in[i] = pipeline.BatchDoc{ID: d.ID, Raw: d.Raw}
-	}
-	res := s.inner.ProcessBatchContext(ctx, in, pipeline.BatchOptions{Workers: opts.Workers, Depth: opts.Depth})
+	res := s.inner.ProcessBatchContext(ctx, docs, opts)
 	out := &BatchResult{Verdicts: make([]*Verdict, len(docs)), Errors: make([]error, len(docs)), CacheStats: res.CacheStats}
 	for i, v := range res.Verdicts {
 		if err := res.Errors[i]; err != nil {
@@ -495,53 +466,15 @@ type WatchdogStats = obs.WatchdogStats
 // Stats is a consolidated point-in-time snapshot of the System: document
 // outcomes, per-phase latency (keys "parse", "analyze", "instrument",
 // "open", "detect", plus "total" for end-to-end), detector activity,
-// front-end cache counters and quarantine state, and marshals cleanly to
-// JSON.
-type Stats struct {
-	Docs   DocStats              `json:"docs"`
-	Phases map[string]PhaseStats `json:"phases,omitempty"`
-	Detect DetectStats           `json:"detect"`
-	// Cache snapshots the front-end cache (nil when the System runs
-	// without one).
-	Cache *CacheStats `json:"cache,omitempty"`
-	// Triage counts static triage routes (all zero unless the depth runs
-	// the triage tier: DepthStatic or DepthAuto).
-	Triage TriageStats `json:"triage"`
-	// Quarantined is how many artifacts runtime confinement has isolated.
-	Quarantined int `json:"quarantined"`
-	// BatchQueueDepth and BatchWorkers reflect in-flight batch calls;
-	// SessionsActive counts open reader sessions.
-	BatchQueueDepth int64 `json:"batch_queue_depth"`
-	BatchWorkers    int64 `json:"batch_workers"`
-	SessionsActive  int64 `json:"sessions_active"`
-	// SLO, Flight and Watchdog mirror the diagnostics subsystem (empty/nil
-	// when the System runs with diagnostics disabled).
-	SLO      []SLOStatus    `json:"slo,omitempty"`
-	Flight   *FlightStats   `json:"flight,omitempty"`
-	Watchdog *WatchdogStats `json:"watchdog,omitempty"`
-}
+// front-end cache, compiled-unit cache and quarantine state, and the
+// diagnostics sections. It marshals cleanly to JSON.
+type Stats = pipeline.Stats
 
 // Stats snapshots the System's observability registry. When several
 // Systems share one registry (the Options.Metrics == nil default), the
 // Docs/Phases/Detect sections aggregate across them, while Cache and
 // Quarantined are always this System's own.
-func (s *System) Stats() Stats {
-	in := s.inner.Stats()
-	return Stats{
-		Docs:            in.Docs,
-		Phases:          in.Phases,
-		Detect:          in.Detect,
-		Cache:           in.Cache,
-		Triage:          in.Triage,
-		Quarantined:     in.Quarantined,
-		BatchQueueDepth: in.BatchQueueDepth,
-		BatchWorkers:    in.BatchWorkers,
-		SessionsActive:  in.SessionsActive,
-		SLO:             in.SLO,
-		Flight:          in.Flight,
-		Watchdog:        in.Watchdog,
-	}
-}
+func (s *System) Stats() Stats { return s.inner.Stats() }
 
 // Version reports the reproduced system's provenance.
 const Version = "pdfshield 1.0 — reproduction of Liu, Wang & Stavrou, DSN 2014"
