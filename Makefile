@@ -10,7 +10,7 @@ LDFLAGS := -ldflags "-X pdfshield/internal/obs.Version=$(VERSION)"
 # internal/*/testdata/fuzz/ replay on every plain `make test` regardless.
 FUZZTIME ?= 30s
 
-.PHONY: build vet fmt test race bench fuzz journal-check serve-smoke lint-metrics
+.PHONY: build vet fmt test race fuzz journal-check serve-smoke lint-metrics
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -64,11 +64,6 @@ journal-check:
 # reader and soapsrv packages ride along for the delivery paths.
 race:
 	$(GO) test -race ./internal/pipeline/... ./internal/detect/... ./internal/cache/... ./internal/obs/... ./internal/journal/... ./internal/js/... ./internal/serve/... ./internal/hook/... ./internal/triage/... ./internal/reader/... ./internal/soapsrv/...
-
-# Batch-engine benchmarks: docs/sec at 1/4/8 workers plus the pooled
-# parse/serialize round trip.
-bench:
-	$(GO) test -bench 'BenchmarkProcessBatch|BenchmarkParseReuse' -benchmem .
 
 # Fuzz every attacker-facing decoder for FUZZTIME each: full-document PDF
 # parsing, the stream filter codecs, the Javascript interpreter (single

@@ -123,6 +123,8 @@ type shard struct {
 	expiry  *list.List
 	flights map[string]*flight
 	bytes   int64
+	// onDrop is the cache's drop observer (see SetDropObserver).
+	onDrop func(*instrument.Result)
 
 	hits, misses, shared, evictions, expired uint64
 }
@@ -253,7 +255,8 @@ func (c *Cache) Do(key string, fn func() (*instrument.Result, error)) (*instrume
 // whose fn returns a context error publishes it to the current followers
 // but the outcome is NOT stored, so the next submission of the same
 // bytes re-runs the front-end instead of replaying a cancellation as if
-// it were a terminal parse failure.
+// it were a terminal parse failure. A registry key collision is not
+// stored either (see transient).
 func (c *Cache) DoContext(ctx context.Context, key string, fn func() (*instrument.Result, error)) (*instrument.Result, error, Outcome) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
@@ -284,7 +287,7 @@ func (c *Cache) DoContext(ctx context.Context, key string, fn func() (*instrumen
 	defer func() {
 		sh.mu.Lock()
 		delete(sh.flights, key)
-		if completed && !isContextError(f.err) {
+		if completed && !transient(f.err) {
 			sh.storeLocked(c, key, f.res, f.err)
 		}
 		sh.mu.Unlock()
@@ -295,10 +298,27 @@ func (c *Cache) DoContext(ctx context.Context, key string, fn func() (*instrumen
 	return f.res, f.err, OutcomeMiss
 }
 
-// isContextError reports whether err is a cancellation/deadline outcome,
-// which must never be cached as a terminal front-end result.
-func isContextError(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+// transient reports whether err must never be cached as a terminal
+// front-end result: a cancellation or deadline belongs to one caller, and
+// a registry key collision (instrument.ErrDuplicate) clears on a retry,
+// which draws a fresh key.
+func transient(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, instrument.ErrDuplicate)
+}
+
+// SetDropObserver registers fn to receive every stored Result the cache
+// lets go: evicted, expired, invalidated, replaced, or never stored
+// because it exceeds a shard's byte budget. The owner of the artifacts
+// uses it to release what each one holds (the pipeline forgets their
+// registry records). fn runs under a shard lock and must not call back
+// into the cache. Set it before the cache is shared.
+func (c *Cache) SetDropObserver(fn func(*instrument.Result)) {
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		sh.onDrop = fn
+		sh.mu.Unlock()
+	}
 }
 
 // Invalidate drops the entry for key, if any. De-instrumentation calls
@@ -425,6 +445,7 @@ func (sh *shard) storeLocked(c *Cache, key string, res *instrument.Result, err e
 	if c.maxBytes > 0 && e.size > c.maxBytes {
 		// Larger than the whole shard budget: caching it would evict
 		// everything for one resident; skip it.
+		sh.dropped(res)
 		return
 	}
 	if c.ttl > 0 {
@@ -456,6 +477,14 @@ func (sh *shard) removeLocked(e *entry) {
 		sh.expiry.Remove(e.expElem)
 	}
 	sh.bytes -= e.size
+	sh.dropped(e.res)
+}
+
+// dropped reports a Result the shard let go to the drop observer.
+func (sh *shard) dropped(res *instrument.Result) {
+	if sh.onDrop != nil && res != nil {
+		sh.onDrop(res)
+	}
 }
 
 // resultSize approximates the retained payload of one cached outcome:

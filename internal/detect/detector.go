@@ -124,8 +124,16 @@ type Detector struct {
 	// PID-0 notifications.
 	lastMem    map[int]float64
 	lastMemAny float64
-	alerts     []Alert
+	// alerts is the recent alert history, a ring of at most AlertHistory
+	// entries whose oldest entry sits at alertNext once it is full.
+	alerts    []Alert
+	alertNext int
 }
+
+// AlertHistory bounds the alert history Alerts and IsMalicious read: a
+// long-lived detector keeps its most recent AlertHistory alerts. Verdicts
+// never read it (they come from per-document state, see DocStateFor).
+const AlertHistory = 256
 
 // New creates a detector (not yet started).
 func New(cfg Config) (*Detector, error) {
@@ -147,6 +155,9 @@ func New(cfg Config) (*Detector, error) {
 		active:    make(map[int]string),
 		lastMem:   make(map[int]float64),
 	}
+	// A reaped reader PID never reports again (PIDs are not reused), so
+	// its memory sample goes with it.
+	cfg.OS.OnReap(d.forgetProcess)
 	d.soap = soapsrv.NewServer(d.handleNotify)
 	d.hooks = hook.NewServer(d.handleEvent)
 	d.hooks.Obs = cfg.Obs
@@ -198,11 +209,40 @@ func (d *Detector) Sandbox() *sandbox.Sandbox { return d.sandbox }
 // Downloads exposes the persistent executable list.
 func (d *Detector) Downloads() *DownloadList { return d.downloads }
 
-// Alerts returns raised alerts.
+// Alerts returns the most recent raised alerts (at most AlertHistory),
+// oldest first.
 func (d *Detector) Alerts() []Alert {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]Alert(nil), d.alerts...)
+	out := make([]Alert, 0, len(d.alerts))
+	out = append(out, d.alerts[d.alertNext:]...)
+	return append(out, d.alerts[:d.alertNext]...)
+}
+
+// recordAlertLocked appends a to the alert history, overwriting the
+// oldest entry once the ring is full.
+func (d *Detector) recordAlertLocked(a Alert) {
+	if len(d.alerts) < AlertHistory {
+		d.alerts = append(d.alerts, a)
+		return
+	}
+	d.alerts[d.alertNext] = a
+	d.alertNext = (d.alertNext + 1) % AlertHistory
+}
+
+// forgetProcess drops the per-process memory sample of a reaped PID.
+func (d *Detector) forgetProcess(pid int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	delete(d.lastMem, pid)
+}
+
+// ProcessStates returns how many reader PIDs the detector keeps a memory
+// sample for.
+func (d *Detector) ProcessStates() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.lastMem)
 }
 
 // DocStateFor returns a copy of the state for an instrumentation key.
@@ -216,7 +256,8 @@ func (d *Detector) DocStateFor(instrKey string) (DocState, bool) {
 	return *st, true
 }
 
-// IsMalicious reports whether any alert names the given document.
+// IsMalicious reports whether any alert in the recent history names the
+// given document.
 func (d *Detector) IsMalicious(docID string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -323,7 +364,7 @@ func (d *Detector) fakeMessageLocked(n soapsrv.Notify, cause error) {
 			Reason: "fake-message: " + cause.Error(),
 			Cause:  cause.Error(),
 		}
-		d.alerts = append(d.alerts, a)
+		d.recordAlertLocked(a)
 		d.journalAlert(nil, a)
 		return
 	}
@@ -660,6 +701,6 @@ func (d *Detector) raiseAlertLocked(st *DocState, reason, cause string) {
 			d.journalConfine(st, journal.ConfineIsolated, dll, 0)
 		}
 	}
-	d.alerts = append(d.alerts, *alert)
+	d.recordAlertLocked(*alert)
 	d.journalAlert(st, *alert)
 }

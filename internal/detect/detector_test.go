@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -467,5 +468,61 @@ func TestDownloadsListOnlyExecutables(t *testing.T) {
 	h.api("URLDownloadToFileA", 52, "http://x.test/a.exe", `C:\tmp\a.exe`)
 	if h.det.Downloads().Len() != 1 {
 		t.Error("executable download not tracked")
+	}
+}
+
+// TestAlertHistoryIsBoundedRing: past AlertHistory alerts the oldest are
+// overwritten, Alerts stays oldest-first, and IsMalicious sees exactly
+// the retained window.
+func TestAlertHistoryIsBoundedRing(t *testing.T) {
+	reg := instrument.NewRegistry("det")
+	det, err := New(Config{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = 10
+	for i := 0; i < AlertHistory+extra; i++ {
+		key := fmt.Sprintf("k%03d", i)
+		if err := reg.Register(instrument.DocRecord{DocID: fmt.Sprintf("doc-%03d", i), InstrKey: key}); err != nil {
+			t.Fatal(err)
+		}
+		// A foreign detector ID claiming a known key is a fake message
+		// that convicts the key's document: one alert per iteration.
+		_ = det.Notify(soapsrv.Notify{Event: soapsrv.EventEnter, Key: "other:" + key, PID: 1}, "test")
+		det.ForgetDoc(key)
+	}
+	alerts := det.Alerts()
+	if len(alerts) != AlertHistory {
+		t.Fatalf("alerts = %d, want %d", len(alerts), AlertHistory)
+	}
+	for i, a := range alerts {
+		if want := fmt.Sprintf("doc-%03d", i+extra); a.DocID != want {
+			t.Fatalf("alert %d names %s, want %s (oldest first)", i, a.DocID, want)
+		}
+	}
+	if det.IsMalicious("doc-000") {
+		t.Error("an overwritten alert still convicts")
+	}
+	if !det.IsMalicious(fmt.Sprintf("doc-%03d", AlertHistory+extra-1)) {
+		t.Error("the newest alert is missing")
+	}
+}
+
+// TestReapedProcessForgetsMemorySample: reaping a reader PID in the fake
+// OS drops the detector's per-PID memory sample.
+func TestReapedProcessForgetsMemorySample(t *testing.T) {
+	osState := winos.NewOS()
+	det, err := New(Config{Registry: instrument.NewRegistry("det"), OS: osState})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid := osState.Spawn("reader.exe", 0, false)
+	det.Event(hook.Event{PID: pid, API: "ctx.mem", MemMB: 40})
+	if n := det.ProcessStates(); n != 1 {
+		t.Fatalf("process states = %d, want 1", n)
+	}
+	osState.Reap(pid)
+	if n := det.ProcessStates(); n != 0 {
+		t.Errorf("process states after reap = %d, want 0", n)
 	}
 }

@@ -125,9 +125,6 @@ func (ins *Instrumenter) instrumentEmbedded(hostID string, doc *pdf.Document, de
 				unresolved = true
 				continue
 			}
-			if errors.Is(err, ErrDuplicate) {
-				continue // already instrumented elsewhere
-			}
 			return nil, false, fmt.Errorf("embedded %s: %w", id, err)
 		}
 		obj, _ := doc.Get(emb.StreamNum)

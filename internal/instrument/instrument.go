@@ -146,8 +146,8 @@ type DeinstrumentSpec struct {
 type Result struct {
 	DocID string
 	// ContentHash is the SHA-256 of the pre-instrumentation bytes — the
-	// document's registry identity and the front-end cache key. Computed
-	// once per submission and threaded through (registry record, cache).
+	// front-end cache key, also kept in the registry record. Computed once
+	// per submission and threaded through (registry record, cache).
 	ContentHash string
 	// Key is the full protection key for this document.
 	Key Key
@@ -183,7 +183,8 @@ type Result struct {
 	UnresolvedObjectStreams bool
 }
 
-// ContentHash computes the registry identity of raw document bytes.
+// ContentHash computes the content identity (SHA-256, hex) of raw
+// document bytes.
 func ContentHash(raw []byte) string {
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:])
@@ -267,9 +268,6 @@ func (ins *Instrumenter) observeFrontEnd(res *Result, err error) {
 func (ins *Instrumenter) instrumentBytesDepth(docID string, raw []byte, hash string, depth int) (*Result, error) {
 	if hash == "" {
 		hash = ContentHash(raw)
-	}
-	if ins.registry.SeenHash(hash) {
-		return nil, fmt.Errorf("%s: %w", docID, ErrDuplicate)
 	}
 
 	t0 := time.Now()

@@ -191,14 +191,42 @@ func TestInstrumentNonASCIIScript(t *testing.T) {
 	}
 }
 
-func TestDuplicateInstrumentationRejected(t *testing.T) {
-	ins, _ := newTestInstrumenter(t)
+// TestResubmissionGetsFreshKey: instrumenting the same bytes twice is two
+// scans, each under its own key, and forgetting one leaves the other valid.
+func TestResubmissionGetsFreshKey(t *testing.T) {
+	ins, reg := newTestInstrumenter(t)
 	raw := buildDocBytes(t, "1;")
-	if _, err := ins.InstrumentBytes("a", raw); err != nil {
+	a, err := ins.InstrumentBytes("a", raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ins.InstrumentBytes("b", raw); !errors.Is(err, ErrDuplicate) {
-		t.Errorf("expected ErrDuplicate, got %v", err)
+	b, err := ins.InstrumentBytes("b", raw)
+	if err != nil {
+		t.Fatalf("resubmission: %v", err)
+	}
+	if a.Key == b.Key {
+		t.Fatalf("both scans got key %s", a.Key)
+	}
+	if reg.Len() != 2 {
+		t.Fatalf("registry len = %d, want 2", reg.Len())
+	}
+	ins.Forget(a.Key.InstrKey)
+	if _, err := reg.Validate(a.Key.String()); err == nil {
+		t.Error("forgotten key still validates")
+	}
+	if _, err := reg.Validate(b.Key.String()); err != nil {
+		t.Errorf("second scan's key: %v", err)
+	}
+}
+
+func TestRegisterRejectsKeyCollision(t *testing.T) {
+	reg := NewRegistry("det")
+	rec := DocRecord{DocID: "a", InstrKey: "k1"}
+	if err := reg.Register(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register(rec); !errors.Is(err, ErrDuplicate) {
+		t.Errorf("second Register = %v, want ErrDuplicate", err)
 	}
 }
 

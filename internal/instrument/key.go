@@ -61,8 +61,7 @@ type DocRecord struct {
 	DocID string `json:"doc_id"`
 	// InstrKey is the per-document key.
 	InstrKey string `json:"instr_key"`
-	// ContentHash is the SHA-256 of the pre-instrumentation bytes, used to
-	// refuse duplicate instrumentation.
+	// ContentHash is the SHA-256 of the pre-instrumentation bytes.
 	ContentHash string `json:"content_hash"`
 	// ScriptCount is the number of monitoring-code insertions.
 	ScriptCount int `json:"script_count"`
@@ -76,10 +75,15 @@ type DocRecord struct {
 // (§III-C: "We also maintain a mapping between instrumented document and
 // key"). It is shared, conceptually, between the front-end (writes) and the
 // runtime detector (reads).
+//
+// A record lives as long as its instrumented artifact: whoever holds the
+// artifact (the pipeline for one submission, or its front-end cache while
+// the entry is resident) removes the record when it lets the artifact go.
+// Resubmitting the same bytes is a new scan under a new key, never a
+// duplicate: every instrumentation is one record.
 type Registry struct {
 	mu       sync.RWMutex
 	byKey    map[string]DocRecord
-	byHash   map[string]DocRecord
 	detector string
 }
 
@@ -87,7 +91,6 @@ type Registry struct {
 func NewRegistry(detectorID string) *Registry {
 	return &Registry{
 		byKey:    make(map[string]DocRecord),
-		byHash:   make(map[string]DocRecord),
 		detector: detectorID,
 	}
 }
@@ -99,23 +102,20 @@ func (r *Registry) DetectorID() string {
 	return r.detector
 }
 
-// ErrDuplicate is returned when a document is already instrumented.
-var ErrDuplicate = errors.New("document already instrumented")
+// ErrDuplicate is returned when an instrumentation key is already
+// registered. Keys are 96 random bits, so this is a collision, and a retry
+// draws a fresh key.
+var ErrDuplicate = errors.New("instrumentation key already registered")
 
 // Register records an instrumented document. It fails with ErrDuplicate if
-// the content hash is already present, enforcing the paper's "no duplicate
-// instrumentation on a single document" rule.
+// the instrumentation key is already present.
 func (r *Registry) Register(rec DocRecord) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, exists := r.byHash[rec.ContentHash]; exists {
-		return fmt.Errorf("%w: hash %s", ErrDuplicate, rec.ContentHash[:12])
-	}
 	if _, exists := r.byKey[rec.InstrKey]; exists {
-		return fmt.Errorf("%w: key collision", ErrDuplicate)
+		return ErrDuplicate
 	}
 	r.byKey[rec.InstrKey] = rec
-	r.byHash[rec.ContentHash] = rec
 	return nil
 }
 
@@ -127,22 +127,11 @@ func (r *Registry) LookupKey(instrKey string) (DocRecord, bool) {
 	return rec, ok
 }
 
-// SeenHash reports whether the content hash is registered.
-func (r *Registry) SeenHash(hash string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.byHash[hash]
-	return ok
-}
-
-// Remove drops a record (de-instrumentation).
+// Remove drops a record (de-instrumentation, or the artifact's release).
 func (r *Registry) Remove(instrKey string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if rec, ok := r.byKey[instrKey]; ok {
-		delete(r.byKey, instrKey)
-		delete(r.byHash, rec.ContentHash)
-	}
+	delete(r.byKey, instrKey)
 }
 
 // Len returns the number of registered documents.

@@ -37,8 +37,9 @@ var fuzzParseSeeds = [][]byte{
 // FuzzParse throws arbitrary bytes at the full-document parser, in both
 // lenient and strict modes, then walks every downstream consumer a hostile
 // document can reach: chain reconstruction, filter-chain decoding, the
-// reference index, and re-serialization. The invariant under test is "no
-// panic, no hang" — errors are expected and fine.
+// reference index, re-serialization and owner-password removal. The
+// invariant under test is "no panic, no hang" — errors are expected and
+// fine.
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzParseSeeds {
 		f.Add(s)
@@ -66,6 +67,9 @@ func FuzzParse(f *testing.F) {
 		if _, err := Write(doc, WriteOptions{}); err != nil {
 			t.Skipf("rewrite failed: %v", err)
 		}
+		// The front end's owner-password removal runs on the same
+		// attacker-built /Encrypt dictionary.
+		_ = RemoveOwnerPassword(doc)
 	})
 }
 

@@ -126,9 +126,12 @@ func (d *Document) IsEncrypted() bool {
 }
 
 // RemoveOwnerPassword strips owner-only encryption in place: it derives the
-// file key from the empty user password, decrypts every string and stream,
-// and removes /Encrypt. It fails when a non-empty user password is required
-// (the /U check does not validate against the empty password).
+// file key from the empty user password, checks it against /U, decrypts
+// every string and stream, and removes /Encrypt. Only a dictionary whose
+// every entry the revision 2 handler reads is accepted (see
+// checkRevision2); anything else, and a /U that does not validate against
+// the empty password (a user password is required), fails with
+// ErrEncrypted, so a successful removal is a verified decryption.
 func RemoveOwnerPassword(d *Document) error {
 	if !d.IsEncrypted() {
 		return nil
@@ -137,15 +140,8 @@ func RemoveOwnerPassword(d *Document) error {
 	if !ok {
 		return fmt.Errorf("%w: /Encrypt unresolvable", ErrEncrypted)
 	}
-	if f, _ := enc.Get("Filter").(Name); f != "Standard" {
-		return fmt.Errorf("%w: handler %q", ErrEncrypted, f)
-	}
-	if r, _ := enc.Get("R").(Integer); r != 2 {
-		return fmt.Errorf("%w: revision %d", ErrEncrypted, r)
-	}
-	oStr, ok := enc.Get("O").(String)
-	if !ok {
-		return fmt.Errorf("%w: missing /O", ErrEncrypted)
+	if err := checkRevision2(enc); err != nil {
+		return fmt.Errorf("%w: %v", ErrEncrypted, err)
 	}
 	perms, _ := enc.Get("P").(Integer)
 	var id []byte
@@ -154,11 +150,9 @@ func RemoveOwnerPassword(d *Document) error {
 			id = s.Value
 		}
 	}
-	key := fileKey(nil, oStr.Value, int32(perms), id)
-	if u, ok := enc.Get("U").(String); ok {
-		if string(userHash(key)) != string(u.Value) {
-			return fmt.Errorf("%w: user password required", ErrEncrypted)
-		}
+	key := fileKey(nil, enc.Get("O").(String).Value, int32(perms), id)
+	if string(userHash(key)) != string(enc.Get("U").(String).Value) {
+		return fmt.Errorf("%w: user password required", ErrEncrypted)
 	}
 
 	encRefNum := -1
@@ -170,6 +164,42 @@ func RemoveOwnerPassword(d *Document) error {
 	delete(d.Trailer, "Encrypt")
 	if encRefNum >= 0 {
 		d.Delete(encRefNum)
+	}
+	return nil
+}
+
+// checkRevision2 accepts exactly the standard handler's revision 2 (40-bit
+// RC4 over every string and stream): /Filter /Standard, /V absent or 1,
+// /Length absent or 40, and /O and /U of 32 bytes each. Crypt filters
+// (/CF, /StmF, /StrF, /EFF) belong to /V 4 and later; an /Identity filter
+// there leaves bytes in plaintext that RC4 would scramble, so a dictionary
+// naming one is refused rather than decrypted the way no reader would.
+func checkRevision2(enc Dict) error {
+	if f, _ := enc.Get("Filter").(Name); f != "Standard" {
+		return fmt.Errorf("handler %q", f)
+	}
+	if r, _ := enc.Get("R").(Integer); r != 2 {
+		return fmt.Errorf("revision %d", r)
+	}
+	if v, ok := enc["V"]; ok {
+		if n, _ := v.(Integer); n != 1 {
+			return errors.New("/V is not 1")
+		}
+	}
+	if l, ok := enc["Length"]; ok {
+		if n, _ := l.(Integer); n != 40 {
+			return errors.New("/Length is not 40")
+		}
+	}
+	for _, k := range []Name{"O", "U"} {
+		if s, ok := enc.Get(k).(String); !ok || len(s.Value) != 32 {
+			return fmt.Errorf("/%s missing or not 32 bytes", k)
+		}
+	}
+	for _, k := range []Name{"CF", "StmF", "StrF", "EFF"} {
+		if _, ok := enc[k]; ok {
+			return fmt.Errorf("crypt filter entry /%s", k)
+		}
 	}
 	return nil
 }

@@ -168,6 +168,9 @@ func TestDepthAutoEscalatesUncertainToDeep(t *testing.T) {
 	g := corpus.NewGenerator(91)
 	var uncertainSeen, routedSeen, deepOpens int
 	docs := append(g.MaliciousBatch(6), g.BenignWithJS(6)...)
+	// A SOAP.request script stays uncertain (a network API the abstract
+	// interpreter cannot vet), so the uncertain lane always runs.
+	docs = append(docs, g.BenignSOAPJS())
 	for _, s := range docs {
 		v, err := sys.ProcessDocumentContext(t.Context(), s.ID, s.Raw)
 		if err != nil {
@@ -294,7 +297,7 @@ func TestDeepReplayDeterminism(t *testing.T) {
 	var repBuf bytes.Buffer
 	rep := journal.NewWriter(&repBuf, journal.Options{Session: "deep-replay"})
 	det2, err := detect.New(detect.Config{
-		Registry: sys.Registry,
+		Registry: replayRegistry(t, sys, recorded),
 		OS:       winos.NewOS(),
 		Obs:      obs.NewRegistry(),
 		Journal:  rep,

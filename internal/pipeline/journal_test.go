@@ -8,6 +8,7 @@ import (
 
 	"pdfshield/internal/corpus"
 	"pdfshield/internal/detect"
+	"pdfshield/internal/instrument"
 	"pdfshield/internal/journal"
 	"pdfshield/internal/obs"
 	"pdfshield/internal/winos"
@@ -65,7 +66,7 @@ func TestReplayDeterminism(t *testing.T) {
 	var repBuf bytes.Buffer
 	rep := journal.NewWriter(&repBuf, journal.Options{Session: "replay"})
 	det2, err := detect.New(detect.Config{
-		Registry: sys.Registry,
+		Registry: replayRegistry(t, sys, recorded),
 		OS:       winos.NewOS(),
 		Obs:      obs.NewRegistry(),
 		Journal:  rep,
@@ -233,4 +234,27 @@ func TestJournalFailOpen(t *testing.T) {
 	if reg.Snapshot().Counters[obs.MetricJournalErrors] == 0 {
 		t.Error("journal error counter not incremented")
 	}
+}
+
+// replayRegistry rebuilds, under the recording System's detector
+// identity, the registry records the recorded ctx events were validated
+// against: a record lives only as long as its instrumented artifact, so
+// the live registry no longer holds them once the batch is done.
+func replayRegistry(t *testing.T, sys *System, events []journal.Event) *instrument.Registry {
+	t.Helper()
+	reg := instrument.NewRegistry(sys.Registry.DetectorID())
+	for _, e := range events {
+		if e.T != journal.TypeCtx || e.Ctx == nil {
+			continue
+		}
+		if _, ok := reg.LookupKey(e.Key); ok {
+			continue
+		}
+		rec := instrument.DocRecord{DocID: e.DocID, InstrKey: e.Key}
+		copy(rec.StaticVector[:], e.Ctx.Static)
+		if err := reg.Register(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reg
 }

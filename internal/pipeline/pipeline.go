@@ -7,6 +7,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -80,25 +81,30 @@ type System struct {
 	jsUnits *js.UnitCache
 	diag    *obs.Diagnostics
 
-	// keyLocks serializes reader opens per instrumentation key. Without a
-	// cache the registry's duplicate rule makes each key's open unique;
-	// with one, N cached submissions of the same bytes open the same key
-	// concurrently, and the detector's per-key DocState (malscore, memory
-	// watermarks) must see those opens one at a time to keep verdicts
-	// equal to serial runs. The table also carries the deferred retire of
-	// de-instrumented keys (see releaseKeyLock).
+	// keyLocks serializes reader opens per instrumented artifact, and so
+	// per instrumentation key. Without a cache each submission opens an
+	// artifact of its own; with one, N cached submissions of the same
+	// bytes open the same key concurrently, and the detector's per-key
+	// DocState (malscore, memory watermarks) must see those opens one at
+	// a time to keep verdicts equal to serial runs. The table also
+	// carries the deferred release of artifacts the cache dropped while
+	// an open was in flight (see dropArtifact).
 	klMu     sync.Mutex
-	keyLocks map[string]*keyLock
+	keyLocks map[*instrument.Result]*keyLock
 }
 
-// keyLock is one instrumentation key's open gate.
+// keyLock is one artifact's open gate.
 type keyLock struct {
 	mu   sync.Mutex
 	refs int
-	// retire requests registry removal + cache invalidation once the last
-	// in-flight open of this key releases (set by de-instrumentation).
+	// retire forgets the artifact's registry records once the last
+	// in-flight open releases (set when the cache drops the artifact).
 	retire bool
 }
+
+// errArtifactDropped reports that a cached artifact's registry records
+// were forgotten between the cache lookup and the open.
+var errArtifactDropped = errors.New("pipeline: cached artifact dropped before its open")
 
 // NewSystem builds the stack. It opens no listener: sessions deliver to the
 // detector in-process.
@@ -151,11 +157,12 @@ func NewSystem(opts Options) (*System, error) {
 		Obs:          obsReg,
 		opts:         opts,
 		jsUnits:      jsUnits,
-		keyLocks:     make(map[string]*keyLock),
+		keyLocks:     make(map[*instrument.Result]*keyLock),
 	}
 	if opts.Cache != nil {
 		sys.cache = cache.New(*opts.Cache)
 		sys.cache.RegisterMetrics(obsReg)
+		sys.cache.SetDropObserver(sys.dropArtifact)
 	}
 	registerJSUnitMetrics(obsReg, jsUnits)
 	// Diagnostics (flight recorder, SLO tracking, stall watchdog) run with
@@ -207,10 +214,10 @@ func (s *System) CacheStats() (stats cache.Stats, ok bool) {
 // frontEnd runs the static front-end for one submission: a single
 // ContentHash per document, then either the instrumenter directly or the
 // content-addressed cache's singleflight read-through. Cached terminal
-// errors (ErrNoJavaScript, parse failures, the registry's ErrDuplicate)
-// replay exactly as the first submission observed them; cancellations
-// are never cached (see cache.DoContext). The third return annotates how
-// the submission was satisfied ("" = no cache, else hit/miss/shared).
+// errors (ErrNoJavaScript, parse failures) replay exactly as the first
+// submission observed them; cancellations and key collisions are never
+// cached (see cache.DoContext). The third return annotates how the
+// submission was satisfied ("" = no cache, else hit/miss/shared).
 func (s *System) frontEnd(ctx context.Context, docID string, raw []byte) (*instrument.Result, error, string) {
 	hash := instrument.ContentHash(raw)
 	if s.cache == nil {
@@ -252,48 +259,81 @@ func (s *System) frontEndTraced(ctx context.Context, docID string, raw []byte, t
 	return res, err, note
 }
 
-// acquireKeyLock takes the open gate for an instrumentation key, creating
-// it on first use.
-func (s *System) acquireKeyLock(key string) *keyLock {
+// acquireKeyLock takes the open gate for an artifact, creating it on
+// first use. It fails with errArtifactDropped, taking nothing, when the
+// artifact's records are already forgotten: the cache dropped it after
+// the lookup that returned it, and its key no longer validates.
+func (s *System) acquireKeyLock(res *instrument.Result) (*keyLock, error) {
 	s.klMu.Lock()
-	kl, ok := s.keyLocks[key]
+	kl, ok := s.keyLocks[res]
 	if !ok {
+		if key := artifactKey(res); key != "" {
+			if _, live := s.Registry.LookupKey(key); !live {
+				s.klMu.Unlock()
+				return nil, errArtifactDropped
+			}
+		}
 		kl = &keyLock{}
-		s.keyLocks[key] = kl
+		s.keyLocks[res] = kl
 	}
 	kl.refs++
 	s.klMu.Unlock()
 	kl.mu.Lock()
-	return kl
+	return kl, nil
 }
 
-// releaseKeyLock releases the gate; the last holder of a retired key
-// completes its de-instrumentation (registry removal, so the key stops
-// validating, and cache invalidation, so the stale instrumented artifact
-// is never replayed).
-func (s *System) releaseKeyLock(key string, kl *keyLock, res *instrument.Result) {
+// releaseKeyLock releases the gate; the last holder of an artifact the
+// cache dropped meanwhile forgets its registry records.
+func (s *System) releaseKeyLock(res *instrument.Result, kl *keyLock) {
 	kl.mu.Unlock()
 	s.klMu.Lock()
+	defer s.klMu.Unlock()
 	kl.refs--
-	last := kl.refs == 0
-	retire := last && kl.retire
-	if last {
-		delete(s.keyLocks, key)
-	}
-	s.klMu.Unlock()
-	if retire {
-		s.Instrumenter.Forget(key)
-		if s.cache != nil {
-			s.cache.Invalidate(res.ContentHash)
+	if kl.refs == 0 {
+		delete(s.keyLocks, res)
+		if kl.retire {
+			s.forget(res)
 		}
 	}
 }
 
-// markRetire flags a key for removal at last release.
-func (s *System) markRetire(kl *keyLock) {
+// dropArtifact is the front-end cache's drop observer: a registry record
+// lives as long as its instrumented artifact, so an artifact the cache
+// lets go is forgotten now, or at the last release of an open still in
+// flight. Forgetting under klMu orders it against acquireKeyLock's
+// liveness check.
+func (s *System) dropArtifact(res *instrument.Result) {
 	s.klMu.Lock()
-	kl.retire = true
-	s.klMu.Unlock()
+	defer s.klMu.Unlock()
+	if kl, ok := s.keyLocks[res]; ok {
+		kl.retire = true
+		return
+	}
+	s.forget(res)
+}
+
+// forget removes the registry records of an artifact and its attachments.
+func (s *System) forget(res *instrument.Result) {
+	if key := res.Key.InstrKey; key != "" {
+		s.Instrumenter.Forget(key)
+	}
+	for _, emb := range res.Embedded {
+		s.forget(emb)
+	}
+}
+
+// artifactKey is the first instrumentation key in res: the host's, or an
+// attachment's when the host itself carries no script.
+func artifactKey(res *instrument.Result) string {
+	if res.Key.InstrKey != "" {
+		return res.Key.InstrKey
+	}
+	for _, emb := range res.Embedded {
+		if key := artifactKey(emb); key != "" {
+			return key
+		}
+	}
+	return ""
 }
 
 // Close stops the diagnostics watchdog and any detector wire servers.
@@ -530,11 +570,11 @@ func (s *System) openAndJudge(ctx context.Context, sess *Session, res *instrumen
 	// Opens of the same instrumentation key are serialized: the detector
 	// keeps one DocState per key, and cached duplicates running in
 	// parallel sessions would interleave their runtime state otherwise.
-	var kl *keyLock
-	if key := res.Key.InstrKey; key != "" {
-		kl = s.acquireKeyLock(key)
-		defer s.releaseKeyLock(key, kl, res)
+	kl, err := s.acquireKeyLock(res)
+	if err != nil {
+		return nil, err
 	}
+	defer s.releaseKeyLock(res, kl)
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -607,11 +647,14 @@ func (s *System) openAndJudge(ctx context.Context, sess *Session, res *instrumen
 			return nil, fmt.Errorf("deinstrument %s: %w", docID, err)
 		}
 		v.Deinstrumented = restored
-		// Registry removal and cache invalidation wait until the last
-		// in-flight open of this key releases: a concurrent duplicate that
-		// already holds this Result must still validate against the
-		// registry, or its monitoring messages would read as fake.
-		s.markRetire(kl)
+		// The restored document stops paying the monitoring cost, so its
+		// key retires: a cached artifact leaves the cache (the drop
+		// observer forgets its records once the last in-flight open of
+		// this key releases, so a concurrent duplicate still validates),
+		// and an uncached one is forgotten when its submission ends.
+		if s.cache != nil {
+			s.cache.Invalidate(res.ContentHash)
+		}
 	}
 	return v, nil
 }

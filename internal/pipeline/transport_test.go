@@ -143,7 +143,7 @@ func runParity(t *testing.T, base *System, docs []BatchDoc, wire bool) parityRun
 		cache:        base.cache,
 		jsUnits:      base.jsUnits,
 		diag:         obs.NewDiagnostics(reg, obs.DiagConfig{}),
-		keyLocks:     make(map[string]*keyLock),
+		keyLocks:     make(map[*instrument.Result]*keyLock),
 	}
 	defer sys.diag.Close()
 	newSession := func() *Session {

@@ -182,19 +182,20 @@ func (p *Process) MemMB() float64 {
 	return baseMemMB + p.docsMemMB + float64(p.jsHeapBytes)/(1<<20)
 }
 
-// Close terminates the process in the fake OS.
+// Close terminates the process and reaps it from the fake OS.
 func (p *Process) Close() {
-	p.os.Terminate(p.PID)
+	p.os.Reap(p.PID)
 }
 
 // Reset recycles the process for the next document: the old process is
-// terminated in the fake OS and a fresh one spawned, discarding all
-// per-process state (open documents, script heap, crash flag). Callers that
-// process documents in bulk use this to keep the surrounding session — in
-// particular the hook sink to the detector — alive, while each
-// document still observes the behaviour of a freshly started reader.
+// reaped from the fake OS (so observers such as the detector drop its
+// per-PID state) and a fresh one spawned, discarding all per-process
+// state (open documents, script heap, crash flag). Callers that process
+// documents in bulk use this to keep the surrounding session — in
+// particular the hook sink to the detector — alive, while each document
+// still observes the behaviour of a freshly started reader.
 func (p *Process) Reset() {
-	p.os.Terminate(p.PID)
+	p.os.Reap(p.PID)
 	p.PID = p.os.Spawn(readerExeName, 0, false)
 	p.docsMemMB = 0
 	p.jsHeapBytes = 0

@@ -35,12 +35,18 @@ type Census struct {
 	Ratio          float64 `json:"ratio"`
 	// Static is the normalized F1–F5 vector (Table VII rules).
 	Static [5]int `json:"static"`
-	// Recovered / Encrypted / EmbeddedPDFs are the hard fail-safe
-	// markers: scavenged parses, stripped owner passwords and compound
-	// documents always take the dynamic path.
+	// Recovered and EmbeddedPDFs are hard fail-safe markers: scavenged
+	// parses and compound documents always take the dynamic path.
 	Recovered    bool `json:"recovered,omitempty"`
-	Encrypted    bool `json:"encrypted,omitempty"`
 	EmbeddedPDFs int  `json:"embedded_pdfs,omitempty"`
+	// Encrypted reports that the front end removed an owner-only password.
+	// It is a reported fact, not a flag: removal succeeds only after the
+	// empty user password's key checks against /U, so the scripts and
+	// features above are those of the verified plaintext, and the names
+	// counted over the raw bytes are never encrypted. The document routes
+	// exactly like its plaintext twin; any other encryption fails in the
+	// front end and never reaches triage.
+	Encrypted bool `json:"encrypted,omitempty"`
 	// Flags lists the census conditions that disqualify confident-benign
 	// (sorted; empty for a clean document).
 	Flags []string `json:"flags,omitempty"`
@@ -148,9 +154,6 @@ func TakeCensus(raw []byte, res *instrument.Result) Census {
 		}
 		if c.Recovered {
 			flag("recovered-parse")
-		}
-		if c.Encrypted {
-			flag("encrypted")
 		}
 		if c.EmbeddedPDFs > 0 {
 			flag("embedded-pdf")

@@ -10,8 +10,8 @@
 //   - a PDFInspect-style census over the raw bytes and the parsed
 //     structure (census.go): suspicious-name counts (/AA, /OpenAction,
 //     /Launch, /RichMedia, /EmbeddedFile), Shannon entropy, multiple
-//     %%EOF markers, plus the F1–F5 static features, recovery/encryption
-//     markers and embedded-PDF presence;
+//     %%EOF markers, plus the F1–F5 static features, the recovery marker
+//     and embedded-PDF presence;
 //   - a SAFE-PDF-style abstract interpretation over every extracted
 //     script (absint.go): a flow-insensitive over-approximation of the
 //     reachable API surface that recognizes eval/unescape chains,
@@ -24,10 +24,13 @@
 // containment available); everything else falls through to the full
 // dynamic open, which remains the ground truth. The bias is fail-safe by
 // construction: a script that fails to parse, an API outside the known-
-// benign allowlist, any encryption or parser recovery, or an abstract-
-// domain budget blowup all route to "uncertain". A document only routes
-// confident-benign when every census field is clean AND every script
-// resolves to exclusively known-benign behaviour.
+// benign allowlist, parser recovery, or an abstract-domain budget blowup
+// all route to "uncertain". A document only routes confident-benign when
+// every census field is clean AND every script resolves to exclusively
+// known-benign behaviour. Encryption is judged on what it hides: a
+// verified owner-only decryption (the empty user password's key checked
+// against /U) routes exactly like its plaintext twin, and any other
+// encryption fails closed in the front end before triage runs.
 package triage
 
 import (
@@ -97,7 +100,7 @@ type Decision struct {
 	// "api-getIcon", ...). Any signal disqualifies confident-benign.
 	Signals []string `json:"signals,omitempty"`
 	// Uncertain lists the fail-safe conditions that force the dynamic
-	// path ("encrypted", "js-parse-error", "api-unknown:...", ...).
+	// path ("recovered-parse", "js-parse-error", "api-unknown:...", ...).
 	Uncertain []string `json:"uncertain,omitempty"`
 	// Census is the structural survey of the document.
 	Census Census `json:"census"`

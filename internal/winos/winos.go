@@ -39,6 +39,8 @@ type OS struct {
 	listens []int
 	// injected records DLL paths that were successfully injected.
 	injected []string
+	// onReap are the observers Reap notifies (see OnReap).
+	onReap []func(pid int)
 }
 
 // NewOS returns an empty OS.
@@ -139,6 +141,52 @@ func (o *OS) Terminate(pid int) bool {
 	}
 	p.Alive = false
 	return true
+}
+
+// Reap terminates a process and removes it from the process table,
+// together with every descendant that has already exited; descendants
+// still alive (a sandboxed program nobody terminated) stay listed. The
+// OnReap observers then learn each removed PID, so per-process state
+// kept elsewhere dies with the process. A recycled reader reaps its old
+// PID, which keeps the table of a long-lived OS bounded.
+func (o *OS) Reap(pid int) {
+	o.mu.Lock()
+	if _, ok := o.procs[pid]; !ok {
+		o.mu.Unlock()
+		return
+	}
+	reaped := []int{pid}
+	delete(o.procs, pid)
+	for i := 0; i < len(reaped); i++ {
+		for cpid, c := range o.procs {
+			if c.ParentPID == reaped[i] && !c.Alive {
+				delete(o.procs, cpid)
+				reaped = append(reaped, cpid)
+			}
+		}
+	}
+	observers := o.onReap
+	o.mu.Unlock()
+	for _, fn := range observers {
+		for _, r := range reaped {
+			fn(r)
+		}
+	}
+}
+
+// OnReap registers fn to learn every PID that Reap removes. fn runs
+// outside the OS lock.
+func (o *OS) OnReap(fn func(pid int)) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.onReap = append(o.onReap, fn)
+}
+
+// ProcessCount returns the number of process-table entries, alive or not.
+func (o *OS) ProcessCount() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.procs)
 }
 
 // Process returns a copy of a process-table entry.

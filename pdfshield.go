@@ -432,12 +432,14 @@ func (sess *Session) Open(docID string, raw []byte) error {
 // Close terminates the reader process.
 func (sess *Session) Close() { sess.inner.Close() }
 
-// IsMalicious reports whether the detector has alerted on docID.
+// IsMalicious reports whether an alert in the detector's recent history
+// names docID.
 func (s *System) IsMalicious(docID string) bool {
 	return s.inner.Detector.IsMalicious(docID)
 }
 
-// Alerts returns all alerts raised so far.
+// Alerts returns the most recent alerts (at most detect.AlertHistory),
+// oldest first.
 func (s *System) Alerts() []detect.Alert {
 	return s.inner.Detector.Alerts()
 }
