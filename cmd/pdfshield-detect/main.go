@@ -32,6 +32,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -149,28 +150,42 @@ func run() error {
 	for {
 		select {
 		case <-ticker.C:
-			alerts := det.Alerts()
-			for ; seen < len(alerts); seen++ {
-				printAlert(alerts[seen])
-			}
+			seen = printNewAlerts(os.Stdout, det, seen, logger)
 		case <-quit:
 			var diag *obs.Diagnostics
 			diag.WriteDump(os.Stderr)
 		case <-stop:
-			logger.Info("shutting down", "alerts", len(det.Alerts()))
+			seen = printNewAlerts(os.Stdout, det, seen, logger)
+			logger.Info("shutting down", "alerts", seen)
 			return nil
 		case <-deadline:
-			logger.Info("duration elapsed", "alerts", len(det.Alerts()))
+			seen = printNewAlerts(os.Stdout, det, seen, logger)
+			logger.Info("duration elapsed", "alerts", seen)
 			return nil
 		}
 	}
 }
 
-// printAlert renders one alert on stdout (the command's data output; logs
-// stay on stderr).
-func printAlert(a detect.Alert) {
-	fmt.Printf("ALERT doc=%s malscore=%d reason=%s features=%v isolated=%v\n",
-		a.DocID, a.Malscore, a.Reason, a.Features.Positive(), a.IsolatedFiles)
+// printNewAlerts prints the alerts raised since the first seen ones and
+// returns the new total. The detector retains only its most recent
+// detect.AlertHistory alerts, so a burst larger than that between two
+// polls loses the oldest of the burst; the loss is logged.
+func printNewAlerts(w io.Writer, det *detect.Detector, seen int, logger *slog.Logger) int {
+	alerts, total := det.AlertsSince(seen)
+	if lost := total - seen - len(alerts); lost > 0 {
+		logger.Warn("alerts overwritten before they were printed", "lost", lost)
+	}
+	for _, a := range alerts {
+		printAlert(w, a.DocID, a.Malscore, a.Reason, a.Features.Positive(), a.IsolatedFiles)
+	}
+	return total
+}
+
+// printAlert renders one alert on w (the command's data output is stdout;
+// logs stay on stderr).
+func printAlert(w io.Writer, docID string, malscore int, reason string, features, isolated []string) {
+	fmt.Fprintf(w, "ALERT doc=%s malscore=%d reason=%s features=%v isolated=%v\n",
+		docID, malscore, reason, features, isolated)
 }
 
 // runReplay re-feeds a recorded journal through a fresh detector (no
@@ -205,13 +220,19 @@ func runReplay(path string, registry *instrument.Registry, downloadsPath string,
 		return fmt.Errorf("replay journal: %w", err)
 	}
 
-	for _, a := range det.Alerts() {
-		printAlert(a)
+	// The replayed journal holds every alert; the detector's own history
+	// keeps only the most recent detect.AlertHistory.
+	alerts := 0
+	for _, e := range replayed {
+		if e.T == journal.TypeAlert && e.Alert != nil {
+			printAlert(os.Stdout, e.DocID, e.Alert.Malscore, e.Alert.Reason, e.Alert.Features, e.Alert.Isolated)
+			alerts++
+		}
 	}
 	logger.Info("replay complete",
 		"notifies", stats.Notifies, "hooks", stats.Hooks,
 		"forgets", stats.Forgets, "skipped", stats.Skipped,
-		"alerts", len(det.Alerts()))
+		"alerts", alerts)
 
 	if diffs := journal.Diff(recorded, replayed); len(diffs) > 0 {
 		for _, d := range diffs {

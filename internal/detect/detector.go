@@ -125,9 +125,10 @@ type Detector struct {
 	lastMem    map[int]float64
 	lastMemAny float64
 	// alerts is the recent alert history, a ring of at most AlertHistory
-	// entries whose oldest entry sits at alertNext once it is full.
-	alerts    []Alert
-	alertNext int
+	// entries. alertTotal counts every alert raised; alert number n (0,
+	// 1, … in raise order) sits at index n%AlertHistory while retained.
+	alerts     []Alert
+	alertTotal int
 }
 
 // AlertHistory bounds the alert history Alerts and IsMalicious read: a
@@ -212,11 +213,24 @@ func (d *Detector) Downloads() *DownloadList { return d.downloads }
 // Alerts returns the most recent raised alerts (at most AlertHistory),
 // oldest first.
 func (d *Detector) Alerts() []Alert {
+	alerts, _ := d.AlertsSince(0)
+	return alerts
+}
+
+// AlertsSince returns the retained alerts numbered seen or later, oldest
+// first, and how many alerts have been raised in total. A caller that
+// reports alerts as they arrive passes the total it got last time; the
+// total-seen-len(alerts) alerts it did not get were overwritten before
+// it asked.
+func (d *Detector) AlertsSince(seen int) (alerts []Alert, total int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]Alert, 0, len(d.alerts))
-	out = append(out, d.alerts[d.alertNext:]...)
-	return append(out, d.alerts[:d.alertNext]...)
+	seen = max(seen, d.alertTotal-len(d.alerts))
+	alerts = make([]Alert, 0, max(d.alertTotal-seen, 0))
+	for n := seen; n < d.alertTotal; n++ {
+		alerts = append(alerts, d.alerts[n%AlertHistory])
+	}
+	return alerts, d.alertTotal
 }
 
 // recordAlertLocked appends a to the alert history, overwriting the
@@ -224,10 +238,10 @@ func (d *Detector) Alerts() []Alert {
 func (d *Detector) recordAlertLocked(a Alert) {
 	if len(d.alerts) < AlertHistory {
 		d.alerts = append(d.alerts, a)
-		return
+	} else {
+		d.alerts[d.alertTotal%AlertHistory] = a
 	}
-	d.alerts[d.alertNext] = a
-	d.alertNext = (d.alertNext + 1) % AlertHistory
+	d.alertTotal++
 }
 
 // forgetProcess drops the per-process memory sample of a reaped PID.

@@ -500,6 +500,13 @@ func TestAlertHistoryIsBoundedRing(t *testing.T) {
 			t.Fatalf("alert %d names %s, want %s (oldest first)", i, a.DocID, want)
 		}
 	}
+	since, total := det.AlertsSince(AlertHistory + extra - 3)
+	if total != AlertHistory+extra || len(since) != 3 || since[0].DocID != fmt.Sprintf("doc-%03d", AlertHistory+extra-3) {
+		t.Errorf("AlertsSince = %d alerts (first %+v), total %d; want the last 3 of %d", len(since), since, total, AlertHistory+extra)
+	}
+	if since, _ := det.AlertsSince(0); len(since) != AlertHistory {
+		t.Errorf("AlertsSince(0) = %d alerts, want the %d retained", len(since), AlertHistory)
+	}
 	if det.IsMalicious("doc-000") {
 		t.Error("an overwritten alert still convicts")
 	}

@@ -27,10 +27,7 @@ func (d *Detector) journalCtx(n soapsrv.Notify, st *DocState, mem float64) {
 		DocID: st.DocID,
 		Key:   st.InstrKey,
 		PID:   n.PID,
-		Ctx: &journal.Ctx{
-			Event: n.Event, WireKey: n.Key, Seq: n.Seq, MemMB: mem,
-			Static: append([]int(nil), st.Features[:5]...),
-		},
+		Ctx:   &journal.Ctx{Event: n.Event, WireKey: n.Key, Seq: n.Seq, MemMB: mem},
 	})
 }
 

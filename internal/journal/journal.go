@@ -102,11 +102,6 @@ type Ctx struct {
 	// MemMB is the process-memory sample the detector associated with the
 	// transition (forensic; replay reconstructs it from hook events).
 	MemMB float64 `json:"mem_mb,omitempty"`
-	// Static is the document's F1–F5 vector from its registry record
-	// (TypeCtx only). A record lives only as long as its instrumented
-	// artifact, so with the event's DocID and Key it is what a replay
-	// registers to validate the key again once the live record is gone.
-	Static []int `json:"static,omitempty"`
 }
 
 // Hook is the payload of TypeHook events: the captured call plus the

@@ -229,11 +229,7 @@ func (s *System) processWithSession(ctx context.Context, sess **Session, doc Bat
 	}
 	prof := s.depthProfile(depth)
 	res, err, _ := s.frontEndTraced(ctx, doc.ID, doc.Raw, tr)
-	if s.cache == nil && res != nil {
-		// Without a cache the artifact is this submission's alone, and so
-		// are its registry records.
-		defer s.forget(res)
-	}
+	defer s.release(res)
 	if err != nil {
 		if errors.Is(err, instrument.ErrNoJavaScript) {
 			// No scripts means no open at any depth, but the verdict still
@@ -265,15 +261,6 @@ func (s *System) processWithSession(ctx context.Context, sess **Session, doc Bat
 		(*sess).Recycle()
 	}
 	v, err = s.openAndJudge(ctx, *sess, res, tr, prof)
-	if errors.Is(err, errArtifactDropped) {
-		// The cache let the artifact go between lookup and open, and its
-		// key no longer validates: scan a private instrumentation instead.
-		if res, err = s.Instrumenter.InstrumentBytesWithHash(doc.ID, doc.Raw, res.ContentHash); err != nil {
-			return nil, err
-		}
-		defer s.forget(res)
-		v, err = s.openAndJudge(ctx, *sess, res, tr, prof)
-	}
 	claimVerdict(v, doc.ID)
 	annotateTriage(v, td)
 	return v, err

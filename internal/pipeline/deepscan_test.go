@@ -297,7 +297,7 @@ func TestDeepReplayDeterminism(t *testing.T) {
 	var repBuf bytes.Buffer
 	rep := journal.NewWriter(&repBuf, journal.Options{Session: "deep-replay"})
 	det2, err := detect.New(detect.Config{
-		Registry: replayRegistry(t, sys, recorded),
+		Registry: replayRegistry(t, sys, res.Verdicts),
 		OS:       winos.NewOS(),
 		Obs:      obs.NewRegistry(),
 		Journal:  rep,

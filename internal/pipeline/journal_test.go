@@ -66,7 +66,7 @@ func TestReplayDeterminism(t *testing.T) {
 	var repBuf bytes.Buffer
 	rep := journal.NewWriter(&repBuf, journal.Options{Session: "replay"})
 	det2, err := detect.New(detect.Config{
-		Registry: replayRegistry(t, sys, recorded),
+		Registry: replayRegistry(t, sys, res.Verdicts),
 		OS:       winos.NewOS(),
 		Obs:      obs.NewRegistry(),
 		Journal:  rep,
@@ -237,23 +237,27 @@ func TestJournalFailOpen(t *testing.T) {
 }
 
 // replayRegistry rebuilds, under the recording System's detector
-// identity, the registry records the recorded ctx events were validated
-// against: a record lives only as long as its instrumented artifact, so
+// identity, the registry records of the batch's instrumented artifacts,
+// hosts and attachments: a record lives only as long as its artifact, so
 // the live registry no longer holds them once the batch is done.
-func replayRegistry(t *testing.T, sys *System, events []journal.Event) *instrument.Registry {
+func replayRegistry(t *testing.T, sys *System, verdicts []*Verdict) *instrument.Registry {
 	t.Helper()
 	reg := instrument.NewRegistry(sys.Registry.DetectorID())
-	for _, e := range events {
-		if e.T != journal.TypeCtx || e.Ctx == nil {
-			continue
+	var add func(res *instrument.Result)
+	add = func(res *instrument.Result) {
+		if _, known := reg.LookupKey(res.Key.InstrKey); res.Key.InstrKey != "" && !known {
+			rec := instrument.DocRecord{DocID: res.DocID, InstrKey: res.Key.InstrKey, StaticVector: res.Features.Vector()}
+			if err := reg.Register(rec); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, ok := reg.LookupKey(e.Key); ok {
-			continue
+		for _, emb := range res.Embedded {
+			add(emb)
 		}
-		rec := instrument.DocRecord{DocID: e.DocID, InstrKey: e.Key}
-		copy(rec.StaticVector[:], e.Ctx.Static)
-		if err := reg.Register(rec); err != nil {
-			t.Fatal(err)
+	}
+	for _, v := range verdicts {
+		if v != nil && v.Instrument != nil {
+			add(v.Instrument)
 		}
 	}
 	return reg

@@ -7,7 +7,6 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -81,30 +80,27 @@ type System struct {
 	jsUnits *js.UnitCache
 	diag    *obs.Diagnostics
 
-	// keyLocks serializes reader opens per instrumented artifact, and so
-	// per instrumentation key. Without a cache each submission opens an
-	// artifact of its own; with one, N cached submissions of the same
-	// bytes open the same key concurrently, and the detector's per-key
-	// DocState (malscore, memory watermarks) must see those opens one at
-	// a time to keep verdicts equal to serial runs. The table also
-	// carries the deferred release of artifacts the cache dropped while
-	// an open was in flight (see dropArtifact).
+	// keyLocks tracks every instrumented artifact a submission holds,
+	// from the front end until its verdict. Registry records live as long
+	// as their artifact: an artifact nobody else keeps (no cache, or one
+	// the cache declined or let go) is forgotten when its last holder
+	// releases it. The gate in each keyLock also serializes reader opens
+	// per artifact, and so per instrumentation key: with a cache, N
+	// submissions of the same bytes open the same key concurrently, and
+	// the detector's per-key DocState (malscore, memory watermarks) must
+	// see those opens one at a time to keep verdicts equal to serial runs.
 	klMu     sync.Mutex
 	keyLocks map[*instrument.Result]*keyLock
 }
 
-// keyLock is one artifact's open gate.
+// keyLock is one held artifact's open gate and holder count.
 type keyLock struct {
 	mu   sync.Mutex
 	refs int
-	// retire forgets the artifact's registry records once the last
-	// in-flight open releases (set when the cache drops the artifact).
+	// retire forgets the artifact's registry records at the last release
+	// (set for a private artifact, or when the cache lets it go).
 	retire bool
 }
-
-// errArtifactDropped reports that a cached artifact's registry records
-// were forgotten between the cache lookup and the open.
-var errArtifactDropped = errors.New("pipeline: cached artifact dropped before its open")
 
 // NewSystem builds the stack. It opens no listener: sessions deliver to the
 // detector in-process.
@@ -222,6 +218,7 @@ func (s *System) frontEnd(ctx context.Context, docID string, raw []byte) (*instr
 	hash := instrument.ContentHash(raw)
 	if s.cache == nil {
 		res, err := s.Instrumenter.InstrumentBytesWithHash(docID, raw, hash)
+		s.hold(res, true)
 		return res, err, ""
 	}
 	res, err, outcome := s.cache.DoContext(ctx, hash, func() (*instrument.Result, error) {
@@ -230,8 +227,18 @@ func (s *System) frontEnd(ctx context.Context, docID string, raw []byte) (*instr
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return s.Instrumenter.InstrumentBytesWithHash(docID, raw, hash)
+		res, err := s.Instrumenter.InstrumentBytesWithHash(docID, raw, hash)
+		// Held before the cache sees it, so an artifact the cache declines
+		// to store keeps its records until its submissions finish.
+		s.hold(res, false)
+		return res, err
 	})
+	if outcome != cache.OutcomeMiss && !s.hold(res, false) {
+		// The cache let the artifact go after returning it, and its key
+		// no longer validates: scan a private instrumentation instead.
+		res, err = s.Instrumenter.InstrumentBytesWithHash(docID, raw, hash)
+		s.hold(res, true)
+	}
 	return res, err, outcome.String()
 }
 
@@ -259,35 +266,39 @@ func (s *System) frontEndTraced(ctx context.Context, docID string, raw []byte, t
 	return res, err, note
 }
 
-// acquireKeyLock takes the open gate for an artifact, creating it on
-// first use. It fails with errArtifactDropped, taking nothing, when the
-// artifact's records are already forgotten: the cache dropped it after
-// the lookup that returned it, and its key no longer validates.
-func (s *System) acquireKeyLock(res *instrument.Result) (*keyLock, error) {
+// hold registers one more holder of an artifact (nil is a no-op), private
+// when no cache keeps it. It reports false, holding nothing, when the
+// artifact's records are already forgotten: the cache let it go after the
+// lookup that returned it, and its key no longer validates.
+func (s *System) hold(res *instrument.Result, private bool) bool {
+	if res == nil {
+		return true
+	}
 	s.klMu.Lock()
+	defer s.klMu.Unlock()
 	kl, ok := s.keyLocks[res]
 	if !ok {
 		if key := artifactKey(res); key != "" {
 			if _, live := s.Registry.LookupKey(key); !live {
-				s.klMu.Unlock()
-				return nil, errArtifactDropped
+				return false
 			}
 		}
-		kl = &keyLock{}
+		kl = &keyLock{retire: private}
 		s.keyLocks[res] = kl
 	}
 	kl.refs++
-	s.klMu.Unlock()
-	kl.mu.Lock()
-	return kl, nil
+	return true
 }
 
-// releaseKeyLock releases the gate; the last holder of an artifact the
-// cache dropped meanwhile forgets its registry records.
-func (s *System) releaseKeyLock(res *instrument.Result, kl *keyLock) {
-	kl.mu.Unlock()
+// release drops one holder of an artifact (nil is a no-op); the last
+// holder of an artifact no cache keeps forgets its registry records.
+func (s *System) release(res *instrument.Result) {
+	if res == nil {
+		return
+	}
 	s.klMu.Lock()
 	defer s.klMu.Unlock()
+	kl := s.keyLocks[res]
 	kl.refs--
 	if kl.refs == 0 {
 		delete(s.keyLocks, res)
@@ -297,11 +308,17 @@ func (s *System) releaseKeyLock(res *instrument.Result, kl *keyLock) {
 	}
 }
 
-// dropArtifact is the front-end cache's drop observer: a registry record
-// lives as long as its instrumented artifact, so an artifact the cache
-// lets go is forgotten now, or at the last release of an open still in
-// flight. Forgetting under klMu orders it against acquireKeyLock's
-// liveness check.
+// openGate returns the open gate of a held artifact.
+func (s *System) openGate(res *instrument.Result) *sync.Mutex {
+	s.klMu.Lock()
+	defer s.klMu.Unlock()
+	return &s.keyLocks[res].mu
+}
+
+// dropArtifact is the front-end cache's drop observer: an artifact the
+// cache lets go (or never stores) is forgotten now, or at the last
+// release when a submission still holds it. Forgetting under klMu orders
+// it against hold's liveness check.
 func (s *System) dropArtifact(res *instrument.Result) {
 	s.klMu.Lock()
 	defer s.klMu.Unlock()
@@ -570,11 +587,9 @@ func (s *System) openAndJudge(ctx context.Context, sess *Session, res *instrumen
 	// Opens of the same instrumentation key are serialized: the detector
 	// keeps one DocState per key, and cached duplicates running in
 	// parallel sessions would interleave their runtime state otherwise.
-	kl, err := s.acquireKeyLock(res)
-	if err != nil {
-		return nil, err
-	}
-	defer s.releaseKeyLock(res, kl)
+	gate := s.openGate(res)
+	gate.Lock()
+	defer gate.Unlock()
 
 	if err := ctx.Err(); err != nil {
 		return nil, err

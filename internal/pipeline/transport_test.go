@@ -111,7 +111,8 @@ func parityBase(t *testing.T, depth Depth, docs []BatchDoc) *System {
 	}
 	t.Cleanup(func() { _ = sys.Close() })
 	for _, d := range docs {
-		_, _, _ = sys.frontEnd(t.Context(), d.ID, d.Raw)
+		res, _, _ := sys.frontEnd(t.Context(), d.ID, d.Raw)
+		sys.release(res)
 	}
 	return sys
 }

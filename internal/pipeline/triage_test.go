@@ -256,7 +256,7 @@ func TestTriageReplayDeterminism(t *testing.T) {
 	var repBuf bytes.Buffer
 	rep := journal.NewWriter(&repBuf, journal.Options{Session: "replay"})
 	det2, err := detect.New(detect.Config{
-		Registry: replayRegistry(t, sys, recorded),
+		Registry: replayRegistry(t, sys, res.Verdicts),
 		OS:       winos.NewOS(),
 		Obs:      obs.NewRegistry(),
 		Journal:  rep,

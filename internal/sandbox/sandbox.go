@@ -19,18 +19,28 @@ type Sandbox struct {
 	procs map[int]string // pid -> exe path
 }
 
-// New returns a sandbox over the fake OS.
+// New returns a sandbox over the fake OS. A sandboxed process the OS
+// reaps (its reader closed) leaves the sandbox too.
 func New(osState *winos.OS) *Sandbox {
-	return &Sandbox{os: osState, procs: make(map[int]string)}
+	s := &Sandbox{os: osState, procs: make(map[int]string)}
+	osState.OnReap(s.forget)
+	return s
 }
 
 // Run launches path inside the sandbox and returns the pid.
 func (s *Sandbox) Run(path string, parentPID int) int {
-	pid := s.os.Spawn(path, parentPID, true)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	pid := s.os.Spawn(path, parentPID, true)
 	s.procs[pid] = path
 	return pid
+}
+
+// forget drops a reaped pid.
+func (s *Sandbox) forget(pid int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.procs, pid)
 }
 
 // Terminate kills one sandboxed process.

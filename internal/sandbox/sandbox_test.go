@@ -60,3 +60,25 @@ func TestTerminateUntracked(t *testing.T) {
 		t.Error("foreign process killed")
 	}
 }
+
+// TestReapedReaderEndsItsSandboxedPrograms: reaping a reader removes the
+// programs sandboxed on its behalf from the process table and from the
+// sandbox, alive or not; other readers' programs keep running.
+func TestReapedReaderEndsItsSandboxedPrograms(t *testing.T) {
+	o := winos.NewOS()
+	s := New(o)
+	reader, other := o.Spawn(`C:\reader.exe`, 0, false), o.Spawn(`C:\reader.exe`, 0, false)
+	s.Run(`C:\a.exe`, reader)
+	s.Terminate(s.Run(`C:\b.exe`, reader))
+	kept := s.Run(`C:\c.exe`, other)
+	o.Reap(reader)
+	if s.Running() != 1 {
+		t.Errorf("sandbox tracks %d programs, want 1", s.Running())
+	}
+	if _, ok := s.PathOf(kept); !ok {
+		t.Error("another reader's program left the sandbox")
+	}
+	if n := o.ProcessCount(); n != 2 {
+		t.Errorf("process table holds %d entries, want 2 (the other reader and its program)", n)
+	}
+}

@@ -144,11 +144,12 @@ func (o *OS) Terminate(pid int) bool {
 }
 
 // Reap terminates a process and removes it from the process table,
-// together with every descendant that has already exited; descendants
-// still alive (a sandboxed program nobody terminated) stay listed. The
-// OnReap observers then learn each removed PID, so per-process state
-// kept elsewhere dies with the process. A recycled reader reaps its old
-// PID, which keeps the table of a long-lived OS bounded.
+// together with all of its descendants, alive or not: closing a reader
+// ends what it started, the programs it was allowed to run and those the
+// detector sandboxed on its behalf. The OnReap observers then learn each
+// removed PID, so per-process state kept elsewhere dies with the process.
+// A recycled reader reaps its old PID, which keeps the table of a
+// long-lived OS bounded.
 func (o *OS) Reap(pid int) {
 	o.mu.Lock()
 	if _, ok := o.procs[pid]; !ok {
@@ -159,7 +160,7 @@ func (o *OS) Reap(pid int) {
 	delete(o.procs, pid)
 	for i := 0; i < len(reaped); i++ {
 		for cpid, c := range o.procs {
-			if c.ParentPID == reaped[i] && !c.Alive {
+			if c.ParentPID == reaped[i] {
 				delete(o.procs, cpid)
 				reaped = append(reaped, cpid)
 			}

@@ -1,6 +1,9 @@
 package winos
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestFileLifecycle(t *testing.T) {
 	o := NewOS()
@@ -78,5 +81,28 @@ func TestIsExecutablePath(t *testing.T) {
 		if IsExecutablePath(p) {
 			t.Errorf("%s should not be executable", p)
 		}
+	}
+}
+
+// TestReapRemovesDescendants: reaping a process removes its whole tree,
+// live and exited descendants alike, and tells the observers each PID.
+func TestReapRemovesDescendants(t *testing.T) {
+	o := NewOS()
+	var reaped []int
+	o.OnReap(func(pid int) { reaped = append(reaped, pid) })
+	pid := o.Spawn(`C:\reader.exe`, 0, false)
+	child := o.Spawn(`C:\helper.exe`, pid, false)
+	grandchild := o.Spawn(`C:\mal.exe`, child, true)
+	o.Terminate(o.Spawn(`C:\done.exe`, pid, true))
+	unrelated := o.Spawn(`C:\other.exe`, 0, false)
+	o.Reap(pid)
+	if n := o.ProcessCount(); n != 1 {
+		t.Errorf("process table holds %d entries, want 1", n)
+	}
+	if _, ok := o.Process(unrelated); !ok {
+		t.Error("an unrelated process was reaped")
+	}
+	if len(reaped) != 4 || !slices.Contains(reaped, grandchild) {
+		t.Errorf("observers learned %v, want the reader and its 3 descendants", reaped)
 	}
 }
