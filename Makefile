@@ -72,11 +72,12 @@ race:
 # differentials: the bytecode VM must match the tree-walking reference
 # evaluator, and rope strings must be invisible next to flat ones), the SOAP
 # envelope codec, the in-process context and hook delivery paths (each
-# must accept, reject and normalise exactly what its wire path does), and
+# must accept, reject and normalise exactly what its wire path does),
 # the static triage tier (census + abstract interpretation over arbitrary
 # bytes — it must stay fail-safe, never panic, and never route unparseable
-# input confident-benign). New
-# crashers land in testdata/fuzz/ — commit them.
+# input confident-benign), and the staged-call rewriter (it must change
+# only the code arguments the reader runs, each decoding as the engine
+# decodes it). New crashers land in testdata/fuzz/ — commit them.
 fuzz:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/pdf/
 	$(GO) test -fuzz '^FuzzFilters$$' -fuzztime $(FUZZTIME) ./internal/pdf/
@@ -88,3 +89,4 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDirectVsWire$$' -fuzztime $(FUZZTIME) ./internal/soapsrv/
 	$(GO) test -fuzz '^FuzzDirectVsWire$$' -fuzztime $(FUZZTIME) ./internal/hook/
 	$(GO) test -fuzz '^FuzzTriage$$' -fuzztime $(FUZZTIME) ./internal/triage/
+	$(GO) test -fuzz '^FuzzStagedRewrite$$' -fuzztime $(FUZZTIME) ./internal/instrument/

@@ -376,7 +376,7 @@ func (ins *Instrumenter) instrumentBytesDepth(docID string, raw []byte, hash str
 				combined += "\n;" + nc.Source
 			}
 		}
-		rewritten, nStaged := ins.rewriteStaged(combined, 0, func(inner string) string {
+		rewritten, nStaged := rewriteStaged(combined, 0, func(inner string) string {
 			seq++
 			m := builder.build(key, seq, inner)
 			// Inner monitors reach the interpreter through eval at run

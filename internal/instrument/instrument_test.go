@@ -2,11 +2,15 @@ package instrument
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"pdfshield/internal/js"
 	"pdfshield/internal/pdf"
+	"pdfshield/internal/reader"
+	"pdfshield/internal/soapsrv"
 )
 
 func newTestInstrumenter(t *testing.T) (*Instrumenter, *Registry) {
@@ -312,91 +316,116 @@ func TestSequentialScriptsGetOneMonitor(t *testing.T) {
 	}
 }
 
-func TestStagedRewriteAddScript(t *testing.T) {
-	ins, _ := newTestInstrumenter(t)
-	src := `this.addScript("stage2", "dropped = 99;");`
-	raw := buildDocBytes(t, src)
-	res, err := ins.InstrumentBytes("staged", raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StagedRewrites != 1 {
-		t.Fatalf("StagedRewrites = %d, want 1", res.StagedRewrites)
-	}
-	monitored := extractScriptFromResult(t, res)
+// acceptingNotifier answers every context message as a detector answers a
+// valid key, and counts them.
+type acceptingNotifier struct{ msgs int }
 
-	it := js.New()
-	records := installSOAP(it)
-	// this.addScript stores the script; execute it afterwards like the
-	// reader would on the trigger event.
-	var stored string
-	doc := js.NewHostObject("Doc")
-	doc.Set("addScript", js.ObjectValue(js.NewHostFunc("addScript", func(_ *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
-		if len(args) > 1 {
-			stored = args[1].Str()
-		}
-		return js.Undefined(), nil
-	})))
-	it.This = js.ObjectValue(doc)
-
-	if _, err := it.Run(monitored); err != nil {
-		t.Fatalf("outer run: %v", err)
-	}
-	if stored == "" {
-		t.Fatal("addScript arg not captured")
-	}
-	if strings.Contains(stored, "dropped = 99") {
-		t.Error("stage-2 code not wrapped (plaintext visible)")
-	}
-	if _, err := it.Run(stored); err != nil {
-		t.Fatalf("stage-2 run: %v", err)
-	}
-	if v, _ := it.Global.Lookup("dropped"); v.Num() != 99 {
-		t.Errorf("dropped = %v", v.Num())
-	}
-	// enter/exit for outer, enter/exit for stage 2.
-	if len(*records) != 4 {
-		t.Errorf("records = %d, want 4", len(*records))
-	}
+func (a *acceptingNotifier) Send(soapsrv.Notify) (string, error) {
+	a.msgs++
+	return "ok", nil
 }
 
-func TestStagedRewriteSetTimeOutFirstArg(t *testing.T) {
-	ins, _ := newTestInstrumenter(t)
-	src := `app.setTimeOut("delayed = 1;", 5000);`
-	raw := buildDocBytes(t, src)
-	res, err := ins.InstrumentBytes("delayed", raw)
-	if err != nil {
-		t.Fatal(err)
+// stagedArg is the i-th argument of a staged call in
+// TestStagedRewriteCodeArgument: code that sets a global the test reads.
+func stagedArg(i int) string { return fmt.Sprintf(`"a%d = %d;"`, i, i+1) }
+
+// TestStagedRewriteCodeArgument calls every staged method with zero to
+// three string literals, each of them runnable code, and then the call
+// forms whose argument lists or callees the engine reads in its own way.
+// The rewriter must wrap exactly the argument the reader runs, hide its
+// plaintext, and leave every other argument (a timer's delay included)
+// as written. Opened in the reader, every staged run then sends its own
+// enter and exit context messages next to the outer script's pair.
+func TestStagedRewriteCodeArgument(t *testing.T) {
+	type stagedCall struct {
+		src  string
+		code int // index of the stagedArg the reader runs, or -1
 	}
-	if res.StagedRewrites != 1 {
-		t.Fatalf("StagedRewrites = %d", res.StagedRewrites)
+	var calls []stagedCall
+	for _, callee := range []string{
+		"this.addScript", "this.setAction", "this.setPageAction",
+		`this.getField("btn").setAction`, "this.bookmarkRoot.setAction",
+		"app.setTimeOut", "app.setInterval",
+	} {
+		method := callee[strings.LastIndexByte(callee, '.')+1:]
+		for argc := 0; argc <= 3; argc++ {
+			args := make([]string, argc)
+			for i := range args {
+				args[i] = stagedArg(i)
+			}
+			code, ok := reader.CodeArg(method, argc)
+			if !ok {
+				code = -1
+			}
+			calls = append(calls, stagedCall{callee + "(" + strings.Join(args, ", ") + ");", code})
+		}
 	}
-	monitored := extractScriptFromResult(t, res)
-	it := js.New()
-	installSOAP(it)
-	var expr string
-	var ms float64
-	app := js.NewHostObject("app")
-	app.Set("setTimeOut", js.ObjectValue(js.NewHostFunc("setTimeOut", func(_ *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
-		expr = args[0].Str()
-		ms = args[1].Num()
-		return js.Undefined(), nil
-	})))
-	it.Global.Declare("app", js.ObjectValue(app))
-	if _, err := it.Run(monitored); err != nil {
-		t.Fatal(err)
-	}
-	if ms != 5000 {
-		t.Errorf("ms = %v (second arg corrupted)", ms)
-	}
-	if strings.Contains(expr, "delayed = 1") {
-		t.Error("timer code not wrapped")
-	}
-	if _, err := it.Run(expr); err != nil {
-		t.Fatalf("timer code run: %v", err)
-	}
-	if v, _ := it.Global.Lookup("delayed"); v.Num() != 1 {
-		t.Errorf("delayed = %v", v.Num())
+	calls = append(calls,
+		stagedCall{"this.setAction(" + stagedArg(0) + ",);", 0},
+		stagedCall{"this.setAction(" + stagedArg(0) + " " + stagedArg(1) + ");", 1},
+		stagedCall{"app.setTimeOut(" + stagedArg(0) + ", 5000);", 0},
+		stagedCall{"app.setTimeOut(" + stagedArg(0) + " 5000);", 0},
+		stagedCall{"(app.setTimeOut)(" + stagedArg(0) + ", 5000);", 0},
+		stagedCall{"new app.setInterval(" + stagedArg(0) + ", 5000);", 0},
+		stagedCall{`this["addScript"](` + stagedArg(0) + ", " + stagedArg(1) + ");", 1},
+	)
+	for _, c := range calls {
+		t.Run(c.src, func(t *testing.T) {
+			b := &monitorBuilder{rng: rand.New(rand.NewSource(1)), detectorID: "d"}
+			var wrapped []string
+			rewritten, _ := rewriteStaged(c.src, 0, func(inner string) string {
+				wrapped = append(wrapped, b.build(Key{InstrKey: "k"}, 2, inner))
+				return wrapped[len(wrapped)-1]
+			})
+			staged := 0
+			if c.code < 0 {
+				if rewritten != c.src {
+					t.Fatalf("rewrote %q with no code argument to %q", c.src, rewritten)
+				}
+			} else {
+				staged = 1
+				lit := stagedArg(c.code)
+				plain := lit[1 : len(lit)-1]
+				if len(wrapped) != 1 || strings.Contains(wrapped[0], plain) {
+					t.Fatalf("%d wrapped arguments %q, want one hiding %q", len(wrapped), wrapped, plain)
+				}
+				if want := strings.Replace(c.src, lit, jsStringLiteral(wrapped[0]), 1); rewritten != want {
+					t.Fatalf("rewritten to %q, want only %s wrapped", rewritten, lit)
+				}
+				it := js.New()
+				records := installSOAP(it)
+				if _, err := it.Run(wrapped[0]); err != nil {
+					t.Fatalf("wrapped code: %v", err)
+				}
+				name := strings.Fields(plain)[0]
+				if v, _ := it.Global.Lookup(name); v.Num() != float64(c.code+1) || len(*records) != 2 {
+					t.Errorf("wrapped code set %s = %v and sent %d messages, want %d and 2", name, v, len(*records), c.code+1)
+				}
+			}
+
+			ins, _ := newTestInstrumenter(t)
+			res, err := ins.InstrumentBytes("staged", buildDocBytes(t, c.src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.StagedRewrites != staged {
+				t.Fatalf("StagedRewrites = %d, want %d", res.StagedRewrites, staged)
+			}
+			detector := &acceptingNotifier{}
+			p := reader.NewProcess(reader.Config{Notifier: detector})
+			defer p.Close()
+			open, err := p.Open("staged", res.Output, reader.OpenOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(open.ScriptErrors) != 0 {
+				t.Fatalf("script errors: %v", open.ScriptErrors)
+			}
+			if open.JSRuns != 1+staged || detector.msgs != 2*(1+staged) {
+				t.Errorf("reader ran %d scripts and sent %d context messages, want %d and %d",
+					open.JSRuns, detector.msgs, 1+staged, 2*(1+staged))
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"unicode/utf8"
 )
 
 // Cipher identifies a script-encryption scheme. Per §IV ("Runtime Patching
@@ -173,28 +174,35 @@ func shiftEscapeDecryptor(fnName, payloadVar string, shift int, names map[string
 // jsStringLiteral renders s as a single-quoted JS string literal. This is
 // the paper's "only operation we perform is to scan the code and add '\\'
 // for quotes" step, extended with control-character escaping so the literal
-// survives any source.
+// survives any source. The engine decodes the literal back to s exactly,
+// even where s is not UTF-8: it keeps an escaped byte as it is.
 func jsStringLiteral(s string) string {
 	var sb strings.Builder
 	sb.Grow(len(s) + 2)
 	sb.WriteByte('\'')
-	for _, r := range s {
-		switch r {
-		case '\'', '\\':
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c == '\'' || c == '\\':
 			sb.WriteByte('\\')
-			sb.WriteRune(r)
-		case '\n':
-			sb.WriteString("\\n")
-		case '\r':
-			sb.WriteString("\\r")
-		case '\t':
-			sb.WriteString("\\t")
-		default:
-			if r < 0x20 {
-				sb.WriteString(fmt.Sprintf("\\u%04x", r))
-			} else {
-				sb.WriteRune(r)
+			sb.WriteByte(c)
+		case c == '\n':
+			sb.WriteString(`\n`)
+		case c == '\r':
+			sb.WriteString(`\r`)
+		case c == '\t':
+			sb.WriteString(`\t`)
+		case c < 0x20:
+			fmt.Fprintf(&sb, `\u%04x`, c)
+		case c >= utf8.RuneSelf:
+			_, size := utf8.DecodeRuneInString(s[i:])
+			if size == 1 {
+				sb.WriteByte('\\')
 			}
+			sb.WriteString(s[i : i+size])
+			i += size - 1
+		default:
+			sb.WriteByte(c)
 		}
 	}
 	sb.WriteByte('\'')

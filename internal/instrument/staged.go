@@ -1,329 +1,81 @@
 package instrument
 
 import (
-	"strings"
+	"sort"
+
+	"pdfshield/internal/js"
+	"pdfshield/internal/reader"
 )
-
-// Table IV of the paper: methods that add scripts at runtime, plus the two
-// delayed-execution methods of §IV-B. The front-end statically rewrites the
-// code-string parameters of these calls so dynamically added or delayed
-// scripts carry their own context monitoring code.
-var stagedMethods = map[string]bool{
-	"addScript":     true, // Doc.addScript(name, script)
-	"setAction":     true, // Doc/Field/Bookmark.setAction(..., script)
-	"setPageAction": true, // Doc.setPageAction(page, trigger, script)
-	"setTimeOut":    true, // app.setTimeOut(expr, ms)
-	"setInterval":   true, // app.setInterval(expr, ms)
-}
-
-// timerMethods take the code string as their FIRST argument; the Table IV
-// script-adding methods take it as their LAST string argument.
-var timerMethods = map[string]bool{
-	"setTimeOut":  true,
-	"setInterval": true,
-}
 
 const maxStagedDepth = 8
 
-// stagedCall is one located call site in the source.
-type stagedCall struct {
-	method string
-	// args holds the token spans of each top-level argument.
-	args []argSpan
-}
-
-type argSpan struct {
-	start, end int // byte offsets into the source
-	// isStringLit reports the argument is exactly one string literal.
-	isStringLit bool
-	// value is the decoded literal when isStringLit.
-	value string
-}
-
-// rewriteStaged returns source with the code-string arguments of staged
-// methods replaced by wrapped versions produced by wrap. The wrap callback
-// receives the inner code and returns the monitored replacement; recursion
-// into nested staged calls happens before wrapping.
-func (ins *Instrumenter) rewriteStaged(source string, depth int, wrap func(inner string) string) (string, int) {
+// rewriteStaged statically defeats staged and delayed attacks (§IV): it
+// returns source with the code argument of every staged call
+// (reader.StagedMethods) replaced by wrap's monitored version, so scripts
+// added or delayed at run time carry their own context monitoring code.
+// Only a code argument that is a single string literal is rewritten;
+// staged calls inside it are rewritten first. It also returns the number
+// of arguments wrapped.
+func rewriteStaged(source string, depth int, wrap func(inner string) string) (string, int) {
 	if depth > maxStagedDepth {
 		return source, 0
 	}
-	calls, err := locateStagedCalls(source)
-	if err != nil || len(calls) == 0 {
-		return source, 0
-	}
+	lits := stagedLiterals(source)
 	count := 0
-	// Apply replacements back-to-front so earlier spans stay valid.
+	// Replace back to front so earlier spans stay valid.
 	out := source
-	for i := len(calls) - 1; i >= 0; i-- {
-		c := calls[i]
-		span, ok := pickCodeArg(c)
-		if !ok {
-			continue
-		}
-		inner := span.value
-		rewritten, nested := ins.rewriteStaged(inner, depth+1, wrap)
-		count += nested
-		wrapped := wrap(rewritten)
-		out = out[:span.start] + jsStringLiteral(wrapped) + out[span.end:]
-		count++
+	for i := len(lits) - 1; i >= 0; i-- {
+		lit := lits[i]
+		rewritten, nested := rewriteStaged(lit.Value, depth+1, wrap)
+		count += nested + 1
+		out = out[:lit.Pos] + jsStringLiteral(wrap(rewritten)) + out[lit.End:]
 	}
 	return out, count
 }
 
-// pickCodeArg selects which argument carries code: first for timers, last
-// string literal otherwise.
-func pickCodeArg(c stagedCall) (argSpan, bool) {
-	if timerMethods[c.method] {
-		if len(c.args) > 0 && c.args[0].isStringLit {
-			return c.args[0], true
-		}
-		return argSpan{}, false
-	}
-	for i := len(c.args) - 1; i >= 0; i-- {
-		if c.args[i].isStringLit {
-			return c.args[i], true
-		}
-	}
-	return argSpan{}, false
-}
-
-// locateStagedCalls lexes source and finds calls to staged methods,
-// recording top-level argument spans. Lexing (not parsing) keeps this
-// robust on sources that our parser would reject but a real engine might
-// accept.
-func locateStagedCalls(source string) ([]stagedCall, error) {
-	lx := newLexerShim(source)
-	toks, err := lx.all()
+// stagedLiterals returns, in source order, the string literals that are
+// the code argument of a staged call. It reads the source with the
+// engine's own parser, so it splits argument lists and decodes literals
+// exactly as the engine will run them; a source the parser rejects cannot
+// run, and yields none.
+func stagedLiterals(source string) []*js.StringLit {
+	prog, err := js.Parse(source)
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	var calls []stagedCall
-	for i := 0; i+1 < len(toks); i++ {
-		t := toks[i]
-		if !t.isIdent || !stagedMethods[t.text] {
-			continue
+	var lits []*js.StringLit
+	for _, call := range prog.Calls {
+		var callee js.Expr
+		var args []js.Expr
+		switch c := call.(type) {
+		case *js.CallExpr:
+			callee, args = c.Callee, c.Args
+		case *js.NewExpr:
+			callee, args = c.Callee, c.Args
 		}
-		if !toks[i+1].isPunct("(") {
-			continue
-		}
-		call, end, ok := collectArgs(source, toks, i+1)
+		k, ok := reader.CodeArg(calleeName(callee), len(args))
 		if !ok {
 			continue
 		}
-		call.method = t.text
-		calls = append(calls, call)
-		i = end
-	}
-	return calls, nil
-}
-
-// collectArgs walks from the opening paren token index, splitting top-level
-// arguments. Returns the call and the index of the closing paren.
-func collectArgs(source string, toks []shimToken, open int) (stagedCall, int, bool) {
-	depth := 0
-	var call stagedCall
-	argStartTok := open + 1
-	flush := func(endTok int) {
-		if endTok <= argStartTok-1 {
-			return
-		}
-		first := toks[argStartTok]
-		last := toks[endTok]
-		span := argSpan{start: first.start, end: last.end}
-		if endTok == argStartTok && first.isString {
-			span.isStringLit = true
-			span.value = first.text
-		}
-		call.args = append(call.args, span)
-	}
-	for i := open; i < len(toks); i++ {
-		t := toks[i]
-		switch {
-		case t.isPunct("(") || t.isPunct("[") || t.isPunct("{"):
-			depth++
-		case t.isPunct(")") || t.isPunct("]") || t.isPunct("}"):
-			depth--
-			if depth == 0 {
-				if i > argStartTok {
-					flush(i - 1)
-				}
-				return call, i, true
-			}
-		case t.isPunct(",") && depth == 1:
-			flush(i - 1)
-			argStartTok = i + 1
+		if lit, ok := args[k].(*js.StringLit); ok {
+			lits = append(lits, lit)
 		}
 	}
-	return call, 0, false
+	// Calls are listed inner first; their code literals are disjoint.
+	sort.Slice(lits, func(a, b int) bool { return lits[a].Pos < lits[b].Pos })
+	return lits
 }
 
-// shimToken is a minimal token view for staged-call scanning.
-type shimToken struct {
-	start, end int
-	text       string
-	isIdent    bool
-	isString   bool
-	punct      string
-}
-
-func (t shimToken) isPunct(s string) bool { return t.punct == s }
-
-// lexerShim re-lexes JS source tracking byte spans. It reuses the js
-// package's rules conceptually but runs locally to keep span bookkeeping
-// simple and to tolerate partial lexing.
-type lexerShim struct {
-	src string
-	pos int
-}
-
-func newLexerShim(src string) *lexerShim { return &lexerShim{src: src} }
-
-func (l *lexerShim) all() ([]shimToken, error) {
-	var toks []shimToken
-	for {
-		t, ok := l.next()
-		if !ok {
-			return toks, nil
-		}
-		toks = append(toks, t)
-	}
-}
-
-func (l *lexerShim) next() (shimToken, bool) {
-	l.skipSpace()
-	if l.pos >= len(l.src) {
-		return shimToken{}, false
-	}
-	start := l.pos
-	c := l.src[l.pos]
-	switch {
-	case c == '"' || c == '\'':
-		val, ok := l.lexString(c)
-		if !ok {
-			// Unterminated string: consume to end, emit nothing further.
-			l.pos = len(l.src)
-			return shimToken{}, false
-		}
-		return shimToken{start: start, end: l.pos, text: val, isString: true}, true
-	case isIdentStartByte(c):
-		for l.pos < len(l.src) && isIdentPartByte(l.src[l.pos]) {
-			l.pos++
-		}
-		return shimToken{start: start, end: l.pos, text: l.src[start:l.pos], isIdent: true}, true
-	case c >= '0' && c <= '9':
-		for l.pos < len(l.src) && (isIdentPartByte(l.src[l.pos]) || l.src[l.pos] == '.') {
-			l.pos++
-		}
-		return shimToken{start: start, end: l.pos, text: l.src[start:l.pos]}, true
-	default:
-		// Multi-char punctuators are irrelevant to span tracking except
-		// that they must not be split into '(' etc. incorrectly; single
-		// chars suffice because we only match ( ) [ ] { } ,
-		l.pos++
-		return shimToken{start: start, end: l.pos, punct: string(c)}, true
-	}
-}
-
-func (l *lexerShim) skipSpace() {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f':
-			l.pos++
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
-			}
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '*':
-			idx := strings.Index(l.src[l.pos+2:], "*/")
-			if idx < 0 {
-				l.pos = len(l.src)
-				return
-			}
-			l.pos += 2 + idx + 2
-		default:
-			return
+// calleeName is the method a call names statically: an identifier, or
+// the property of a member access written as a name or a string literal.
+func calleeName(callee js.Expr) string {
+	switch c := callee.(type) {
+	case *js.Ident:
+		return c.Name
+	case *js.MemberExpr:
+		if name, ok := c.Property.(*js.StringLit); ok {
+			return name.Value
 		}
 	}
-}
-
-func (l *lexerShim) lexString(quote byte) (string, bool) {
-	l.pos++
-	var sb strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch c {
-		case quote:
-			l.pos++
-			return sb.String(), true
-		case '\\':
-			if l.pos+1 >= len(l.src) {
-				return "", false
-			}
-			e := l.src[l.pos+1]
-			switch e {
-			case 'n':
-				sb.WriteByte('\n')
-			case 'r':
-				sb.WriteByte('\r')
-			case 't':
-				sb.WriteByte('\t')
-			case 'u':
-				if v, ok := parseHexEscape(l.src, l.pos+2, 4); ok {
-					sb.WriteRune(rune(v))
-					l.pos += 6
-					continue
-				}
-				return "", false
-			case 'x':
-				if v, ok := parseHexEscape(l.src, l.pos+2, 2); ok {
-					sb.WriteRune(rune(v))
-					l.pos += 4
-					continue
-				}
-				return "", false
-			default:
-				sb.WriteByte(e)
-			}
-			l.pos += 2
-		case '\n':
-			return "", false
-		default:
-			sb.WriteByte(c)
-			l.pos++
-		}
-	}
-	return "", false
-}
-
-func parseHexEscape(s string, at, n int) (int, bool) {
-	if at+n > len(s) {
-		return 0, false
-	}
-	v := 0
-	for i := 0; i < n; i++ {
-		c := s[at+i]
-		var d int
-		switch {
-		case c >= '0' && c <= '9':
-			d = int(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = int(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = int(c-'A') + 10
-		default:
-			return 0, false
-		}
-		v = v*16 + d
-	}
-	return v, true
-}
-
-func isIdentStartByte(c byte) bool {
-	return c == '_' || c == '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-
-func isIdentPartByte(c byte) bool {
-	return isIdentStartByte(c) || (c >= '0' && c <= '9')
+	return ""
 }

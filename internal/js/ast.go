@@ -13,6 +13,10 @@ func (b base) nodePos() int { return b.Pos }
 type Program struct {
 	base
 	Body []Stmt
+	// Calls lists every CallExpr and NewExpr in the program, each once its
+	// argument list is parsed, so inner calls precede the calls enclosing
+	// them. It lets a tool find call sites without walking the tree.
+	Calls []Expr
 }
 
 // Stmt is implemented by statement nodes.
@@ -143,10 +147,11 @@ type NumberLit struct {
 	Value float64
 }
 
-// StringLit is a string literal.
+// StringLit is a string literal, or the name in a dotted property access.
 type StringLit struct {
 	base
 	Value string
+	End   int // byte offset after the literal's closing quote or the name
 }
 
 // BoolLit is true/false.

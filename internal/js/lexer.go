@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"unicode/utf16"
 	"unicode/utf8"
 )
 
@@ -33,16 +32,15 @@ var punctuators = []string{
 	"%", "&", "|", "^", "!", "~", "?", ":", "=", ".",
 }
 
-// next returns the next token. prevKind is the kind of the previously
-// returned significant token, used to disambiguate regex-vs-division (regex
-// literals are not supported; a '/' in expression-start position is an
-// error with a helpful message).
+// next returns the next token. A '/' always lexes as a punctuator:
+// regular-expression literals are not supported, so a script that uses one
+// fails to parse.
 func (lx *lexer) next() (Token, error) {
 	nl := lx.skipSpace()
-	start := lx.pos
-	startLine := lx.line
+	tok := Token{Pos: lx.pos, Line: lx.line, NewlineBefore: nl}
 	if lx.pos >= len(lx.src) {
-		return Token{Kind: TokEOF, Pos: start, Line: startLine, NewlineBefore: nl}, nil
+		tok.Kind, tok.End = TokEOF, lx.pos
+		return tok, nil
 	}
 	c := lx.src[lx.pos]
 	switch {
@@ -51,29 +49,32 @@ func (lx *lexer) next() (Token, error) {
 		if err != nil {
 			return Token{}, err
 		}
-		return Token{Kind: TokString, Pos: start, Line: startLine, Str: s, NewlineBefore: nl}, nil
+		tok.Kind, tok.Str = TokString, s
 	case c >= '0' && c <= '9', c == '.' && lx.pos+1 < len(lx.src) && isDigit(lx.src[lx.pos+1]):
 		n, err := lx.lexNumber()
 		if err != nil {
 			return Token{}, err
 		}
-		return Token{Kind: TokNumber, Pos: start, Line: startLine, Num: n, NewlineBefore: nl}, nil
+		tok.Kind, tok.Num = TokNumber, n
 	case isIdentStart(c):
-		ident := lx.lexIdent()
-		kind := TokIdent
-		if keywords[ident] {
-			kind = TokKeyword
+		tok.Kind, tok.Str = TokIdent, lx.lexIdent()
+		if keywords[tok.Str] {
+			tok.Kind = TokKeyword
 		}
-		return Token{Kind: kind, Pos: start, Line: startLine, Str: ident, NewlineBefore: nl}, nil
 	default:
 		for _, p := range punctuators {
-			if strings.HasPrefix(lx.src[lx.pos:], p) {
+			if p[0] == c && strings.HasPrefix(lx.src[lx.pos:], p) {
 				lx.pos += len(p)
-				return Token{Kind: TokPunct, Pos: start, Line: startLine, Str: p, NewlineBefore: nl}, nil
+				tok.Kind, tok.Str = TokPunct, p
+				break
 			}
 		}
-		return Token{}, fmt.Errorf("%w: unexpected character %q at line %d", ErrSyntax, c, lx.line)
+		if tok.Kind == 0 {
+			return Token{}, fmt.Errorf("%w: unexpected character %q at line %d", ErrSyntax, c, lx.line)
+		}
 	}
+	tok.End = lx.pos
+	return tok, nil
 }
 
 // skipSpace consumes whitespace and comments, reporting whether a line
@@ -282,15 +283,7 @@ func (lx *lexer) lexString(quote byte) (string, error) {
 				if !ok {
 					return "", fmt.Errorf("%w: bad \\u escape at line %d", ErrSyntax, lx.line)
 				}
-				r := rune(v)
-				if utf16.IsSurrogate(r) {
-					// Keep lone surrogates as replacement; shellcode strings
-					// use them only for byte patterns and never round-trip
-					// through UTF-8 anyway.
-					b.WriteRune(r)
-				} else {
-					b.WriteRune(r)
-				}
+				b.WriteRune(rune(v))
 			case '\n':
 				lx.line++
 				lx.pos++

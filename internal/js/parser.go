@@ -7,10 +7,11 @@ import (
 // Parser builds an AST from Javascript source. It implements the ES3 core
 // grammar minus regular-expression literals, labelled statements and with.
 type Parser struct {
-	lx   *lexer
-	tok  Token
-	prev Token
-	src  string
+	lx    *lexer
+	tok   Token
+	prev  Token
+	src   string
+	calls []Expr
 }
 
 // Parse parses a complete program.
@@ -27,6 +28,7 @@ func Parse(src string) (*Program, error) {
 		}
 		prog.Body = append(prog.Body, st)
 	}
+	prog.Calls = p.calls
 	return prog, nil
 }
 
@@ -825,7 +827,7 @@ func (p *Parser) parseCallMember() (Expr, error) {
 			if p.tok.Kind != TokIdent && p.tok.Kind != TokKeyword {
 				return nil, p.errf("expected property name after '.'")
 			}
-			prop := &StringLit{base{p.tok.Pos}, p.tok.Str}
+			prop := &StringLit{base{p.tok.Pos}, p.tok.Str, p.tok.End}
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
@@ -848,6 +850,7 @@ func (p *Parser) parseCallMember() (Expr, error) {
 				return nil, err
 			}
 			x = &CallExpr{base{x.nodePos()}, x, args}
+			p.calls = append(p.calls, x)
 		default:
 			return x, nil
 		}
@@ -878,7 +881,7 @@ func (p *Parser) parseNew() (Expr, error) {
 			if p.tok.Kind != TokIdent && p.tok.Kind != TokKeyword {
 				return nil, p.errf("expected property name after '.'")
 			}
-			prop := &StringLit{base{p.tok.Pos}, p.tok.Str}
+			prop := &StringLit{base{p.tok.Pos}, p.tok.Str, p.tok.End}
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
@@ -908,7 +911,9 @@ func (p *Parser) parseNew() (Expr, error) {
 			return nil, err
 		}
 	}
-	return &NewExpr{base{pos}, callee, args}, nil
+	x := &NewExpr{base{pos}, callee, args}
+	p.calls = append(p.calls, x)
+	return x, nil
 }
 
 func (p *Parser) parseArgs() ([]Expr, error) {
@@ -944,11 +949,11 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		return &NumberLit{base{pos}, v}, nil
 	case TokString:
-		s := p.tok.Str
+		s, end := p.tok.Str, p.tok.End
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return &StringLit{base{pos}, s}, nil
+		return &StringLit{base{pos}, s, end}, nil
 	case TokIdent:
 		name := p.tok.Str
 		if err := p.advance(); err != nil {

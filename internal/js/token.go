@@ -32,7 +32,10 @@ const (
 // Token is one lexical token.
 type Token struct {
 	Kind TokenKind
+	// Pos and End are the byte offsets of the token's first byte and of
+	// the byte after its last.
 	Pos  int
+	End  int
 	Line int
 	Num  float64
 	Str  string // literal value, identifier, keyword or punctuator text

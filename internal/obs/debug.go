@@ -16,10 +16,6 @@ import (
 type DiagConfig struct {
 	// Flight tunes the flight recorder.
 	Flight FlightConfig
-	// SLOs are the latency objectives (nil = DefaultSLOs).
-	SLOs []SLOObjective
-	// SLOWindow is the burn-rate rolling window (0 = DefaultSLOWindow).
-	SLOWindow time.Duration
 	// Watchdog tunes the stall watchdog.
 	Watchdog WatchdogConfig
 }
@@ -42,7 +38,7 @@ func NewDiagnostics(reg *Registry, cfg DiagConfig) *Diagnostics {
 	cfg.Watchdog.Obs = reg
 	d := &Diagnostics{
 		Flight:   NewFlightRecorder(cfg.Flight),
-		SLO:      NewSLOTracker(SLOConfig{Objectives: cfg.SLOs, Window: cfg.SLOWindow}),
+		SLO:      NewSLOTracker(SLOConfig{}),
 		Watchdog: NewWatchdog(cfg.Watchdog),
 	}
 	d.SLO.Register(reg)

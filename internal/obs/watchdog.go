@@ -6,8 +6,10 @@ import (
 	"time"
 )
 
-// Defaults applied by NewWatchdog when the corresponding WatchdogConfig
-// field is zero.
+// DefaultStallDeadline and DefaultStallInterval apply when the
+// corresponding WatchdogConfig field is zero. The watchdog keeps the
+// DefaultMaxStalls newest stall reports, each goroutine dump cut at
+// DefaultStackBytes.
 const (
 	DefaultStallDeadline = 30 * time.Second
 	DefaultStallInterval = 1 * time.Second
@@ -27,11 +29,6 @@ type WatchdogConfig struct {
 	// hostile document can wedge the sandbox; front-end phases are pure
 	// Go and bounded).
 	Phases []string
-	// MaxStalls bounds the retained stall reports (0 = DefaultMaxStalls).
-	MaxStalls int
-	// StackBytes bounds each captured goroutine dump
-	// (0 = DefaultStackBytes).
-	StackBytes int
 	// Context, when set, fetches out-of-band context for a stalled
 	// document — the pipeline wires it to the journal's recent events for
 	// the doc. The value is embedded verbatim in the stall report's JSON.
@@ -89,7 +86,7 @@ type StallReport struct {
 	// Stalled is how long the document had been in the phase at capture.
 	Stalled time.Duration `json:"stalled_ns"`
 	// Goroutines is the full goroutine dump taken at capture
-	// (runtime.Stack all=true), bounded by WatchdogConfig.StackBytes.
+	// (runtime.Stack all=true), bounded by DefaultStackBytes.
 	Goroutines string `json:"goroutines"`
 	// Journal is the document's recent journal context, if a Context
 	// fetcher is configured.
@@ -123,12 +120,6 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultStallInterval
-	}
-	if cfg.MaxStalls <= 0 {
-		cfg.MaxStalls = DefaultMaxStalls
-	}
-	if cfg.StackBytes <= 0 {
-		cfg.StackBytes = DefaultStackBytes
 	}
 	if cfg.Phases == nil {
 		cfg.Phases = []string{PhaseOpen, PhaseDetect}
@@ -240,7 +231,7 @@ func (w *Watchdog) Scan() {
 	}
 
 	// One dump covers every goroutine, including all stalled documents'.
-	buf := make([]byte, w.cfg.StackBytes)
+	buf := make([]byte, DefaultStackBytes)
 	buf = buf[:runtime.Stack(buf, true)]
 	dump := string(buf)
 
@@ -258,8 +249,8 @@ func (w *Watchdog) Scan() {
 		w.mu.Lock()
 		w.stalls++
 		w.reports = append([]StallReport{rep}, w.reports...)
-		if len(w.reports) > w.cfg.MaxStalls {
-			w.reports = w.reports[:w.cfg.MaxStalls]
+		if len(w.reports) > DefaultMaxStalls {
+			w.reports = w.reports[:DefaultMaxStalls]
 		}
 		w.mu.Unlock()
 		w.cfg.Obs.Inc(Series(MetricWatchdogStalls, "phase", h.phase))

@@ -330,12 +330,26 @@ func (s *System) dropArtifact(res *instrument.Result) {
 }
 
 // forget removes the registry records of an artifact and its attachments.
-func (s *System) forget(res *instrument.Result) {
-	if key := res.Key.InstrKey; key != "" {
+func (s *System) forget(res *instrument.Result) { eachKey(res, s.Instrumenter.Forget) }
+
+// Retire forgets an artifact that was opened outside ProcessDocument,
+// once the reader that opened it is gone: the registry records of it and
+// its attachments, and the detector's state for each of their keys.
+func (s *System) Retire(res *instrument.Result) {
+	eachKey(res, func(key string) {
 		s.Instrumenter.Forget(key)
+		s.Detector.ForgetDoc(key)
+	})
+}
+
+// eachKey calls fn with the instrumentation key of an artifact and of
+// each of its attachments, at any depth, skipping the ones without.
+func eachKey(res *instrument.Result, fn func(key string)) {
+	if key := res.Key.InstrKey; key != "" {
+		fn(key)
 	}
 	for _, emb := range res.Embedded {
-		s.forget(emb)
+		eachKey(emb, fn)
 	}
 }
 

@@ -113,6 +113,72 @@ func jsArg(args []js.Value, i int) js.Value {
 	return js.Undefined()
 }
 
+// ---- staged code ----
+
+// LastArg in a StagedMethod stands for a call's final argument.
+const LastArg = -1
+
+// StagedMethod describes a method that takes Javascript source as a
+// string and runs it later.
+type StagedMethod struct {
+	// Code is the index of the argument that carries the code, or LastArg.
+	Code int
+	// Timer marks the delayed-execution timers of §IV-B; the others are
+	// the script-adding methods of Table IV.
+	Timer bool
+}
+
+// StagedMethods lists every staged method by name. The host functions
+// below, the front-end's staged-call rewriter and triage's abstract
+// interpreter all read this one table.
+var StagedMethods = map[string]StagedMethod{
+	"addScript":     {Code: 1},              // Doc.addScript(name, script)
+	"setAction":     {Code: LastArg},        // Doc/Field/Bookmark.setAction([trigger,] script)
+	"setPageAction": {Code: LastArg},        // Doc.setPageAction(page, trigger, script)
+	"setTimeOut":    {Code: 0, Timer: true}, // app.setTimeOut(script, ms)
+	"setInterval":   {Code: 0, Timer: true}, // app.setInterval(script, ms)
+}
+
+// CodeArg returns the index of the argument that a call to method with
+// argc arguments runs as code. It reports false when method is not staged
+// or the call has no such argument.
+func CodeArg(method string, argc int) (int, bool) {
+	m, ok := StagedMethods[method]
+	i := m.Code
+	if i == LastArg {
+		i = argc - 1
+	}
+	return i, ok && i >= 0 && i < argc
+}
+
+// stagedCode returns the code argument of a call to a staged method.
+func stagedCode(method string, args []js.Value) js.Value {
+	if i, ok := CodeArg(method, len(args)); ok {
+		return args[i]
+	}
+	return js.Undefined()
+}
+
+// stagedFn is the host function of a staged method. Its code argument
+// runs once the current scripts finish: as a timer, or, for a
+// script-adding method, as a dynamic script when it is a non-empty string.
+func stagedFn(od *OpenDoc, method string) js.Value {
+	timer := StagedMethods[method].Timer
+	return hostFn(method, func(_ *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
+		code := stagedCode(method, args)
+		if timer {
+			if code.IsString() {
+				od.timers = append(od.timers, timerEntry{code: code.Str(), ms: jsArg(args, 1).ToNumber()})
+			}
+			return js.NumberValue(float64(len(od.timers))), nil
+		}
+		if code.IsString() && code.Str() != "" {
+			od.dynamic = append(od.dynamic, code.Str())
+		}
+		return js.Undefined(), nil
+	})
+}
+
 // ---- app ----
 
 func (p *Process) buildApp(od *OpenDoc) *js.Object {
@@ -127,21 +193,9 @@ func (p *Process) buildApp(od *OpenDoc) *js.Object {
 	app.Set("beep", hostFn("beep", func(_ *js.Interp, _ js.Value, _ []js.Value) (js.Value, error) {
 		return js.Undefined(), nil
 	}))
-	app.Set("setTimeOut", hostFn("setTimeOut", func(it *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
-		code := jsArg(args, 0)
-		if code.IsString() {
-			od.timers = append(od.timers, timerEntry{code: code.Str(), ms: jsArg(args, 1).ToNumber()})
-		}
-		return js.NumberValue(float64(len(od.timers))), nil
-	}))
-	app.Set("setInterval", hostFn("setInterval", func(it *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
-		code := jsArg(args, 0)
-		if code.IsString() {
-			// Executed once in the simulation; real intervals repeat.
-			od.timers = append(od.timers, timerEntry{code: code.Str(), ms: jsArg(args, 1).ToNumber()})
-		}
-		return js.NumberValue(float64(len(od.timers))), nil
-	}))
+	app.Set("setTimeOut", stagedFn(od, "setTimeOut"))
+	// Executed once in the simulation; real intervals repeat.
+	app.Set("setInterval", stagedFn(od, "setInterval"))
 	app.Set("clearTimeOut", hostFn("clearTimeOut", func(_ *js.Interp, _ js.Value, _ []js.Value) (js.Value, error) {
 		return js.Undefined(), nil
 	}))
@@ -181,32 +235,14 @@ func (p *Process) buildDoc(od *OpenDoc) *js.Object {
 	doc.Set("numPages", js.NumberValue(float64(countPages(od.Doc))))
 	doc.Set("pageNum", js.NumberValue(0))
 
-	addDynamic := func(args []js.Value, codeIdx int) {
-		code := jsArg(args, codeIdx)
-		if code.IsString() && code.Str() != "" {
-			od.dynamic = append(od.dynamic, code.Str())
-		}
-	}
-	doc.Set("addScript", hostFn("addScript", func(_ *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
-		addDynamic(args, 1)
-		return js.Undefined(), nil
-	}))
-	doc.Set("setAction", hostFn("setAction", func(_ *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
-		addDynamic(args, len(args)-1)
-		return js.Undefined(), nil
-	}))
-	doc.Set("setPageAction", hostFn("setPageAction", func(_ *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
-		addDynamic(args, len(args)-1)
-		return js.Undefined(), nil
-	}))
+	doc.Set("addScript", stagedFn(od, "addScript"))
+	doc.Set("setAction", stagedFn(od, "setAction"))
+	doc.Set("setPageAction", stagedFn(od, "setPageAction"))
 	doc.Set("getField", hostFn("getField", func(_ *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
 		field := js.NewObject()
 		field.Set("name", jsArg(args, 0))
 		field.Set("value", js.StringValue(""))
-		field.Set("setAction", hostFn("setAction", func(_ *js.Interp, _ js.Value, fargs []js.Value) (js.Value, error) {
-			addDynamic(fargs, len(fargs)-1)
-			return js.Undefined(), nil
-		}))
+		field.Set("setAction", stagedFn(od, "setAction"))
 		return js.ObjectValue(field), nil
 	}))
 	doc.Set("bookmarkRoot", js.ObjectValue(p.buildBookmark(od)))
@@ -234,13 +270,7 @@ func (p *Process) buildDoc(od *OpenDoc) *js.Object {
 func (p *Process) buildBookmark(od *OpenDoc) *js.Object {
 	bm := js.NewHostObject("Bookmark")
 	bm.Set("name", js.StringValue("root"))
-	bm.Set("setAction", hostFn("setAction", func(_ *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
-		code := jsArg(args, len(args)-1)
-		if code.IsString() && code.Str() != "" {
-			od.dynamic = append(od.dynamic, code.Str())
-		}
-		return js.Undefined(), nil
-	}))
+	bm.Set("setAction", stagedFn(od, "setAction"))
 	return bm
 }
 

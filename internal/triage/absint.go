@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"pdfshield/internal/js"
+	"pdfshield/internal/reader"
 )
 
 // The abstract interpreter: a flow-insensitive over-approximation of each
@@ -42,8 +43,9 @@ const (
 	SignalUnescape = "unescape"
 	// SignalEval: any eval() call (resolvable or not).
 	SignalEval = "eval"
-	// SignalStagedScript / SignalStagedTimer: doc.addScript / string-form
-	// app.setTimeOut staging (the delayed-execution rewrites of §III-C).
+	// SignalStagedScript / SignalStagedTimer: a script-adding call
+	// (addScript, setAction, setPageAction) / an app.setTimeOut or
+	// setInterval call (the staged and delayed executions of §IV).
 	SignalStagedScript = "staged-script"
 	SignalStagedTimer  = "staged-timer"
 	// SignalPrintfWidth: util.printf with a literal field width large
@@ -212,7 +214,7 @@ func (an *analysis) analyzeScript(src string) {
 		an.unsure("empty-script")
 		return
 	}
-	if len(src) > an.cfg.MaxScriptBytes {
+	if len(src) > DefaultMaxScriptBytes {
 		an.unsure("script-too-large")
 		return
 	}
@@ -544,22 +546,6 @@ func (an *analysis) walkCall(call *js.CallExpr) absValue {
 			an.unsure("eval-dynamic")
 		}
 		return absValue{}
-	case "addScript":
-		an.signal(SignalStagedScript)
-		if len(args) >= 2 && args[1].hasStr {
-			an.analyzeNested(args[1].str)
-		} else {
-			an.unsure("staging-dynamic")
-		}
-		return absValue{}
-	case "setTimeOut", "setInterval":
-		an.signal(SignalStagedTimer)
-		if len(args) >= 1 && args[0].hasStr {
-			an.analyzeNested(args[0].str)
-		} else {
-			an.unsure("staging-dynamic")
-		}
-		return absValue{}
 	case "printf":
 		if len(args) >= 1 && args[0].hasStr {
 			if maxFormatWidth(args[0].str) >= printfWidthLimit {
@@ -568,6 +554,19 @@ func (an *analysis) walkCall(call *js.CallExpr) absValue {
 			return absValue{hasStr: false}
 		}
 		an.unsure("printf-dynamic")
+		return absValue{}
+	}
+	if m, staged := reader.StagedMethods[final]; staged {
+		if m.Timer {
+			an.signal(SignalStagedTimer)
+		} else {
+			an.signal(SignalStagedScript)
+		}
+		if i, ok := reader.CodeArg(final, len(args)); ok && args[i].hasStr {
+			an.analyzeNested(args[i].str)
+		} else {
+			an.unsure("staging-dynamic")
+		}
 		return absValue{}
 	}
 	if triggerAPIs[final] {

@@ -53,20 +53,17 @@ const (
 // Config tunes the stage. The zero value is the production default and is
 // what the pipeline runs at DepthStatic and DepthAuto.
 type Config struct {
-	// MaliciousThreshold is the abstract-interpretation score at or above
-	// which a document routes confident-malicious (0 = default 8, the
-	// weight of a bare unescape-fed heap-spray growth loop).
-	MaliciousThreshold int
 	// NodeBudget bounds the AST nodes visited per document across all
 	// scripts and eval recursions (0 = default 200000). Exceeding it is
 	// an abstract-domain blowup and routes to "uncertain".
 	NodeBudget int
-	// MaxScriptBytes bounds a single script source fed to the abstract
-	// interpreter (0 = default 1 MiB). Larger scripts route "uncertain".
-	MaxScriptBytes int
 }
 
-// Defaults.
+// DefaultMaliciousThreshold is the abstract-interpretation score at or
+// above which a document routes confident-malicious (the weight of a bare
+// unescape-fed heap-spray growth loop). DefaultNodeBudget applies when
+// Config.NodeBudget is zero. A script longer than DefaultMaxScriptBytes
+// routes "uncertain" unanalyzed.
 const (
 	DefaultMaliciousThreshold = 8
 	DefaultNodeBudget         = 200000
@@ -74,14 +71,8 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.MaliciousThreshold <= 0 {
-		c.MaliciousThreshold = DefaultMaliciousThreshold
-	}
 	if c.NodeBudget <= 0 {
 		c.NodeBudget = DefaultNodeBudget
-	}
-	if c.MaxScriptBytes <= 0 {
-		c.MaxScriptBytes = DefaultMaxScriptBytes
 	}
 	return c
 }
@@ -143,7 +134,7 @@ func Evaluate(cfg Config, raw []byte, res *instrument.Result) Decision {
 	d.Uncertain = append(d.Uncertain, d.Census.Flags...)
 	d.Uncertain = append(d.Uncertain, sortedKeys(an.uncertain)...)
 	switch {
-	case d.Score >= cfg.MaliciousThreshold:
+	case d.Score >= DefaultMaliciousThreshold:
 		d.Route = RouteMalicious
 	case len(d.Uncertain) == 0 && len(d.Signals) == 0 && d.Scripts > 0:
 		d.Route = RouteBenign

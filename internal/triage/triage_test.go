@@ -147,19 +147,29 @@ func TestEvalDynamicIsUncertain(t *testing.T) {
 	}
 }
 
-// Staged rewrites (addScript / string setTimeOut) with resolvable bodies
-// are analyzed; the inner exploit convicts.
+// Every staged method's constant code argument, the one the reader runs,
+// is analyzed; the inner exploit convicts.
 func TestStagingResolves(t *testing.T) {
 	inner := `var n = unescape("%0c"); while (n.length < 524288) n += n; this.printSeps();`
 	quoted := `"` + strings.ReplaceAll(inner, `"`, `\"`) + `"`
 	for _, src := range []string{
 		`this.addScript("updater", ` + quoted + `);`,
+		`this.addScript("updater", ` + quoted + `, "x");`,
 		`app.setTimeOut(` + quoted + `, 3000);`,
+		`app.setInterval(` + quoted + `, 3000);`,
+		`this.setAction("WillClose", ` + quoted + `);`,
+		`this.setPageAction(0, "Open", ` + quoted + `);`,
+		`this.getField("btn").setAction("MouseUp", ` + quoted + `);`,
+		`this.bookmarkRoot.setAction(` + quoted + `);`,
 	} {
 		an := analyze(t, src)
 		if !an.signals[SignalSprayGrow] {
-			t.Errorf("staged body not analyzed: %q signals=%v", src[:24], sortedKeys(an.signals))
+			t.Errorf("staged body not analyzed: %q signals=%v", src[:32], sortedKeys(an.signals))
 		}
+	}
+	an := analyze(t, `this.setAction("WillClose", this.info.title);`)
+	if !an.uncertain["staging-dynamic"] {
+		t.Errorf("dynamic setAction body not flagged: %v", sortedKeys(an.uncertain))
 	}
 }
 

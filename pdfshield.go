@@ -374,7 +374,9 @@ type InstrumentResult struct {
 
 // Instrument runs Phase I only: static analysis plus document
 // instrumentation. Returns instrument.ErrNoJavaScript (via errors.Is) for
-// documents with nothing to monitor.
+// documents with nothing to monitor. The System keeps the output's
+// registry records for its whole life: the caller opens the output
+// elsewhere, and the detector must still validate its key.
 func (s *System) Instrument(docID string, raw []byte) (*InstrumentResult, error) {
 	res, err := s.inner.Instrumenter.InstrumentBytes(docID, raw)
 	if err != nil {
@@ -398,8 +400,9 @@ var ErrUnresolvedObjectStreams = instrument.ErrUnresolvedObjectStreams
 // Session opens multiple documents inside one simulated reader process,
 // reproducing the paper's multi-document attribution scenario.
 type Session struct {
-	sys   *System
-	inner *pipeline.Session
+	sys    *System
+	inner  *pipeline.Session
+	opened []*instrument.Result
 }
 
 // NewSession starts a hooked reader process.
@@ -423,14 +426,23 @@ func (sess *Session) Open(docID string, raw []byte) error {
 		}
 		return err
 	}
+	sess.opened = append(sess.opened, res)
 	if _, err := sess.inner.Open(res, reader.OpenOptions{}); err != nil {
 		return fmt.Errorf("pdfshield: open %s: %w", docID, err)
 	}
 	return nil
 }
 
-// Close terminates the reader process.
-func (sess *Session) Close() { sess.inner.Close() }
+// Close terminates the reader process and forgets what the session's
+// documents left behind: their registry records and detector state. The
+// alerts they raised stay in the detector's history.
+func (sess *Session) Close() {
+	sess.inner.Close()
+	for _, res := range sess.opened {
+		sess.sys.inner.Retire(res)
+	}
+	sess.opened = nil
+}
 
 // IsMalicious reports whether an alert in the detector's recent history
 // names docID.
