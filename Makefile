@@ -77,7 +77,9 @@ race:
 # bytes — it must stay fail-safe, never panic, and never route unparseable
 # input confident-benign), and the staged-call rewriter (it must change
 # only the code arguments the reader runs, each decoding as the engine
-# decodes it). New crashers land in testdata/fuzz/ — commit them.
+# decodes it), and the monitor's ciphers (each must decrypt any source to
+# exactly the engine's reading of it). New crashers land in
+# testdata/fuzz/ — commit them.
 fuzz:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/pdf/
 	$(GO) test -fuzz '^FuzzFilters$$' -fuzztime $(FUZZTIME) ./internal/pdf/
@@ -90,3 +92,4 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDirectVsWire$$' -fuzztime $(FUZZTIME) ./internal/hook/
 	$(GO) test -fuzz '^FuzzTriage$$' -fuzztime $(FUZZTIME) ./internal/triage/
 	$(GO) test -fuzz '^FuzzStagedRewrite$$' -fuzztime $(FUZZTIME) ./internal/instrument/
+	$(GO) test -fuzz '^FuzzMonitorRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/instrument/

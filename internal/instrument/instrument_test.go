@@ -331,7 +331,8 @@ func stagedArg(i int) string { return fmt.Sprintf(`"a%d = %d;"`, i, i+1) }
 
 // TestStagedRewriteCodeArgument calls every staged method with zero to
 // three string literals, each of them runnable code, and then the call
-// forms whose argument lists or callees the engine reads in its own way.
+// forms whose argument lists or callees the engine reads in its own way;
+// the two with a missing comma are syntax errors, left unchanged.
 // The rewriter must wrap exactly the argument the reader runs, hide its
 // plaintext, and leave every other argument (a timer's delay included)
 // as written. Opened in the reader, every staged run then sends its own
@@ -340,6 +341,9 @@ func TestStagedRewriteCodeArgument(t *testing.T) {
 	type stagedCall struct {
 		src  string
 		code int // index of the stagedArg the reader runs, or -1
+		// rejected marks a source every engine rejects with a syntax
+		// error: it is left unchanged, and the reader runs none of it.
+		rejected bool
 	}
 	var calls []stagedCall
 	for _, callee := range []string{
@@ -357,17 +361,17 @@ func TestStagedRewriteCodeArgument(t *testing.T) {
 			if !ok {
 				code = -1
 			}
-			calls = append(calls, stagedCall{callee + "(" + strings.Join(args, ", ") + ");", code})
+			calls = append(calls, stagedCall{src: callee + "(" + strings.Join(args, ", ") + ");", code: code})
 		}
 	}
 	calls = append(calls,
-		stagedCall{"this.setAction(" + stagedArg(0) + ",);", 0},
-		stagedCall{"this.setAction(" + stagedArg(0) + " " + stagedArg(1) + ");", 1},
-		stagedCall{"app.setTimeOut(" + stagedArg(0) + ", 5000);", 0},
-		stagedCall{"app.setTimeOut(" + stagedArg(0) + " 5000);", 0},
-		stagedCall{"(app.setTimeOut)(" + stagedArg(0) + ", 5000);", 0},
-		stagedCall{"new app.setInterval(" + stagedArg(0) + ", 5000);", 0},
-		stagedCall{`this["addScript"](` + stagedArg(0) + ", " + stagedArg(1) + ");", 1},
+		stagedCall{src: "this.setAction(" + stagedArg(0) + ",);", code: 0},
+		stagedCall{src: "this.setAction(" + stagedArg(0) + " " + stagedArg(1) + ");", code: -1, rejected: true},
+		stagedCall{src: "app.setTimeOut(" + stagedArg(0) + ", 5000);", code: 0},
+		stagedCall{src: "app.setTimeOut(" + stagedArg(0) + " 5000);", code: -1, rejected: true},
+		stagedCall{src: "(app.setTimeOut)(" + stagedArg(0) + ", 5000);", code: 0},
+		stagedCall{src: "new app.setInterval(" + stagedArg(0) + ", 5000);", code: 0},
+		stagedCall{src: `this["addScript"](` + stagedArg(0) + ", " + stagedArg(1) + ");", code: 1},
 	)
 	for _, c := range calls {
 		t.Run(c.src, func(t *testing.T) {
@@ -418,7 +422,13 @@ func TestStagedRewriteCodeArgument(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(open.ScriptErrors) != 0 {
+			if c.rejected {
+				// The monitoring code runs and reports enter and exit; the
+				// decrypted source then fails to parse, so none of it runs.
+				if len(open.ScriptErrors) != 1 || !strings.Contains(open.ScriptErrors[0], "syntax") {
+					t.Fatalf("rejected source: script errors %q, want one syntax error", open.ScriptErrors)
+				}
+			} else if len(open.ScriptErrors) != 0 {
 				t.Fatalf("script errors: %v", open.ScriptErrors)
 			}
 			if open.JSRuns != 1+staged || detector.msgs != 2*(1+staged) {

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"unicode/utf8"
+
+	"pdfshield/internal/js"
 )
 
 // Cipher identifies a script-encryption scheme. Per §IV ("Runtime Patching
@@ -19,8 +20,9 @@ const (
 	// CipherXORHex XORs source bytes with a random key and stores the
 	// result as a hex string. Only valid for ASCII sources.
 	CipherXORHex Cipher = iota + 1
-	// CipherShiftEscape adds a random shift to every UTF-16 code unit and
-	// stores the result as %uXXXX escape text (works for any source).
+	// CipherShiftEscape adds a random shift to every UTF-16 code unit of
+	// the engine's reading of the source (js.SourceText) and stores the
+	// result as %uXXXX escape text (works for any source).
 	CipherShiftEscape
 )
 
@@ -109,12 +111,17 @@ func xorHexDecryptor(fnName, payloadVar, keyVar string, names map[string]bool, b
 }
 
 // encryptShiftEscape produces the payload literal and shift for
-// CipherShiftEscape. The shift is chosen so no encrypted unit lands in the
-// UTF-16 surrogate range, which unescape() could not represent.
-func (b *monitorBuilder) encryptShiftEscape(src string) (payload string, shift int) {
+// CipherShiftEscape. It encrypts the engine's reading of src
+// (js.SourceText), so the decrypted script lexes exactly as the plain one
+// does, bytes that are not UTF-8 included. The shift is chosen so no
+// encrypted unit lands in the UTF-16 surrogate range, which unescape()
+// could not represent. astral reports a character outside the BMP, which
+// the decryptor must rebuild from its surrogate pair.
+func (b *monitorBuilder) encryptShiftEscape(src string) (payload string, shift int, astral bool) {
 	var units []int
-	for _, r := range src {
+	for _, r := range js.SourceText(src) {
 		if r > 0xffff {
+			astral = true
 			r -= 0x10000
 			units = append(units, int(0xd800+(r>>10)), int(0xdc00+(r&0x3ff)))
 			continue
@@ -133,7 +140,7 @@ func (b *monitorBuilder) encryptShiftEscape(src string) (payload string, shift i
 		sb.WriteByte(hexdig[(v>>4)&0xf])
 		sb.WriteByte(hexdig[v&0xf])
 	}
-	return sb.String(), shift
+	return sb.String(), shift, astral
 }
 
 func (b *monitorBuilder) pickSafeShift(units []int) int {
@@ -157,25 +164,44 @@ func (b *monitorBuilder) pickSafeShift(units []int) int {
 	return 0x2800
 }
 
-func shiftEscapeDecryptor(fnName, payloadVar string, shift int, names map[string]bool, b *monitorBuilder) string {
+// shiftEscapeDecryptor emits a JS function decoding encryptShiftEscape
+// output one UTF-16 unit at a time. The engine holds strings as runes and
+// cannot hold a lone surrogate, so when the source has a character
+// outside the BMP (astral), a high surrogate is decoded together with the
+// low one that follows it in one String.fromCharCode call. Only such
+// sources pay for that test: it is a &&/|| short-circuit, not a
+// conditional, because forced execution flips every conditional and a
+// per-unit one would spend its whole path budget inside the decryptor.
+func shiftEscapeDecryptor(fnName, payloadVar string, shift int, astral bool, names map[string]bool, b *monitorBuilder) string {
 	i := b.freshName(names)
 	raw := b.freshName(names)
 	acc := b.freshName(names)
 	st := b.freshName(names)
 	salt := b.freshName(names)
 	inv := (0x10000 - shift - ackSalt + 0x20000) % 0x10000
+	unit := fmt.Sprintf("(%s.charCodeAt(%s)+%d+%s)%%65536", raw, i, inv, salt)
+	body := fmt.Sprintf("%s[%s]=String.fromCharCode(%s);", acc, i, unit)
+	if astral {
+		// c>>10==54 tests for a high surrogate (0xD800-0xDBFF); the pair
+		// string it yields is never empty, so || keeps it.
+		c := b.freshName(names)
+		body = fmt.Sprintf("var %s=%s;%s[%s]=%s>>10==54&&String.fromCharCode(%s,(%s.charCodeAt(++%s)+%d+%s)%%65536)||String.fromCharCode(%s);",
+			c, unit, acc, i, c, c, raw, i, inv, salt, c)
+	}
 	return fmt.Sprintf(
 		"function %s(%s){var %s=%s.charCodeAt(0)+%s.charCodeAt(1);var %s=unescape(%s);var %s=[];"+
-			"for(var %s=0;%s<%s.length;%s++){%s[%s]=String.fromCharCode((%s.charCodeAt(%s)+%d+%s)%%65536);}return %s.join('');}",
+			"for(var %s=0;%s<%s.length;%s++){%s}return %s.join('');}",
 		fnName, st, salt, st, st, raw, payloadVar, acc,
-		i, i, raw, i, acc, i, raw, i, inv, salt, acc)
+		i, i, raw, i, body, acc)
 }
 
 // jsStringLiteral renders s as a single-quoted JS string literal. This is
 // the paper's "only operation we perform is to scan the code and add '\\'
 // for quotes" step, extended with control-character escaping so the literal
-// survives any source. The engine decodes the literal back to s exactly,
-// even where s is not UTF-8: it keeps an escaped byte as it is.
+// survives any source. The engine decodes the literal back to its reading
+// of s (js.SourceText), which is s itself whenever s is UTF-8: bytes from
+// 0x80 up are copied as they are, and the escapes added around them are
+// ASCII, so no byte sequence changes its reading.
 func jsStringLiteral(s string) string {
 	var sb strings.Builder
 	sb.Grow(len(s) + 2)
@@ -194,13 +220,6 @@ func jsStringLiteral(s string) string {
 			sb.WriteString(`\t`)
 		case c < 0x20:
 			fmt.Fprintf(&sb, `\u%04x`, c)
-		case c >= utf8.RuneSelf:
-			_, size := utf8.DecodeRuneInString(s[i:])
-			if size == 1 {
-				sb.WriteByte('\\')
-			}
-			sb.WriteString(s[i : i+size])
-			i += size - 1
 		default:
 			sb.WriteByte(c)
 		}
@@ -269,10 +288,10 @@ func (b *monitorBuilder) build(key Key, seq int, source string) string {
 			xorHexDecryptor(decryptFn, payloadVar, xkVar, names, b),
 		)
 	default:
-		payload, shift := b.encryptShiftEscape(source)
+		payload, shift, astral := b.encryptShiftEscape(source)
 		decls = append(decls,
 			fmt.Sprintf("var %s=%s;", payloadVar, jsStringLiteral(payload)),
-			shiftEscapeDecryptor(decryptFn, payloadVar, shift, names, b),
+			shiftEscapeDecryptor(decryptFn, payloadVar, shift, astral, names, b),
 		)
 	}
 

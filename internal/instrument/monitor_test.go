@@ -50,29 +50,99 @@ func TestXORHexCipherRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestShiftEscapeCipherRoundTripProperty: for arbitrary bytes, and for
+// arbitrary code points (most of them outside the BMP), the decryptor
+// returns exactly the engine's reading of the source.
 func TestShiftEscapeCipherRoundTripProperty(t *testing.T) {
 	b := &monitorBuilder{rng: rand.New(rand.NewSource(2)), detectorID: "d"}
-	prop := func(src string) bool {
-		// Strip supplementary-plane runes (documented BMP-only limit).
-		var sb strings.Builder
-		for _, r := range src {
-			if r <= 0xffff && (r < 0xd800 || r >= 0xe000) {
-				sb.WriteRune(r)
+	prop := func(raw []byte, runes string) bool {
+		for _, src := range []string{string(raw), runes} {
+			if decryptShiftEscape(t, b, src) != js.SourceText(src) {
+				return false
 			}
 		}
-		clean := sb.String()
-		names := map[string]bool{}
-		payloadVar := b.freshName(names)
-		fn := b.freshName(names)
-		payload, shift := b.encryptShiftEscape(clean)
-		decls := []string{
-			"var " + payloadVar + "=" + jsStringLiteral(payload) + ";",
-			shiftEscapeDecryptor(fn, payloadVar, shift, names, b),
-		}
-		return runDecryptor(t, decls, fn) == clean
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// decryptShiftEscape encrypts src with the shift-escape cipher and runs
+// its decryptor in the engine.
+func decryptShiftEscape(t *testing.T, b *monitorBuilder, src string) string {
+	t.Helper()
+	names := map[string]bool{}
+	payloadVar := b.freshName(names)
+	fn := b.freshName(names)
+	payload, shift, astral := b.encryptShiftEscape(src)
+	decls := []string{
+		"var " + payloadVar + "=" + jsStringLiteral(payload) + ";",
+		shiftEscapeDecryptor(fn, payloadVar, shift, astral, names, b),
+	}
+	return runDecryptor(t, decls, fn)
+}
+
+// FuzzMonitorRoundTrip: for any source, the decryptor returns exactly the
+// engine's reading of it (js.SourceText), so the monitored script lexes as
+// the plain one does. ASCII sources also take the XOR cipher.
+func FuzzMonitorRoundTrip(f *testing.F) {
+	for _, src := range monitorProbes {
+		f.Add(src)
+	}
+	f.Add(`var s = '\uD83D'; out = s.charCodeAt(0);`)
+	f.Add("")
+	b := &monitorBuilder{rng: rand.New(rand.NewSource(5)), detectorID: "d"}
+	f.Fuzz(func(t *testing.T, src string) {
+		want := js.SourceText(src)
+		if got := decryptShiftEscape(t, b, src); got != want {
+			t.Fatalf("shift-escape decrypts %q to %q, want %q", src, got, want)
+		}
+		if !isASCIIString(src) {
+			return
+		}
+		names := map[string]bool{}
+		payloadVar, keyVar, fn := b.freshName(names), b.freshName(names), b.freshName(names)
+		payload, jsKey := b.encryptXORHex(src)
+		decls := []string{
+			"var " + payloadVar + "=" + jsStringLiteral(payload) + ";",
+			"var " + keyVar + "=" + jsKey + ";",
+			xorHexDecryptor(fn, payloadVar, keyVar, names, b),
+		}
+		if got := runDecryptor(t, decls, fn); got != want {
+			t.Fatalf("xor-hex decrypts %q to %q, want %q", src, got, want)
+		}
+	})
+}
+
+// monitorProbes are scripts whose result the shift-escape cipher once
+// changed: a character outside the BMP, and identifiers that differ only
+// in a byte that is not UTF-8.
+var monitorProbes = []string{
+	"var s = '\U0001F600'; out = s.charCodeAt(0);",
+	"var a\xba = 1; var a\xbb = 2; out = a\xba;",
+}
+
+// TestMonitoredScriptComputesAsPlain: a monitored script computes what
+// the plain one computes, at every builder seed.
+func TestMonitoredScriptComputesAsPlain(t *testing.T) {
+	for _, src := range monitorProbes {
+		plain := js.New()
+		if _, err := plain.Run(src); err != nil {
+			t.Fatalf("plain %q: %v", src, err)
+		}
+		want, _ := plain.Global.Lookup("out")
+		for seed := int64(1); seed <= 4; seed++ {
+			b := &monitorBuilder{rng: rand.New(rand.NewSource(seed)), detectorID: "d"}
+			it := js.New()
+			installSOAP(it)
+			if _, err := it.Run(b.build(Key{InstrKey: "k"}, 1, src)); err != nil {
+				t.Fatalf("seed %d, monitored %q: %v", seed, src, err)
+			}
+			if got, _ := it.Global.Lookup("out"); got.Num() != want.Num() {
+				t.Errorf("seed %d, %q: out = %v monitored, %v plain", seed, src, got.Num(), want.Num())
+			}
+		}
 	}
 }
 
@@ -81,9 +151,9 @@ func TestDecryptorRejectsWrongAck(t *testing.T) {
 	names := map[string]bool{}
 	payloadVar := b.freshName(names)
 	fn := b.freshName(names)
-	payload, shift := b.encryptShiftEscape("var secret = 1;")
+	payload, shift, astral := b.encryptShiftEscape("var secret = 1;")
 	src := "var " + payloadVar + "=" + jsStringLiteral(payload) + ";\n" +
-		shiftEscapeDecryptor(fn, payloadVar, shift, names, b) +
+		shiftEscapeDecryptor(fn, payloadVar, shift, astral, names, b) +
 		"\nout = " + fn + "('no');" // wrong ack
 	it := js.New()
 	if _, err := it.Run(src); err != nil {
@@ -95,21 +165,17 @@ func TestDecryptorRejectsWrongAck(t *testing.T) {
 	}
 }
 
+// TestJSStringLiteralRoundTripProperty: for arbitrary bytes, the engine
+// decodes the literal to its reading of them.
 func TestJSStringLiteralRoundTripProperty(t *testing.T) {
-	prop := func(s string) bool {
-		var sb strings.Builder
-		for _, r := range s {
-			if r <= 0xffff && (r < 0xd800 || r >= 0xe000) {
-				sb.WriteRune(r)
-			}
-		}
-		clean := sb.String()
+	prop := func(raw []byte) bool {
+		s := string(raw)
 		it := js.New()
-		v, err := it.Run("x = " + jsStringLiteral(clean) + ";")
+		v, err := it.Run("x = " + jsStringLiteral(s) + ";")
 		if err != nil {
 			return false
 		}
-		return v.Str() == clean
+		return v.Str() == js.SourceText(s)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

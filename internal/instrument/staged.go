@@ -53,7 +53,7 @@ func stagedLiterals(source string) []*js.StringLit {
 		case *js.NewExpr:
 			callee, args = c.Callee, c.Args
 		}
-		k, ok := reader.CodeArg(calleeName(callee), len(args))
+		k, ok := reader.CodeArg(reader.CalleeName(callee), len(args))
 		if !ok {
 			continue
 		}
@@ -64,18 +64,4 @@ func stagedLiterals(source string) []*js.StringLit {
 	// Calls are listed inner first; their code literals are disjoint.
 	sort.Slice(lits, func(a, b int) bool { return lits[a].Pos < lits[b].Pos })
 	return lits
-}
-
-// calleeName is the method a call names statically: an identifier, or
-// the property of a member access written as a name or a string literal.
-func calleeName(callee js.Expr) string {
-	switch c := callee.(type) {
-	case *js.Ident:
-		return c.Name
-	case *js.MemberExpr:
-		if name, ok := c.Property.(*js.StringLit); ok {
-			return name.Value
-		}
-	}
-	return ""
 }

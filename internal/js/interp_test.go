@@ -436,6 +436,50 @@ func TestParserErrors(t *testing.T) {
 	}
 }
 
+// TestCommaSeparatedLists: arguments, parameters, array and object
+// literals all require a comma between items, as every engine does; one
+// trailing comma and array holes are accepted, as newer engines accept
+// them.
+func TestCommaSeparatedLists(t *testing.T) {
+	tests := []struct {
+		list, missing, trailing string
+	}{
+		{"arguments", `f("Open" "x");`, `f("Open", "x",);`},
+		{"parameters", `function f(a b){}`, `function f(a, b,){}`},
+		{"array", `[1 2];`, `[1, 2,];`},
+		{"object", `({a: 1 b: 2});`, `({a: 1, b: 2,});`},
+	}
+	for _, tt := range tests {
+		if _, err := Parse(tt.missing); !errors.Is(err, ErrSyntax) {
+			t.Errorf("%s: %q parsed (err %v), want a syntax error", tt.list, tt.missing, err)
+		}
+		if _, err := Parse(tt.trailing); err != nil {
+			t.Errorf("%s: %q: %v", tt.list, tt.trailing, err)
+		}
+	}
+	for _, src := range []string{`f(1,,);`, `f(,);`, `function f(a,,){}`, `({a: 1,,});`} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("%q: expected parse error", src)
+		}
+	}
+	arrays := []struct {
+		src  string
+		want float64
+	}{
+		{"[1, 2,].length;", 2},
+		{"[1,, 2].length;", 3},
+		{"[,].length;", 1},
+		{"[1,,].length;", 2},
+		{"[].length;", 0},
+		{"(function(a, b,) { return a + b; })(1, 2,);", 3},
+	}
+	for _, tt := range arrays {
+		if got := runNum(t, tt.src); got != tt.want {
+			t.Errorf("%q = %v, want %v", tt.src, got, tt.want)
+		}
+	}
+}
+
 func TestASI(t *testing.T) {
 	// Newline-terminated statements without semicolons.
 	if got := runNum(t, "var a = 1\nvar b = 2\na + b"); got != 3 {

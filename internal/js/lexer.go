@@ -129,7 +129,40 @@ func (lx *lexer) lexIdent() string {
 	for lx.pos < len(lx.src) && isIdentPart(lx.src[lx.pos]) {
 		lx.pos++
 	}
-	return lx.src[start:lx.pos]
+	// Identifiers end on ASCII bytes, which never sit inside a UTF-8
+	// sequence, so the name reads the same alone as in the source.
+	return SourceText(lx.src[start:lx.pos])
+}
+
+// sourceRune reads the code point at byte offset i of script text. It is
+// the engine's one reading of script text: a valid UTF-8 sequence reads
+// as its rune, and a byte that is not part of valid UTF-8 reads as the
+// code point of the same value, the way PDFDocEncoding reads most of
+// 0x80–0xFF, so distinct bytes stay distinct. size is the number of bytes
+// read, so token offsets stay byte offsets into the source.
+func sourceRune(src string, i int) (r rune, size int) {
+	r, size = utf8.DecodeRuneInString(src[i:])
+	if r == utf8.RuneError && size == 1 {
+		r = rune(src[i])
+	}
+	return r, size
+}
+
+// SourceText returns script text as the engine reads it (sourceRune),
+// encoded as UTF-8; valid UTF-8 is returned unchanged. The lexer and the
+// instrumenter's cipher share this one reading.
+func SourceText(src string) string {
+	if utf8.ValidString(src) {
+		return src
+	}
+	var b strings.Builder
+	b.Grow(len(src) + len(src)/2)
+	for i := 0; i < len(src); {
+		r, size := sourceRune(src, i)
+		b.WriteRune(r)
+		i += size
+	}
+	return b.String()
 }
 
 func (lx *lexer) lexNumber() (float64, error) {
@@ -288,11 +321,12 @@ func (lx *lexer) lexString(quote byte) (string, error) {
 				lx.line++
 				lx.pos++
 			default:
-				b.WriteByte(e)
-				lx.pos++
+				r, size := sourceRune(lx.src, lx.pos)
+				b.WriteRune(r)
+				lx.pos += size
 			}
 		default:
-			r, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
+			r, size := sourceRune(lx.src, lx.pos)
 			b.WriteRune(r)
 			lx.pos += size
 		}

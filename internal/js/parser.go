@@ -242,21 +242,13 @@ func (p *Parser) parseFunction(requireName bool) (*FuncLit, error) {
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	for !p.isPunct(")") {
+	if err := p.parseList(")", "parameter list", func() error {
 		if p.tok.Kind != TokIdent {
-			return nil, p.errf("expected parameter name, got %v", p.tok)
+			return p.errf("expected parameter name, got %v", p.tok)
 		}
 		fn.Params = append(fn.Params, p.tok.Str)
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if p.isPunct(",") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := p.advance(); err != nil { // ')'
+		return p.advance()
+	}); err != nil {
 		return nil, err
 	}
 	blk, err := p.parseBlock()
@@ -921,22 +913,36 @@ func (p *Parser) parseArgs() ([]Expr, error) {
 		return nil, err
 	}
 	var args []Expr
-	for !p.isPunct(")") {
-		if p.tok.Kind == TokEOF {
-			return nil, p.errf("unterminated argument list")
-		}
+	err := p.parseList(")", "argument list", func() error {
 		a, err := p.parseAssign()
-		if err != nil {
-			return nil, err
-		}
 		args = append(args, a)
-		if p.isPunct(",") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+		return err
+	})
+	return args, err
+}
+
+// parseList parses the items of a comma-separated list up to and
+// including the punctuator close, calling item once per item. A comma is
+// required between items; one trailing comma before close is accepted, as
+// newer engines accept it in all four lists (arguments, parameters, array
+// and object literals). An item may consume nothing, which is how an
+// array hole reads.
+func (p *Parser) parseList(close, what string, item func() error) error {
+	for !p.isPunct(close) {
+		if p.tok.Kind == TokEOF {
+			return p.errf("unterminated %s", what)
+		}
+		if err := item(); err != nil {
+			return err
+		}
+		if p.isPunct(close) {
+			break
+		}
+		if err := p.expectPunct(","); err != nil {
+			return err
 		}
 	}
-	return args, p.advance()
+	return p.advance()
 }
 
 func (p *Parser) parsePrimary() (Expr, error) {
@@ -1015,30 +1021,17 @@ func (p *Parser) parseArrayLit() (Expr, error) {
 		return nil, err
 	}
 	lit := &ArrayLit{base: base{pos}}
-	for !p.isPunct("]") {
-		if p.tok.Kind == TokEOF {
-			return nil, p.errf("unterminated array literal")
-		}
+	err := p.parseList("]", "array literal", func() error {
 		if p.isPunct(",") {
 			// Elision -> undefined hole.
 			lit.Elems = append(lit.Elems, nil)
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
+			return nil
 		}
 		el, err := p.parseAssign()
-		if err != nil {
-			return nil, err
-		}
 		lit.Elems = append(lit.Elems, el)
-		if p.isPunct(",") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return lit, p.advance()
+		return err
+	})
+	return lit, err
 }
 
 func (p *Parser) parseObjectLit() (Expr, error) {
@@ -1047,10 +1040,7 @@ func (p *Parser) parseObjectLit() (Expr, error) {
 		return nil, err
 	}
 	lit := &ObjectLit{base: base{pos}}
-	for !p.isPunct("}") {
-		if p.tok.Kind == TokEOF {
-			return nil, p.errf("unterminated object literal")
-		}
+	err := p.parseList("}", "object literal", func() error {
 		var key string
 		switch p.tok.Kind {
 		case TokIdent, TokKeyword, TokString:
@@ -1058,25 +1048,18 @@ func (p *Parser) parseObjectLit() (Expr, error) {
 		case TokNumber:
 			key = numberToString(p.tok.Num)
 		default:
-			return nil, p.errf("invalid property key %v", p.tok)
+			return p.errf("invalid property key %v", p.tok)
 		}
 		if err := p.advance(); err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectPunct(":"); err != nil {
-			return nil, err
+			return err
 		}
 		val, err := p.parseAssign()
-		if err != nil {
-			return nil, err
-		}
 		lit.Keys = append(lit.Keys, key)
 		lit.Values = append(lit.Values, val)
-		if p.isPunct(",") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return lit, p.advance()
+		return err
+	})
+	return lit, err
 }

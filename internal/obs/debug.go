@@ -12,10 +12,9 @@ import (
 )
 
 // DiagConfig configures the diagnostics subsystem a pipeline carries.
-// The zero value enables everything with defaults.
+// The zero value enables everything with defaults; the flight recorder
+// always runs with its defaults.
 type DiagConfig struct {
-	// Flight tunes the flight recorder.
-	Flight FlightConfig
 	// Watchdog tunes the stall watchdog.
 	Watchdog WatchdogConfig
 }
@@ -34,10 +33,9 @@ type Diagnostics struct {
 // NewDiagnostics builds the subsystem and exports its metric series into
 // reg.
 func NewDiagnostics(reg *Registry, cfg DiagConfig) *Diagnostics {
-	cfg.Flight.Obs = reg
 	cfg.Watchdog.Obs = reg
 	d := &Diagnostics{
-		Flight:   NewFlightRecorder(cfg.Flight),
+		Flight:   NewFlightRecorder(FlightConfig{Obs: reg}),
 		SLO:      NewSLOTracker(SLOConfig{}),
 		Watchdog: NewWatchdog(cfg.Watchdog),
 	}

@@ -24,11 +24,6 @@ type WatchdogConfig struct {
 	Deadline time.Duration
 	// Interval is the background scan period (0 = DefaultStallInterval).
 	Interval time.Duration
-	// Phases restricts stall detection to the named phases (nil = the
-	// reader-runtime phases, open and detect — the only ones where a
-	// hostile document can wedge the sandbox; front-end phases are pure
-	// Go and bounded).
-	Phases []string
 	// Context, when set, fetches out-of-band context for a stalled
 	// document — the pipeline wires it to the journal's recent events for
 	// the doc. The value is embedded verbatim in the stall report's JSON.
@@ -93,14 +88,17 @@ type StallReport struct {
 	Journal any `json:"journal,omitempty"`
 }
 
+// watchedPhases are the phases the watchdog watches: the reader-runtime
+// phases, the only ones where a hostile document can wedge the sandbox
+// (front-end phases are pure Go and bounded).
+var watchedPhases = map[string]bool{PhaseOpen: true, PhaseDetect: true}
+
 // Watchdog watches in-flight documents and captures a goroutine dump
 // plus journal context for any stuck past the deadline in a watched
-// phase (open/detect by default — the phases where a hostile document
-// can wedge the reader sandbox). A stalled document is reported once per
-// phase; reports are kept in a bounded newest-first list.
+// phase. A stalled document is reported once per phase; reports are kept
+// in a bounded newest-first list.
 type Watchdog struct {
-	cfg    WatchdogConfig
-	phases map[string]bool
+	cfg WatchdogConfig
 
 	mu      sync.Mutex
 	docs    map[*InflightDoc]struct{}
@@ -121,18 +119,13 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultStallInterval
 	}
-	if cfg.Phases == nil {
-		cfg.Phases = []string{PhaseOpen, PhaseDetect}
-	}
 	w := &Watchdog{
-		cfg:    cfg,
-		phases: make(map[string]bool, len(cfg.Phases)),
-		docs:   make(map[*InflightDoc]struct{}),
-		stop:   make(chan struct{}),
-		nowFn:  time.Now,
+		cfg:   cfg,
+		docs:  make(map[*InflightDoc]struct{}),
+		stop:  make(chan struct{}),
+		nowFn: time.Now,
 	}
-	for _, p := range cfg.Phases {
-		w.phases[p] = true
+	for p := range watchedPhases {
 		// Preregister the stall counter for every watched phase.
 		cfg.Obs.CounterAdd(Series(MetricWatchdogStalls, "phase", p), 0)
 	}
@@ -220,7 +213,7 @@ func (w *Watchdog) Scan() {
 	var hits []stalled
 	for _, d := range candidates {
 		d.mu.Lock()
-		if !d.done && !d.flagged && w.phases[d.phase] && now.Sub(d.since) >= w.cfg.Deadline {
+		if !d.done && !d.flagged && watchedPhases[d.phase] && now.Sub(d.since) >= w.cfg.Deadline {
 			d.flagged = true
 			hits = append(hits, stalled{docID: d.docID, phase: d.phase, since: d.since})
 		}

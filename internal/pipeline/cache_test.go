@@ -115,9 +115,9 @@ func TestBatchWithCacheMatchesSerialUncached(t *testing.T) {
 	}
 }
 
-// TestCacheStatsSurfacedInBatchResult checks the Stats plumbing without
-// the full corpus machinery.
-func TestCacheStatsSurfacedInBatchResult(t *testing.T) {
+// TestCacheStatsAfterBatch checks that System.CacheStats reports a
+// batch's cache traffic without the full corpus machinery.
+func TestCacheStatsAfterBatch(t *testing.T) {
 	g := corpus.NewGenerator(7)
 	s := g.BenignText(8 << 10)
 	sys, err := NewSystem(Options{ViewerVersion: 8.0, Seed: 99, Cache: &cache.Config{}})
@@ -130,16 +130,20 @@ func TestCacheStatsSurfacedInBatchResult(t *testing.T) {
 		{ID: "b", Raw: s.Raw},
 		{ID: "c", Raw: s.Raw},
 	}
-	res := sys.ProcessBatchContext(t.Context(), docs, BatchOptions{Workers: 1})
-	if res.CacheStats == nil {
-		t.Fatal("BatchResult.CacheStats is nil on a cached system")
+	if res := sys.ProcessBatchContext(t.Context(), docs, BatchOptions{Workers: 1}); res.Failed() != 0 {
+		t.Fatalf("batch failed: %v", res.Errors)
 	}
-	if res.CacheStats.Misses != 1 || res.CacheStats.Hits+res.CacheStats.Shared != 2 {
-		t.Fatalf("stats = %+v, want 1 miss / 2 avoided", *res.CacheStats)
+	stats, ok := sys.CacheStats()
+	if !ok {
+		t.Fatal("CacheStats not ok on a cached system")
+	}
+	if stats.Misses != 1 || stats.Hits+stats.Shared != 2 {
+		t.Fatalf("stats = %+v, want 1 miss / 2 avoided", stats)
 	}
 
 	plain := newSystem(t, 8.0)
-	if pres := plain.ProcessBatchContext(t.Context(), docs[:1], BatchOptions{Workers: 1}); pres.CacheStats != nil {
-		t.Fatal("uncached system must leave CacheStats nil")
+	plain.ProcessBatchContext(t.Context(), docs[:1], BatchOptions{Workers: 1})
+	if _, ok := plain.CacheStats(); ok {
+		t.Fatal("uncached system must report no cache stats")
 	}
 }

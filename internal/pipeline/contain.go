@@ -22,17 +22,3 @@ var openHook func(docID string)
 // contract as analysisHook: set only from tests, only while nothing is
 // running.
 var watchdogTuning obs.WatchdogConfig
-
-// discardSession closes and clears a worker session whose document panicked.
-// The reader process may be mid-open with arbitrary state, so the session is
-// thrown away rather than recycled; Close errors (or panics) during teardown
-// of an already-broken session are deliberately swallowed.
-func discardSession(sess **Session) {
-	s := *sess
-	if s == nil {
-		return
-	}
-	*sess = nil
-	defer func() { _ = recover() }()
-	s.Close()
-}

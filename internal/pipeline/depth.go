@@ -73,16 +73,10 @@ type depthProfile struct {
 	force      *js.ForceConfig
 }
 
-// depthProfile resolves the effective scan plan for one submission.
-// override (from BatchOptions, a Worker or a serve request) wins over the
-// system-wide Options.Depth; when both are unset the plan is
-// DepthStandard.
-func (s *System) depthProfile(override Depth) depthProfile {
-	d := override
-	if d == "" {
-		d = s.opts.Depth
-	}
-	switch d {
+// depthProfile resolves the scan plan of every submission from
+// Options.Depth; unset is DepthStandard.
+func (s *System) depthProfile() depthProfile {
+	switch s.opts.Depth {
 	case DepthStatic:
 		return depthProfile{depth: DepthStatic, triage: true, staticOnly: true}
 	case DepthDeep:

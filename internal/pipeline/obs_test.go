@@ -34,7 +34,8 @@ func newObservedSystem(t *testing.T, withCache bool) (*System, *obs.Registry) {
 
 // TestProcessDocumentContextPreCancelled: an already-dead context stops
 // the pipeline before any phase runs and surfaces as the document's error
-// (counted as errored, not as a verdict).
+// (counted as errored, not as a verdict), on a one-shot call and on a
+// Worker lane alike.
 func TestProcessDocumentContextPreCancelled(t *testing.T) {
 	sys, reg := newObservedSystem(t, false)
 	docs := mixedCorpus(t, 1)
@@ -47,6 +48,19 @@ func TestProcessDocumentContextPreCancelled(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.Counters[obs.MetricDocsTotal] != 1 || snap.Counters[obs.MetricDocsErrored] != 1 {
 		t.Fatalf("counters = total %d / errored %d, want 1/1",
+			snap.Counters[obs.MetricDocsTotal], snap.Counters[obs.MetricDocsErrored])
+	}
+
+	// A long-lived Worker lane decides the same way: the document handed
+	// to it is counted as errored.
+	w := sys.NewWorker()
+	defer w.Close()
+	if v, err := w.Process(ctx, docs[0]); v != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Worker.Process got (%v, %v), want (nil, context.Canceled)", v, err)
+	}
+	snap = reg.Snapshot()
+	if snap.Counters[obs.MetricDocsTotal] != 2 || snap.Counters[obs.MetricDocsErrored] != 2 {
+		t.Fatalf("after Worker.Process counters = total %d / errored %d, want 2/2",
 			snap.Counters[obs.MetricDocsTotal], snap.Counters[obs.MetricDocsErrored])
 	}
 }
@@ -105,9 +119,6 @@ func TestBatchCancellationPrefixIntact(t *testing.T) {
 	}
 	if cancelled == 0 {
 		t.Error("no slot reports the cancellation")
-	}
-	if got := res.Cancelled(); got != cancelled {
-		t.Errorf("Cancelled() = %d, counted %d", got, cancelled)
 	}
 
 	// The queue-depth and worker gauges must return to zero, and the pool's
@@ -198,8 +209,8 @@ func TestStatsAndTracesConsistentWithBatch(t *testing.T) {
 	if want := uint64(len(docs)) - malicious - nojs - st.Docs.Crashed; st.Docs.Benign != want {
 		t.Errorf("stats benign = %d, want %d", st.Docs.Benign, want)
 	}
-	if st.Cache == nil || st.Cache.Misses != res.CacheStats.Misses {
-		t.Errorf("stats cache = %+v, batch saw %+v", st.Cache, res.CacheStats)
+	if cs, _ := sys.CacheStats(); st.Cache == nil || st.Cache.Misses != cs.Misses {
+		t.Errorf("stats cache = %+v, system cache reports %+v", st.Cache, cs)
 	}
 	for _, phase := range []string{
 		obs.PhaseParse, obs.PhaseAnalyze, obs.PhaseInstrument,

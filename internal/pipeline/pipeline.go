@@ -59,8 +59,9 @@ type Options struct {
 	// js.DefaultUnits). Pass a private cache to isolate hit/miss counters
 	// (tests, benchmark passes).
 	JSUnits *js.UnitCache
-	// Depth is the system-wide scan depth (see the Depth constants;
-	// empty = DepthStandard). BatchOptions.Depth overrides this per batch.
+	// Depth is the scan depth of every submission (see the Depth
+	// constants; empty = DepthStandard). It is the pipeline's one depth
+	// knob.
 	Depth Depth
 }
 
@@ -472,23 +473,15 @@ type Verdict struct {
 
 // ProcessDocumentContext runs the complete workflow on one document:
 // instrument, open in a fresh monitored reader process, and collect the
-// verdict. It is the batch engine's per-document path on a session of its
-// own, so a panic anywhere in the analysis is contained and returned as
-// an error: hostile documents fail closed instead of taking the caller
-// down. Cancellation is honoured between phases (before the front-end,
-// before the reader open, and between attachment opens); a cancelled
-// call returns ctx.Err() and the document gets no verdict.
+// verdict. It runs one Worker and closes it, so it behaves exactly like a
+// batch lane: a panic anywhere in the analysis is contained and returned
+// as an error (hostile documents fail closed instead of taking the caller
+// down), and a cancelled call returns ctx.Err() and the document gets no
+// verdict (see Worker.Process).
 func (s *System) ProcessDocumentContext(ctx context.Context, docID string, raw []byte) (*Verdict, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var sess *Session
-	defer func() {
-		if sess != nil {
-			sess.Close()
-		}
-	}()
-	return s.processWithSession(ctx, &sess, BatchDoc{ID: docID, Raw: raw}, "")
+	w := s.NewWorker()
+	defer w.Close()
+	return w.Process(ctx, BatchDoc{ID: docID, Raw: raw})
 }
 
 // finishDoc closes out one document's processing: outcome counters, the
@@ -589,11 +582,11 @@ func claimVerdict(v *Verdict, docID string) {
 
 // openAndJudge opens an instrumented document (and its instrumented
 // attachments) in the given session and assembles the verdict. The session
-// is left open; callers own its lifecycle (processWithSession's callers
-// close it or recycle it for the next document). Cancellation is
-// checked before the host open and between attachment opens; the runtime
-// state already accumulated stays with the detector (volatile state dies
-// with the session as usual).
+// is left open; the Worker lane that owns it closes it or recycles it
+// for the next document. Cancellation is checked before the host open
+// and between attachment opens; the runtime state already accumulated
+// stays with the detector (volatile state dies with the session as
+// usual).
 func (s *System) openAndJudge(ctx context.Context, sess *Session, res *instrument.Result, tr *obs.Trace, prof depthProfile) (*Verdict, error) {
 	docID := res.DocID
 	v := &Verdict{DocID: docID, Instrument: res, Depth: string(prof.depth)}

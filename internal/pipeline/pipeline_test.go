@@ -294,3 +294,33 @@ func TestEmbeddedMaliciousAttachmentDetected(t *testing.T) {
 		t.Errorf("alert should name the attachment: %+v", v.Alert)
 	}
 }
+
+// TestAstralGatedSprayConvicts: instrumentation must not change what a
+// script computes. The exploit runs only when a character outside the
+// BMP reads back as its high surrogate, as it does in the plain script;
+// the monitored copy must decrypt the character whole, or the gate stays
+// shut and the document passes as benign. Its ASCII-gated twin is the
+// control.
+func TestAstralGatedSprayConvicts(t *testing.T) {
+	const spray = `var p = "PAYLOAD:DROP=C:\\tmp\\as.exe;EXEC=C:\\tmp\\as.exe|";
+var n = unescape("%0c%0c%0c%0c");
+while (n.length < 524288) n += n;
+var b = [];
+for (var i = 0; i < 230; i++) b[i] = n + p;
+util.printf("%45000f", 0.01);`
+	for name, gate := range map[string]string{
+		"astral": `var s = '😀'; if (s.charCodeAt(0) == 0xD83D) {`,
+		"ascii":  `var s = 'A'; if (s.charCodeAt(0) == 0x41) {`,
+	} {
+		raw := scriptDoc(t, gate+"\n"+spray+"\n}")
+		for _, d := range []Depth{DepthStandard, DepthAuto, DepthDeep} {
+			v, err := depthSystem(t, d, nil).ProcessDocumentContext(t.Context(), name+"-"+string(d), raw)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, d, err)
+			}
+			if !v.Malicious {
+				t.Errorf("%s-gated spray judged benign at %s (route %q)", name, d, v.TriageRoute)
+			}
+		}
+	}
+}

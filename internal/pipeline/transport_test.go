@@ -159,18 +159,16 @@ func runParity(t *testing.T, base *System, docs []BatchDoc, wire bool) parityRun
 	}
 
 	var run parityRun
-	var sess *Session
+	w := sys.NewWorker()
 	for _, d := range docs {
-		if sess == nil {
-			sess = newSession()
+		if w.sess == nil {
+			w.sess = newSession()
 		}
-		v, err := sys.processWithSession(t.Context(), &sess, d, "")
+		v, err := w.Process(t.Context(), d)
 		run.verdicts = append(run.verdicts, v)
 		run.errs = append(run.errs, err)
 	}
-	if sess != nil {
-		sess.Close()
-	}
+	w.Close()
 	run.alerts = det.Alerts()
 	if err := jw.Flush(); err != nil {
 		t.Fatal(err)

@@ -151,6 +151,23 @@ func CodeArg(method string, argc int) (int, bool) {
 	return i, ok && i >= 0 && i < argc
 }
 
+// CalleeName is the method a call names statically: an identifier, or the
+// property of a member access written as a name or as a string literal
+// (this.addScript and this["addScript"] both name addScript). It is ""
+// when the name is only known at run time. The front-end's staged-call
+// rewriter and triage both name callees with it.
+func CalleeName(callee js.Expr) string {
+	switch c := callee.(type) {
+	case *js.Ident:
+		return c.Name
+	case *js.MemberExpr:
+		if name, ok := c.Property.(*js.StringLit); ok {
+			return name.Value
+		}
+	}
+	return ""
+}
+
 // stagedCode returns the code argument of a call to a staged method.
 func stagedCode(method string, args []js.Value) js.Value {
 	if i, ok := CodeArg(method, len(args)); ok {
@@ -297,7 +314,7 @@ func (p *Process) buildUtil(od *OpenDoc) *js.Object {
 	util := js.NewHostObject("util")
 	util.Set("printf", hostFn("printf", func(it *js.Interp, _ js.Value, args []js.Value) (js.Value, error) {
 		format := jsArg(args, 0)
-		if format.IsString() && maxFormatWidth(format.Str()) >= printfWidthLimit {
+		if format.IsString() && MaxFormatWidth(format.Str()) >= printfWidthLimit {
 			return p.vulnCall(od, CVE20082992)
 		}
 		// Benign path: a minimal %s/%d/%f formatter.
@@ -318,8 +335,15 @@ func (p *Process) buildUtil(od *OpenDoc) *js.Object {
 	return util
 }
 
-// maxFormatWidth extracts the largest numeric width in a printf format.
-func maxFormatWidth(format string) int {
+// formatWidthCap is where MaxFormatWidth saturates: above every width
+// threshold, and far enough below overflow that no digit string wraps.
+const formatWidthCap = 100_000_000
+
+// MaxFormatWidth extracts the largest literal field width in a printf
+// format ("%45000f" → 45000). A width too long to represent saturates at
+// formatWidthCap, so a hostile format cannot wrap to a small value. The
+// reader's CVE-2008-2992 emulation and triage both read widths with it.
+func MaxFormatWidth(format string) int {
 	maxWidth := 0
 	for i := 0; i < len(format); i++ {
 		if format[i] != '%' {
@@ -328,7 +352,7 @@ func maxFormatWidth(format string) int {
 		j := i + 1
 		width := 0
 		for j < len(format) && format[j] >= '0' && format[j] <= '9' {
-			width = width*10 + int(format[j]-'0')
+			width = min(width*10+int(format[j]-'0'), formatWidthCap)
 			j++
 		}
 		if width > maxWidth {

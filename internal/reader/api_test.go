@@ -196,10 +196,14 @@ func TestMaxFormatWidth(t *testing.T) {
 		{"%45000f", 45000},
 		{"a %3s b %7d", 7},
 		{"no verbs", 0},
+		// Widths too long to represent saturate instead of wrapping
+		// (2^64+100 once wrapped to 100).
+		{"%18446744073709551716f", formatWidthCap},
+		{"%99999999999999999999999999f", formatWidthCap},
 	}
 	for _, tt := range tests {
-		if got := maxFormatWidth(tt.format); got != tt.want {
-			t.Errorf("maxFormatWidth(%q) = %d, want %d", tt.format, got, tt.want)
+		if got := MaxFormatWidth(tt.format); got != tt.want {
+			t.Errorf("MaxFormatWidth(%q) = %d, want %d", tt.format, got, tt.want)
 		}
 	}
 }

@@ -117,6 +117,19 @@ func TestHeapSprayExploitDropsAndExecutes(t *testing.T) {
 	}
 }
 
+// TestWrappedPrintfWidthExploits: a width past 2^64 is still an
+// overlong width, so the CVE-2008-2992 emulation fires on it.
+func TestWrappedPrintfWidthExploits(t *testing.T) {
+	p := NewProcess(Config{Sink: &hook.RecordingSink{}, ViewerVersion: 8.0})
+	res, err := p.Open("mal", buildJSDoc(t, sprayScript(dropExecPayload, `util.printf("%18446744073709551716f", 0.01);`)), OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Exploits) != 1 || res.Exploits[0].CVE != CVE20082992 {
+		t.Fatalf("exploits = %+v, want one CVE-2008-2992 event", res.Exploits)
+	}
+}
+
 func TestExploitNotVulnerableVersionDoesNothing(t *testing.T) {
 	sink := &hook.RecordingSink{}
 	// CVE-2008-2992 is fixed in 9.0.

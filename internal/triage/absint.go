@@ -1,7 +1,6 @@
 package triage
 
 import (
-	"strconv"
 	"strings"
 
 	"pdfshield/internal/js"
@@ -85,7 +84,7 @@ func signalWeight(sig string) int {
 }
 
 // triggerAPIs are the vulnerable / exploit-delivery APIs of the corpus
-// CVE families (keyed by final call-path segment).
+// CVE families (keyed by the callee's static name, reader.CalleeName).
 var triggerAPIs = map[string]bool{
 	"getIcon":              true,
 	"newPlayer":            true,
@@ -97,7 +96,7 @@ var triggerAPIs = map[string]bool{
 	"launchURL":            true,
 }
 
-// benignAPIs is the allowlist of call targets (final call-path segment)
+// benignAPIs is the allowlist of call targets (static callee names)
 // the benign population uses: AcroForm field plumbing, formatting,
 // alerts, and plain string/array/number work. A call outside this list
 // (and outside the special cases handled inline) marks the script
@@ -531,8 +530,7 @@ func (an *analysis) walkCall(call *js.CallExpr) absValue {
 	for _, a := range args {
 		argTags |= a.tags
 	}
-	path := calleePath(call.Callee)
-	final := finalSegment(path)
+	final := reader.CalleeName(call.Callee)
 
 	switch final {
 	case "unescape":
@@ -548,7 +546,7 @@ func (an *analysis) walkCall(call *js.CallExpr) absValue {
 		return absValue{}
 	case "printf":
 		if len(args) >= 1 && args[0].hasStr {
-			if maxFormatWidth(args[0].str) >= printfWidthLimit {
+			if reader.MaxFormatWidth(args[0].str) >= printfWidthLimit {
 				an.signal(SignalPrintfWidth)
 			}
 			return absValue{hasStr: false}
@@ -583,12 +581,12 @@ func (an *analysis) walkCall(call *js.CallExpr) absValue {
 			return absValue{}
 		}
 	}
-	an.unsure("api-unknown:" + shortPath(path))
+	an.unsure("api-unknown:" + shortPath(calleePath(call.Callee)))
 	return absValue{}
 }
 
-// calleePath renders a call target as a dotted path; unresolvable parts
-// become "?".
+// calleePath renders a call target as a dotted path for uncertainty
+// markers; unresolvable parts become "?".
 func calleePath(e js.Expr) string {
 	switch n := e.(type) {
 	case *js.Ident:
@@ -608,13 +606,6 @@ func calleePath(e js.Expr) string {
 	}
 }
 
-func finalSegment(path string) string {
-	if i := strings.LastIndexByte(path, '.'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}
-
 // shortPath bounds the path embedded in an uncertainty marker so hostile
 // sources cannot balloon the decision record.
 func shortPath(path string) string {
@@ -623,32 +614,4 @@ func shortPath(path string) string {
 		return path[:max] + "..."
 	}
 	return path
-}
-
-// maxFormatWidth finds the largest literal field width in a printf-style
-// format string ("%45000f" → 45000).
-func maxFormatWidth(format string) int {
-	best := 0
-	for i := 0; i < len(format); i++ {
-		if format[i] != '%' {
-			continue
-		}
-		j := i + 1
-		for j < len(format) && format[j] >= '0' && format[j] <= '9' {
-			j++
-		}
-		if j > i+1 {
-			// Width digits are bounded before Atoi so a hostile format
-			// cannot overflow.
-			digits := format[i+1 : j]
-			if len(digits) > 9 {
-				digits = digits[:9]
-			}
-			if w, err := strconv.Atoi(digits); err == nil && w > best {
-				best = w
-			}
-		}
-		i = j - 1
-	}
-	return best
 }

@@ -91,7 +91,8 @@ for (var i = 0; i < 200; i++) b[i] = n + p;
 // Each CVE trigger fragment must raise its API-family signal.
 func TestTriggerAPIFamilies(t *testing.T) {
 	cases := map[string]string{
-		`util.printf("%45000f", 0.01);`: SignalPrintfWidth,
+		`util.printf("%45000f", 0.01);`:                                                              SignalPrintfWidth,
+		`util.printf("%18446744073709551716f", 0.01);`:                                               SignalPrintfWidth,
 		`var s = unescape("%0a"); while (s.length < 8192) s += s; Collab.getIcon(s + "_N");`:         "api-getIcon",
 		`try { media.newPlayer(null); } catch(e) {}`:                                                 "api-newPlayer",
 		`var d = unescape("%41"); while (d.length < 8192) d += d; spell.customDictionaryOpen(0, d);`: "api-customDictionaryOpen",
@@ -111,12 +112,6 @@ func TestPrintfWidths(t *testing.T) {
 	an := analyze(t, `var s = util.printf("%.2f", 1.5); var d = util.printf("Hello, %s", "x");`)
 	if an.signals[SignalPrintfWidth] {
 		t.Fatal("benign printf width flagged")
-	}
-	if maxFormatWidth("%45000f") != 45000 {
-		t.Fatalf("maxFormatWidth(%%45000f) = %d", maxFormatWidth("%45000f"))
-	}
-	if w := maxFormatWidth("%999999999999999999f"); w < printfWidthLimit {
-		t.Fatalf("overlong width parsed to %d", w)
 	}
 }
 
@@ -161,6 +156,7 @@ func TestStagingResolves(t *testing.T) {
 		`this.setPageAction(0, "Open", ` + quoted + `);`,
 		`this.getField("btn").setAction("MouseUp", ` + quoted + `);`,
 		`this.bookmarkRoot.setAction(` + quoted + `);`,
+		`this["addScript"]("n", ` + quoted + `);`,
 	} {
 		an := analyze(t, src)
 		if !an.signals[SignalSprayGrow] {

@@ -15,11 +15,10 @@
 // ProcessDocumentContext instruments the document (Phase I), opens it in
 // a simulated, hooked reader process wired to the live runtime detector
 // (Phase II), and reports the verdict with the full 13-feature malscore
-// breakdown. Options.Depth (or BatchOptions.Depth per batch) selects the
-// scan tier: DepthStatic routes on triage alone, DepthStandard performs
-// the dynamic open, DepthDeep adds forced execution of dormant branches,
-// and DepthAuto escalates only triage-uncertain documents to the deep
-// lane.
+// breakdown. Options.Depth selects the scan tier of every submission:
+// DepthStatic routes on triage alone, DepthStandard performs the dynamic
+// open, DepthDeep adds forced execution of dormant branches, and
+// DepthAuto escalates only triage-uncertain documents to the deep lane.
 //
 // Lower-level entry points: Analyze extracts the five static features
 // without modifying a document; Instrument performs Phase I only; Session
@@ -107,10 +106,12 @@ type Options struct {
 	// OpenJournal; a recorded journal replays offline through
 	// `pdfshield-detect -replay`.
 	Journal *Journal
-	// Depth is the system-wide scan depth (DepthStatic, DepthStandard,
-	// DepthDeep or DepthAuto; empty = DepthStandard). BatchOptions.Depth
-	// overrides this per batch. The deep lane explores at most 16 paths,
-	// 64 forced decisions per path and 2M interpreter steps per path.
+	// Depth is the scan depth of every submission, single documents and
+	// batches alike (DepthStatic, DepthStandard, DepthDeep or DepthAuto;
+	// empty = DepthStandard). It is the API's one depth knob: to scan some
+	// documents deeper, run a second System. The deep lane explores at
+	// most 16 paths, 64 forced decisions per path and 2M interpreter
+	// steps per path.
 	Depth Depth
 }
 
@@ -313,20 +314,17 @@ func toVerdict(v *pipeline.Verdict) *Verdict {
 type BatchDoc = pipeline.BatchDoc
 
 // BatchOptions tunes a batch run: Workers concurrent reader sessions
-// (zero or negative = runtime.NumCPU()) and a Depth that overrides
-// Options.Depth for this batch (empty = inherit; an unknown value fails
-// every slot).
+// (zero or negative = runtime.NumCPU()). Every document is scanned at
+// the System's Options.Depth.
 type BatchOptions = pipeline.BatchOptions
 
 // BatchResult collects a batch run's outcome. Verdicts and Errors are
 // indexed like the input documents; exactly one of Verdicts[i]/Errors[i]
-// is non-nil per document.
+// is non-nil per document. System.CacheStats reports the front-end
+// cache's counters.
 type BatchResult struct {
 	Verdicts []*Verdict
 	Errors   []error
-	// CacheStats snapshots the front-end cache after the batch (nil when
-	// the system runs without one).
-	CacheStats *CacheStats
 }
 
 // ProcessBatchContext runs the full pipeline over many documents with a
@@ -338,7 +336,7 @@ type BatchResult struct {
 // error satisfies errors.Is(err, ctx.Err()).
 func (s *System) ProcessBatchContext(ctx context.Context, docs []BatchDoc, opts BatchOptions) *BatchResult {
 	res := s.inner.ProcessBatchContext(ctx, docs, opts)
-	out := &BatchResult{Verdicts: make([]*Verdict, len(docs)), Errors: make([]error, len(docs)), CacheStats: res.CacheStats}
+	out := &BatchResult{Verdicts: make([]*Verdict, len(docs)), Errors: make([]error, len(docs))}
 	for i, v := range res.Verdicts {
 		if err := res.Errors[i]; err != nil {
 			out.Errors[i] = fmt.Errorf("pdfshield: process %s: %w", docs[i].ID, err)
