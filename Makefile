@@ -68,9 +68,10 @@ race:
 # Fuzz every attacker-facing decoder for FUZZTIME each: full-document PDF
 # parsing, the stream filter codecs, the Javascript interpreter (single
 # run and forced-execution exploration — arbitrary scripts must never
-# panic, hang, or leak forcing state out of the explorer — plus two
+# panic, hang, or leak forcing state out of the explorer — plus three
 # differentials: the bytecode VM must match the tree-walking reference
-# evaluator, and rope strings must be invisible next to flat ones), the SOAP
+# evaluator, rope strings must be invisible next to flat ones, and an
+# array's dense prefix must be invisible next to a map-only model), the SOAP
 # envelope codec, the in-process context and hook delivery paths (each
 # must accept, reject and normalise exactly what its wire path does),
 # the static triage tier (census + abstract interpretation over arbitrary
@@ -87,6 +88,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzForcedExec$$' -fuzztime $(FUZZTIME) ./internal/js/
 	$(GO) test -fuzz '^FuzzCompileVsTreeWalk$$' -fuzztime $(FUZZTIME) ./internal/js/
 	$(GO) test -fuzz '^FuzzRopeVsFlat$$' -fuzztime $(FUZZTIME) ./internal/js/
+	$(GO) test -fuzz '^FuzzArrayModel$$' -fuzztime $(FUZZTIME) ./internal/js/
 	$(GO) test -fuzz '^FuzzEnvelope$$' -fuzztime $(FUZZTIME) ./internal/soapsrv/
 	$(GO) test -fuzz '^FuzzDirectVsWire$$' -fuzztime $(FUZZTIME) ./internal/soapsrv/
 	$(GO) test -fuzz '^FuzzDirectVsWire$$' -fuzztime $(FUZZTIME) ./internal/hook/

@@ -209,3 +209,47 @@ func TestPickSafeShiftAvoidsSurrogates(t *testing.T) {
 		}
 	}
 }
+
+// TestDecryptorAccountingPinned pins the step and heap totals of both
+// decryptors on a 4 KB script. They write one array element per source
+// character on every instrumented open, so a change to how the engine
+// stores arrays must leave both totals exactly as they are.
+func TestDecryptorAccountingPinned(t *testing.T) {
+	src := strings.Repeat(`var total = 0; for (var i = 0; i < 10; i++) { total += i; } app.alert("sum " + total);`+"\n", 45)
+	run := func(decls []string, fn string) (int64, int64) {
+		it := js.New()
+		if _, err := it.Run(strings.Join(decls, "\n") + "\nout = " + fn + "('ok');"); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := it.Global.Lookup("out"); v.Str() != src {
+			t.Fatal("decryptor did not return the source")
+		}
+		return it.Steps(), it.HeapBytes
+	}
+	b := &monitorBuilder{rng: rand.New(rand.NewSource(9)), detectorID: "d"}
+	names := map[string]bool{}
+	payloadVar, keyVar, fn := b.freshName(names), b.freshName(names), b.freshName(names)
+	payload, jsKey := b.encryptXORHex(src)
+	xorSteps, xorHeap := run([]string{
+		"var " + payloadVar + "=" + jsStringLiteral(payload) + ";",
+		"var " + keyVar + "=" + jsKey + ";",
+		xorHexDecryptor(fn, payloadVar, keyVar, names, b),
+	}, fn)
+	names = map[string]bool{}
+	payloadVar, fn = b.freshName(names), b.freshName(names)
+	payload, shift, astral := b.encryptShiftEscape(src)
+	shiftSteps, shiftHeap := run([]string{
+		"var " + payloadVar + "=" + jsStringLiteral(payload) + ";",
+		shiftEscapeDecryptor(fn, payloadVar, shift, astral, names, b),
+	}, fn)
+	const (
+		wantXORSteps, wantXORHeap     = 148809, 94072
+		wantShiftSteps, wantShiftHeap = 806525, 86130
+	)
+	if xorSteps != wantXORSteps || xorHeap != wantXORHeap {
+		t.Errorf("xor-hex: steps %d heap %d, pinned steps %d heap %d", xorSteps, xorHeap, wantXORSteps, wantXORHeap)
+	}
+	if shiftSteps != wantShiftSteps || shiftHeap != wantShiftHeap {
+		t.Errorf("shift-escape: steps %d heap %d, pinned steps %d heap %d", shiftSteps, shiftHeap, wantShiftSteps, wantShiftHeap)
+	}
+}

@@ -446,6 +446,11 @@ func init() {
 			if o == nil {
 				return Undefined(), it.throwTypeError("join on non-array")
 			}
+			if o.joining {
+				return it.newString("")
+			}
+			o.joining = true
+			defer func() { o.joining = false }()
 			sep := ","
 			if !arg(args, 0).IsUndefined() {
 				var err error
@@ -897,48 +902,50 @@ func parseIntJS(s string, radix int) float64 {
 	return out
 }
 
+// parseFloatJS implements the global parseFloat: the longest prefix of
+// the trimmed string that is a decimal literal (or Infinity), else NaN.
 func parseFloatJS(s string) float64 {
 	t := strings.TrimSpace(s)
-	end := 0
-	seenDot, seenExp := false, false
-	for end < len(t) {
-		c := t[end]
-		switch {
-		case c >= '0' && c <= '9':
-		case c == '.' && !seenDot && !seenExp:
-			seenDot = true
-		case (c == 'e' || c == 'E') && !seenExp && end > 0:
-			seenExp = true
-		case (c == '+' || c == '-') && (end == 0 || t[end-1] == 'e' || t[end-1] == 'E'):
-		default:
-			goto done
-		}
-		end++
+	i := 0
+	if i < len(t) && (t[i] == '+' || t[i] == '-') {
+		i++
 	}
-done:
-	if end == 0 {
+	if strings.HasPrefix(t[i:], "Infinity") {
+		if t[0] == '-' {
+			return math.Inf(-1)
+		}
+		return math.Inf(1)
+	}
+	digits := 0
+	for ; i < len(t) && isDigit(t[i]); i++ {
+		digits++
+	}
+	if i < len(t) && t[i] == '.' {
+		for i++; i < len(t) && isDigit(t[i]); i++ {
+			digits++
+		}
+	}
+	if digits == 0 {
 		return math.NaN()
 	}
-	f, err := parseDecimalSigned(t[:end])
+	end := i
+	if i < len(t) && (t[i] == 'e' || t[i] == 'E') {
+		i++
+		if i < len(t) && (t[i] == '+' || t[i] == '-') {
+			i++
+		}
+		if i < len(t) && isDigit(t[i]) {
+			for i < len(t) && isDigit(t[i]) {
+				i++
+			}
+			end = i
+		}
+	}
+	f, err := parseDecimal(t[:end])
 	if err != nil {
 		return math.NaN()
 	}
 	return f
-}
-
-func parseDecimalSigned(s string) (float64, error) {
-	neg := false
-	if strings.HasPrefix(s, "-") {
-		neg = true
-		s = s[1:]
-	} else if strings.HasPrefix(s, "+") {
-		s = s[1:]
-	}
-	f, err := parseDecimal(s)
-	if neg {
-		f = -f
-	}
-	return f, err
 }
 
 // unescapeJS implements the legacy global unescape(): %uXXXX and %XX.

@@ -13,6 +13,8 @@ package js
 // instruction re-executes each iteration — the compiler flushes the pending
 // charge into an explicit opNop.
 
+import "math"
+
 // Compile lowers a parsed program into a bytecode unit.
 func Compile(prog *Program) *Code {
 	c := &compiler{
@@ -40,9 +42,11 @@ func CompileSource(src string) (*Code, error) {
 	return code, nil
 }
 
+// constKey identifies a constant. num holds the number's bits: as a
+// float64 key, 0 and -0 would be one constant.
 type constKey struct {
 	kind ValueKind
-	num  float64
+	num  uint64
 	str  string
 }
 
@@ -53,7 +57,7 @@ type compiler struct {
 }
 
 func (c *compiler) constIndex(v Value) int32 {
-	k := constKey{kind: v.Kind(), num: v.num, str: v.Str()}
+	k := constKey{kind: v.Kind(), num: math.Float64bits(v.num), str: v.Str()}
 	if idx, ok := c.constIdx[k]; ok {
 		return idx
 	}

@@ -807,6 +807,11 @@ func valueToString(it *Interp, v Value) (string, error) {
 		}
 		switch {
 		case o.Class == ClassArray:
+			if o.joining {
+				return "", nil
+			}
+			o.joining = true
+			defer func() { o.joining = false }()
 			// Builder keeps this linear; += on a string accumulator is
 			// quadratic in the array length, which hostile scripts exploit.
 			var b strings.Builder

@@ -3,7 +3,7 @@ package js
 import (
 	"errors"
 	"fmt"
-	"math"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 )
@@ -224,42 +224,16 @@ func hexDigit(c byte) (int, bool) {
 	return 0, false
 }
 
-// parseDecimal parses a decimal float without strconv's full grammar
-// (Javascript numbers here never need hex floats or underscores).
+// parseDecimal parses validated decimal literal text (an optional sign,
+// digits with at most one dot, an optional exponent), rounded correctly.
+// A literal too large for a float64 is ±Infinity and one too small is 0,
+// as in Javascript.
 func parseDecimal(s string) (float64, error) {
-	var mant float64
-	i := 0
-	for i < len(s) && isDigit(s[i]) {
-		mant = mant*10 + float64(s[i]-'0')
-		i++
+	f, err := strconv.ParseFloat(s, 64)
+	if errors.Is(err, strconv.ErrRange) {
+		return f, nil
 	}
-	if i < len(s) && s[i] == '.' {
-		i++
-		div := 1.0
-		for i < len(s) && isDigit(s[i]) {
-			div *= 10
-			mant += float64(s[i]-'0') / div
-			i++
-		}
-	}
-	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
-		i++
-		neg := false
-		if i < len(s) && (s[i] == '+' || s[i] == '-') {
-			neg = s[i] == '-'
-			i++
-		}
-		exp := 0
-		for i < len(s) && isDigit(s[i]) {
-			exp = exp*10 + int(s[i]-'0')
-			i++
-		}
-		if neg {
-			exp = -exp
-		}
-		mant *= math.Pow(10, float64(exp))
-	}
-	return mant, nil
+	return f, err
 }
 
 // lexString lexes a quoted string literal handling the escape forms that
@@ -320,6 +294,13 @@ func (lx *lexer) lexString(quote byte) (string, error) {
 			case '\n':
 				lx.line++
 				lx.pos++
+			case '\r':
+				// Line continuation across CR LF or a lone CR.
+				lx.pos++
+				if lx.pos < len(lx.src) && lx.src[lx.pos] == '\n' {
+					lx.line++
+					lx.pos++
+				}
 			default:
 				r, size := sourceRune(lx.src, lx.pos)
 				b.WriteRune(r)

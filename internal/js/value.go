@@ -191,8 +191,13 @@ func (v Value) ToNumber() float64 {
 		return stringToNumber(v.Str())
 	default:
 		// Object -> primitive via valueOf-ish: arrays join, others NaN.
-		if v.obj != nil && v.obj.Class == ClassArray && v.obj.arrayLen() == 1 {
-			return v.obj.getIndex(0).ToNumber()
+		if o := v.obj; o != nil && o.Class == ClassArray && o.arrayLen() == 1 {
+			if o.joining {
+				return 0 // a cycle joins as "", which is 0
+			}
+			o.joining = true
+			defer func() { o.joining = false }()
+			return o.getIndex(0).ToNumber()
 		}
 		return math.NaN()
 	}
@@ -230,20 +235,54 @@ func stringToNumber(s string) float64 {
 	return f
 }
 
-// numberToString renders a float per (approximated) ES ToString(Number).
+// numberToString implements ES Number::toString: the shortest digits
+// that round-trip, placed by the value's decimal exponent.
 func numberToString(f float64) string {
 	switch {
+	case f == math.Trunc(f) && math.Abs(f) < 1<<53:
+		return strconv.FormatInt(int64(f), 10) // -0 reads "0"
 	case math.IsNaN(f):
 		return "NaN"
 	case math.IsInf(f, 1):
 		return "Infinity"
 	case math.IsInf(f, -1):
 		return "-Infinity"
-	case f == math.Trunc(f) && math.Abs(f) < 1e21:
-		return strconv.FormatFloat(f, 'f', -1, 64)
-	default:
-		return strconv.FormatFloat(f, 'g', -1, 64)
 	}
+	// Shortest digits d1..dk and exponent n with |f| = 0.d1..dk × 10^n.
+	e := strconv.FormatFloat(math.Abs(f), 'e', -1, 64)
+	mant, exp, _ := strings.Cut(e, "e")
+	digits := strings.Replace(mant, ".", "", 1)
+	x, _ := strconv.Atoi(exp)
+	k, n := len(digits), x+1
+	var b strings.Builder
+	if f < 0 {
+		b.WriteByte('-')
+	}
+	switch {
+	case k <= n && n <= 21:
+		b.WriteString(digits)
+		b.WriteString(strings.Repeat("0", n-k))
+	case 0 < n && n <= 21:
+		b.WriteString(digits[:n])
+		b.WriteByte('.')
+		b.WriteString(digits[n:])
+	case -6 < n && n <= 0:
+		b.WriteString("0.")
+		b.WriteString(strings.Repeat("0", -n))
+		b.WriteString(digits)
+	default:
+		b.WriteByte(digits[0])
+		if k > 1 {
+			b.WriteByte('.')
+			b.WriteString(digits[1:])
+		}
+		b.WriteByte('e')
+		if n-1 >= 0 {
+			b.WriteByte('+')
+		}
+		b.WriteString(strconv.Itoa(n - 1))
+	}
+	return b.String()
 }
 
 // TypeOf implements the typeof operator.
@@ -293,6 +332,20 @@ type Object struct {
 	props map[string]Value
 	keys  []string
 
+	// elems holds an array's index prefix: elems[i] is own property i for
+	// every i < len(elems). props never holds an index below len(elems),
+	// nor len(elems) itself: that entry is pulled up into elems when the
+	// prefix reaches it. Only arrays use elems; every other object keeps
+	// all its keys in props, in insertion order.
+	elems []Value
+	// sparse counts the index keys props holds (array entries past a hole).
+	sparse int
+	// joining marks an array whose conversion to a primitive is under way.
+	// Meeting it again inside that conversion is a cycle, which converts
+	// as "" (as in browser engines) instead of recursing until the Go
+	// stack overflows and kills the process.
+	joining bool
+
 	// getters are consulted before props (host objects).
 	getters map[string]PropGetter
 
@@ -323,11 +376,7 @@ func NewHostObject(name string) *Object {
 
 // NewArray returns an array object with the given elements.
 func NewArray(elems ...Value) *Object {
-	o := &Object{Class: ClassArray, props: make(map[string]Value, len(elems))}
-	for i, el := range elems {
-		o.setIndex(i, el)
-	}
-	return o
+	return &Object{Class: ClassArray, elems: append([]Value(nil), elems...), length: len(elems)}
 }
 
 // NewHostFunc wraps a native function.
@@ -352,14 +401,42 @@ func (o *Object) Getter(name string) (PropGetter, bool) {
 	return g, ok
 }
 
+// maxIndex bounds array indices: arrayIndex accepts at most nine digits,
+// so "1000000000" and above are named keys that do not move length.
+const maxIndex = 1e9
+
 // GetOwn returns an own property.
 func (o *Object) GetOwn(name string) (Value, bool) {
+	if len(o.elems) > 0 {
+		if idx, ok := arrayIndex(name); ok && idx < len(o.elems) {
+			return o.elems[idx], true
+		}
+	}
 	v, ok := o.props[name]
 	return v, ok
 }
 
-// Set defines or updates a property, preserving insertion order.
+// Set defines or updates a property, preserving insertion order. On an
+// array, an index key stores an element and "length" truncates or
+// extends; neither is kept as a named property.
 func (o *Object) Set(name string, v Value) {
+	if o.Class == ClassArray {
+		if idx, ok := arrayIndex(name); ok {
+			o.setIndex(idx, v)
+			return
+		}
+		if name == "length" {
+			if n := int(v.ToNumber()); n >= 0 {
+				o.truncate(n)
+			}
+			return
+		}
+	}
+	o.setProp(name, v)
+}
+
+// setProp stores name in props, appending it to keys when it is new.
+func (o *Object) setProp(name string, v Value) {
 	if o.props == nil {
 		o.props = make(map[string]Value)
 	}
@@ -367,27 +444,31 @@ func (o *Object) Set(name string, v Value) {
 		o.keys = append(o.keys, name)
 	}
 	o.props[name] = v
-	if o.Class == ClassArray {
-		if idx, ok := arrayIndex(name); ok && idx >= o.length {
-			o.length = idx + 1
-		}
-		if name == "length" {
-			// Explicit length assignment truncates (approximation: only
-			// adjusts the counter).
-			n := int(v.ToNumber())
-			if n >= 0 {
-				o.truncate(n)
-			}
-		}
-	}
 }
 
-// Delete removes a property.
+// Delete removes a property. Deleting an element inside an array's
+// prefix spills the elements after it into props as sparse entries.
 func (o *Object) Delete(name string) {
+	if len(o.elems) > 0 {
+		if idx, ok := arrayIndex(name); ok && idx < len(o.elems) {
+			for j := idx + 1; j < len(o.elems); j++ {
+				o.setProp(strconv.Itoa(j), o.elems[j])
+				o.sparse++
+			}
+			clear(o.elems[idx:])
+			o.elems = o.elems[:idx]
+			return
+		}
+	}
 	if _, ok := o.props[name]; !ok {
 		return
 	}
 	delete(o.props, name)
+	if o.Class == ClassArray {
+		if _, ok := arrayIndex(name); ok {
+			o.sparse--
+		}
+	}
 	for i, k := range o.keys {
 		if k == name {
 			o.keys = append(o.keys[:i], o.keys[i+1:]...)
@@ -401,34 +482,55 @@ func (o *Object) truncate(n int) {
 		o.length = n
 		return
 	}
-	// One pass over keys: deleting index by index rescans and shifts keys
-	// per element, which is quadratic in the array length.
-	kept := o.keys[:0]
-	for _, k := range o.keys {
-		if idx, ok := arrayIndex(k); ok && idx >= n && idx < o.length {
-			delete(o.props, k)
-			continue
-		}
-		kept = append(kept, k)
+	if k := max(n, 0); k < len(o.elems) {
+		clear(o.elems[k:])
+		o.elems = o.elems[:k]
 	}
-	o.keys = kept
+	if o.sparse > 0 {
+		o.filterKeys(func(k string) bool {
+			if idx, ok := arrayIndex(k); ok && idx >= n && idx < o.length {
+				delete(o.props, k)
+				o.sparse--
+				return false
+			}
+			return true
+		})
+	}
 	o.length = n
 }
 
-// Keys returns property names in insertion order (excluding length).
-func (o *Object) Keys() []string {
-	out := make([]string, 0, len(o.keys))
+// filterKeys keeps the keys for which keep reports true, in one pass:
+// removing them one by one rescans and shifts keys per key, which is
+// quadratic in their number.
+func (o *Object) filterKeys(keep func(k string) bool) {
+	kept := o.keys[:0]
 	for _, k := range o.keys {
-		if o.Class == ClassArray && k == "length" {
-			continue
+		if keep(k) {
+			kept = append(kept, k)
 		}
-		out = append(out, k)
 	}
-	if o.Class == ClassArray {
-		// Numeric keys first in ascending order, like real engines.
-		sort.SliceStable(out, func(i, j int) bool {
-			ai, aok := arrayIndex(out[i])
-			bi, bok := arrayIndex(out[j])
+	clear(o.keys[len(kept):])
+	o.keys = kept
+}
+
+// Keys returns property names in for-in order: an array's indices in
+// ascending order, then its named keys in insertion order; every other
+// object's keys in insertion order.
+func (o *Object) Keys() []string {
+	if o.Class != ClassArray {
+		return append([]string(nil), o.keys...)
+	}
+	out := make([]string, 0, len(o.elems)+len(o.keys))
+	for i := range o.elems {
+		out = append(out, strconv.Itoa(i))
+	}
+	out = append(out, o.keys...)
+	if o.sparse > 0 {
+		// Sparse indices ahead of named keys, ascending.
+		rest := out[len(o.elems):]
+		sort.SliceStable(rest, func(i, j int) bool {
+			ai, aok := arrayIndex(rest[i])
+			bi, bok := arrayIndex(rest[j])
 			switch {
 			case aok && bok:
 				return ai < bi
@@ -460,9 +562,29 @@ func arrayIndex(name string) (int, bool) {
 	return n, true
 }
 
+// numberIndex reports whether key is a number whose string form is an
+// array index (an integer in [0, maxIndex); -0 reads "0"), and returns
+// that index without formatting the key.
+func numberIndex(key Value) (int, bool) {
+	if key.kind != KindNumber {
+		return 0, false
+	}
+	f := key.num
+	if f >= 0 && f < maxIndex && f == math.Trunc(f) {
+		return int(f), true
+	}
+	return 0, false
+}
+
 func (o *Object) arrayLen() int { return o.length }
 
 func (o *Object) getIndex(i int) Value {
+	if uint(i) < uint(len(o.elems)) {
+		return o.elems[i]
+	}
+	if o.Class == ClassArray && o.sparse == 0 && i >= 0 && i < maxIndex {
+		return Undefined()
+	}
 	v, ok := o.props[strconv.Itoa(i)]
 	if !ok {
 		return Undefined()
@@ -471,5 +593,47 @@ func (o *Object) getIndex(i int) Value {
 }
 
 func (o *Object) setIndex(i int, v Value) {
-	o.Set(strconv.Itoa(i), v)
+	if o.Class != ClassArray || i < 0 || i >= maxIndex {
+		o.setProp(strconv.Itoa(i), v)
+		return
+	}
+	switch n := len(o.elems); {
+	case i < n:
+		o.elems[i] = v
+	case i == n:
+		o.elems = append(o.elems, v)
+		if o.sparse > 0 {
+			o.pullUp()
+		}
+	default:
+		key := strconv.Itoa(i)
+		if _, exists := o.props[key]; !exists {
+			o.sparse++
+		}
+		o.setProp(key, v)
+	}
+	if i >= o.length {
+		o.length = i + 1
+	}
+}
+
+// pullUp moves the sparse entries that continue the prefix into elems.
+func (o *Object) pullUp() {
+	from := len(o.elems)
+	for o.sparse > 0 {
+		key := strconv.Itoa(len(o.elems))
+		v, ok := o.props[key]
+		if !ok {
+			break
+		}
+		o.elems = append(o.elems, v)
+		delete(o.props, key)
+		o.sparse--
+	}
+	if len(o.elems) > from {
+		o.filterKeys(func(k string) bool {
+			idx, ok := arrayIndex(k)
+			return !ok || idx >= len(o.elems)
+		})
+	}
 }

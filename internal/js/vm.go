@@ -339,6 +339,18 @@ func runFrame(it *Interp, f *vmFrame) vmComp {
 			f.stack[f.sp-1] = v
 		case opGetMemberDyn:
 			f.sp--
+			if idx, ok := numberIndex(f.stack[f.sp]); ok {
+				// a[i] and s[i] with a number key: no key string.
+				base := f.stack[f.sp-1]
+				if o := base.Object(); o != nil && o.Class == ClassArray && o.getters == nil {
+					f.stack[f.sp-1] = o.getIndex(idx)
+					break
+				}
+				if base.IsString() {
+					f.stack[f.sp-1], failErr = it.stringCharAt(base, idx)
+					break
+				}
+			}
 			name, err := valueToString(it, f.stack[f.sp])
 			if err != nil {
 				failErr = err
@@ -354,6 +366,14 @@ func runFrame(it *Interp, f *vmFrame) vmComp {
 			failErr = f.setMember(it, names[in.a], in.b == 1)
 		case opSetMemberDyn:
 			f.sp--
+			if idx, ok := numberIndex(f.stack[f.sp]); ok {
+				if o := f.stack[f.sp-1].Object(); o != nil && o.Class == ClassArray {
+					f.sp--
+					o.setIndex(idx, f.stack[f.sp-1])
+					failErr = f.stored(it, o, in.b == 1)
+					break
+				}
+			}
 			name, err := valueToString(it, f.stack[f.sp])
 			if err != nil {
 				failErr = err
@@ -650,6 +670,12 @@ func (f *vmFrame) setMember(it *Interp, name string, keep bool) error {
 		return it.throwTypeError("cannot set property %q of %s", name, objV.TypeOf())
 	}
 	o.Set(name, v)
+	return f.stored(it, o, keep)
+}
+
+// stored finishes a member store into o: an array store is charged 16
+// heap bytes, and the stored value stays on the stack when keep is set.
+func (f *vmFrame) stored(it *Interp, o *Object, keep bool) error {
 	if o.Class == ClassArray {
 		if err := it.alloc(16); err != nil {
 			return err

@@ -246,6 +246,19 @@ var differentialScripts = []string{
 	`var sp = "a,b,c".split(","); sp.length + sp[2];`,
 	`"payload".replace("pay", "un") + "substr".substring(0, 3);`,
 	`String.fromCharCode(65, 66, 67);`,
+	// Number constants and formatting: 0 and -0 are two constants.
+	`var a = -0; var b = 0; 1/b;`,
+	`var a = 0; var b = -0; 1/b;`,
+	"u=0,-\r0",
+	`[-0, 1234567.5, 0.00001, 1e-7, 1.5e300, 1e21, 0.1 + 0.2] + "";`,
+	// Dense and sparse arrays: number keys, string keys, holes, deletes.
+	`var dn = []; dn[-0] = "z"; dn[0] + dn["0"] + dn.length;`,
+	`var sp2 = []; sp2[3] = "c"; sp2[1] = "a"; sp2[0] = "x"; sp2[2] = "b"; var ko = ""; for (var k in sp2) ko += k; ko + sp2.join("") + sp2.length;`,
+	`var dl = [1,2,3,4]; delete dl[1]; dl.push(5); dl[1] = 9; var kd = ""; for (var k in dl) kd += k; kd + "|" + dl.join();`,
+	`var tl = [1,2,3]; tl.length = 1; tl.push(7); tl.length = 4; tl.x = 1; tl["01"] = 2; var kt = ""; for (var k in tl) kt += k + ","; kt + tl.join();`,
+	`var na = new Array(3); na[1] = "m"; na[1.5] = "f"; na[1e9] = "big"; na.length + na.join("-") + na[1.5] + na[1e9];`,
+	`var sx = "abc"; sx[0] + sx[2] + sx[1.5] + sx[-0] + sx[9];`,
+	`var ob = {}; ob[2] = "b"; ob[1] = "a"; ob["x"] = "c"; var kb = ""; for (var k in ob) kb += k; kb;`,
 }
 
 func TestVMDifferential(t *testing.T) {
