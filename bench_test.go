@@ -87,7 +87,7 @@ func BenchmarkRuntimeOverhead_PerScript(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sess := sys.NewSession()
-			if _, err := sess.OpenRaw("inst", res.Output, reader.OpenOptions{}); err != nil {
+			if _, err := sess.Proc.Open("inst", res.Output, reader.OpenOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			sess.Close()

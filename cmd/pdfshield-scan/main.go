@@ -247,7 +247,7 @@ func scanFile(input string, ins *instrument.Instrumenter, fc *cache.Cache, jw *j
 			d := triage.Evaluate(triage.Config{}, raw, &instrument.Result{
 				Features:    feats,
 				Chains:      chains,
-				Doc:         doc,
+				Recovered:   doc.Recovered,
 				ObjectCount: chains.TotalObjects,
 			})
 			writeTriageReport(&sb, d)

@@ -39,7 +39,7 @@ func censusVector(raw []byte) []float64 {
 		res = &instrument.Result{
 			Features:    feats,
 			Chains:      chains,
-			Doc:         doc,
+			Recovered:   doc.Recovered,
 			ObjectCount: chains.TotalObjects,
 		}
 	}

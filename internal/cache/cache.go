@@ -441,7 +441,7 @@ func (sh *shard) storeLocked(c *Cache, key string, res *instrument.Result, err e
 		// A racing Invalidate+Do can re-store; replace, don't double-count.
 		sh.removeLocked(old)
 	}
-	e := &entry{key: key, res: res, err: err, size: resultSize(res)}
+	e := &entry{key: key, res: res, err: err, size: resultSize(res, err)}
 	if c.maxBytes > 0 && e.size > c.maxBytes {
 		// Larger than the whole shard budget: caching it would evict
 		// everything for one resident; skip it.
@@ -489,8 +489,11 @@ func (sh *shard) dropped(res *instrument.Result) {
 
 // resultSize approximates the retained payload of one cached outcome:
 // the instrumented output, the de-instrumentation spec's saved originals,
-// and the same for every embedded result, plus fixed overhead.
-func resultSize(res *instrument.Result) int64 {
+// the reader view an open builds (charged at its ViewBound, known now
+// although the view is built on the first open; outcomes that fail the
+// front-end are never opened and carry no view), and the same for every
+// embedded result, plus fixed overhead.
+func resultSize(res *instrument.Result, err error) int64 {
 	size := int64(entryOverhead)
 	if res == nil {
 		return size
@@ -499,8 +502,11 @@ func resultSize(res *instrument.Result) int64 {
 	for _, se := range res.Spec.Entries {
 		size += int64(len(se.Original))
 	}
+	if err == nil {
+		size += res.ViewBound()
+	}
 	for _, emb := range res.Embedded {
-		size += resultSize(emb)
+		size += resultSize(emb, nil)
 	}
 	return size
 }

@@ -8,13 +8,21 @@ import (
 	"testing"
 	"time"
 
+	"pdfshield/internal/corpus"
 	"pdfshield/internal/instrument"
 )
 
 // resultWithOutput builds a minimal Result whose cached size is
-// entryOverhead + n payload bytes.
+// storedSize(n).
 func resultWithOutput(n int) *instrument.Result {
 	return &instrument.Result{Output: make([]byte, n)}
+}
+
+// storedSize is what the cache charges for resultWithOutput(n) stored
+// without an error: entryOverhead, n payload bytes and the reader view's
+// bound.
+func storedSize(n int) int64 {
+	return entryOverhead + int64(n) + resultWithOutput(n).ViewBound()
 }
 
 func TestDoCachesResultAndTerminalError(t *testing.T) {
@@ -92,7 +100,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestBytesCapEvicts(t *testing.T) {
 	const payload = 1024
-	perEntry := int64(payload + entryOverhead)
+	perEntry := storedSize(payload)
 	c := New(Config{MaxBytes: 2 * perEntry, MaxEntries: -1, Shards: 1})
 	for i := 1; i <= 3; i++ {
 		k := fmt.Sprintf("k%d", i)
@@ -108,7 +116,7 @@ func TestBytesCapEvicts(t *testing.T) {
 }
 
 func TestOversizedEntryNotStored(t *testing.T) {
-	c := New(Config{MaxBytes: entryOverhead + 10, MaxEntries: -1, Shards: 1})
+	c := New(Config{MaxBytes: storedSize(10), MaxEntries: -1, Shards: 1})
 	c.Do("small", func() (*instrument.Result, error) { return resultWithOutput(1), nil })
 	c.Do("big", func() (*instrument.Result, error) { return resultWithOutput(1 << 20), nil })
 	if _, _, ok := c.Get("small"); !ok {
@@ -123,9 +131,54 @@ func TestResultSizeCountsSpecAndEmbedded(t *testing.T) {
 	res := resultWithOutput(100)
 	res.Spec.Entries = []instrument.SpecEntry{{Original: string(make([]byte, 40))}}
 	res.Embedded = []*instrument.Result{resultWithOutput(60)}
-	want := int64(entryOverhead+100+40) + int64(entryOverhead+60)
-	if got := resultSize(res); got != want {
+	want := int64(entryOverhead+100+40) + res.ViewBound() + storedSize(60)
+	if got := resultSize(res, nil); got != want {
 		t.Fatalf("resultSize = %d, want %d", got, want)
+	}
+}
+
+// TestResultSizeChargesReaderView: an opened artifact is charged the bound
+// of the reader view it will build, script text included, and the view an
+// open of a real instrumented document builds stays within that charge. A
+// front-end failure is never opened and is charged no view.
+func TestResultSizeChargesReaderView(t *testing.T) {
+	res := resultWithOutput(100)
+	res.ScriptBytes = 300
+	if got, want := resultSize(res, nil), int64(entryOverhead+100)+res.ViewBound(); got != want {
+		t.Fatalf("resultSize = %d, want %d", got, want)
+	}
+	if bound := res.ViewBound(); bound < 100+300 {
+		t.Fatalf("ViewBound = %d, want at least output plus script bytes", bound)
+	}
+	if got, want := resultSize(res, instrument.ErrNoJavaScript), int64(entryOverhead+100); got != want {
+		t.Fatalf("resultSize of a failed front-end pass = %d, want %d (no view)", got, want)
+	}
+
+	g := corpus.NewGenerator(5)
+	samples := []corpus.Sample{g.BenignFormJS()}
+	for _, fam := range []string{"mal-egghunt", "mal-titlehidden", "mal-flash", "mal-cooltype"} {
+		s, ok := g.MaliciousFamily(fam)
+		if !ok {
+			t.Fatalf("no family %s", fam)
+		}
+		samples = append(samples, s)
+	}
+	for _, s := range samples {
+		ins := instrument.New(instrument.NewRegistry("cachetest01"), instrument.Options{Seed: 5})
+		r, err := ins.InstrumentBytes(s.ID, s.Raw)
+		if err != nil {
+			t.Fatalf("%s: %v", s.ID, err)
+		}
+		view, err := r.Prepared()
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", s.ID, err)
+		}
+		if view.Size() > r.ViewBound() {
+			t.Errorf("%s: view retains %d bytes, over its charged bound %d", s.ID, view.Size(), r.ViewBound())
+		}
+		if again, _ := r.Prepared(); again != view {
+			t.Errorf("%s: a view within its bound must be kept and shared", s.ID)
+		}
 	}
 }
 

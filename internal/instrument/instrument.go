@@ -12,6 +12,7 @@ import (
 	"pdfshield/internal/js"
 	"pdfshield/internal/obs"
 	"pdfshield/internal/pdf"
+	"pdfshield/internal/reader"
 )
 
 // DefaultEndpointAddr is the host:port of DefaultEndpoint.
@@ -157,9 +158,12 @@ type Result struct {
 	Chains pdf.ChainSet
 	// Output is the serialized instrumented document.
 	Output []byte
-	// Doc is the instrumented in-memory document (shares no state with
-	// Output; reparse Output for byte-exact work).
-	Doc *pdf.Document
+	// ScriptBytes is the length of the triggered script text Output
+	// carries: the monitored scripts the instrumenter wrote. It bounds
+	// the scripts of the reader view (ViewBound).
+	ScriptBytes int
+	// Recovered reports that parsing needed the lenient scavenger.
+	Recovered bool
 	// Spec allows later de-instrumentation.
 	Spec DeinstrumentSpec
 	// ScriptsInstrumented counts monitoring-code insertions (sequential
@@ -181,6 +185,52 @@ type Result struct {
 	// on an instrumented host when an attachment was left as-is because
 	// of its unresolved object streams.
 	UnresolvedObjectStreams bool
+
+	// view is the reader's prepared view of Output, built on first use.
+	viewOnce sync.Once
+	view     *reader.Prepared
+	viewErr  error
+}
+
+// viewFixedBytes is the fixed part of ViewBound.
+const viewFixedBytes = 1024
+
+// ViewBound bounds the bytes the Result's reader view retains: a fixed
+// part, the script text (ScriptBytes), and at most len(Output) for the
+// rest (Info strings, the egg, embedded payload programs). It is known as
+// soon as the Result is, so the front-end cache charges it at store time.
+func (r *Result) ViewBound() int64 {
+	return viewFixedBytes + int64(len(r.Output)) + int64(r.ScriptBytes)
+}
+
+// prepareHook, when set (tests), observes every Prepare a Result runs.
+var prepareHook func(*Result)
+
+// Prepared returns the reader's read-only view of Output, parsing Output
+// on the first call only: every later call, from any goroutine, returns
+// the same view, so each open of a cached artifact skips the parse. The
+// view is built from the bytes, never from the instrumenter's in-memory
+// document: the reader sees what the bytes say. A view larger than
+// ViewBound (a payload that decompresses far beyond its share of Output) is
+// not kept, so each call prepares a view of its own.
+func (r *Result) Prepared() (*reader.Prepared, error) {
+	var built *reader.Prepared
+	r.viewOnce.Do(func() {
+		if prepareHook != nil {
+			prepareHook(r)
+		}
+		built, r.viewErr = reader.Prepare(r.Output)
+		if r.viewErr == nil && built.Size() <= r.ViewBound() {
+			r.view = built
+		}
+	})
+	switch {
+	case built != nil:
+		return built, nil
+	case r.view == nil && r.viewErr == nil:
+		return reader.Prepare(r.Output) // oversized: not kept
+	}
+	return r.view, r.viewErr
 }
 
 // ContentHash computes the content identity (SHA-256, hex) of raw
@@ -304,7 +354,7 @@ func (ins *Instrumenter) instrumentBytesDepth(docID string, raw []byte, hash str
 			Features:    features,
 			Chains:      chains,
 			Output:      raw,
-			Doc:         doc,
+			Recovered:   doc.Recovered,
 			ObjectCount: doc.Len(),
 			Embedded:    embedded,
 			Timing:      PhaseTiming{ParseDecompress: parseDur, FeatureExtraction: featDur},
@@ -341,7 +391,7 @@ func (ins *Instrumenter) instrumentBytesDepth(docID string, raw []byte, hash str
 		Key:                  key,
 		Features:             features,
 		Chains:               chains,
-		Doc:                  doc,
+		Recovered:            doc.Recovered,
 		ObjectCount:          doc.Len(),
 		OwnerPasswordRemoved: removedPw,
 		Embedded:             embedded,
@@ -387,6 +437,7 @@ func (ins *Instrumenter) instrumentBytesDepth(docID string, raw []byte, hash str
 		})
 		res.StagedRewrites += nStaged
 		monitored := builder.build(key, seq, rewritten)
+		res.ScriptBytes += len(monitored)
 		// Precompile both what the reader's Run sees (the outer monitor)
 		// and what its decryptor evals (the rewritten payload): the first
 		// open of this document then hits the unit cache on every layer.

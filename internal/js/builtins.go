@@ -851,7 +851,7 @@ func installBuiltins(it *Interp) {
 }
 
 func parseIntJS(s string, radix int) float64 {
-	t := strings.TrimSpace(s)
+	t := strings.TrimLeftFunc(s, isStrWhiteSpace)
 	neg := false
 	if strings.HasPrefix(t, "-") {
 		neg = true
@@ -905,7 +905,7 @@ func parseIntJS(s string, radix int) float64 {
 // parseFloatJS implements the global parseFloat: the longest prefix of
 // the trimmed string that is a decimal literal (or Infinity), else NaN.
 func parseFloatJS(s string) float64 {
-	t := strings.TrimSpace(s)
+	t := strings.TrimLeftFunc(s, isStrWhiteSpace)
 	i := 0
 	if i < len(t) && (t[i] == '+' || t[i] == '-') {
 		i++

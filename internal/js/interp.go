@@ -140,6 +140,9 @@ type Interp struct {
 
 	steps    int64
 	curScope *Scope
+	// depth counts the script function calls and array-to-string
+	// conversions in progress (maxDepth).
+	depth int
 	// treeWalk runs the recursive evaluator instead of the bytecode VM. It
 	// is the reference the differential tests compare the VM against;
 	// nothing outside them sets it.
@@ -291,6 +294,16 @@ func (it *Interp) track(v Value) (Value, error) {
 	}
 	return v, nil
 }
+
+// maxDepth bounds how deeply script function calls nest, and how deeply
+// nested arrays convert to strings; both engines share it. Both recurse on
+// the Go stack, where an overflow is a fatal error that ends the whole
+// process, so past the cap they throw a catchable RangeError instead, as a
+// real engine does when its stack runs out.
+const maxDepth = 4096
+
+// errTooDeep is the message of the RangeError thrown past maxDepth.
+const errTooDeep = "Maximum call stack size exceeded"
 
 // throwTypeError throws a TypeError-shaped object.
 func (it *Interp) throwTypeError(format string, args ...any) error {
@@ -672,11 +685,16 @@ func (it *Interp) callFunction(fn *Object, this Value, args []Value) (Value, err
 	if fn.Host != nil {
 		return fn.Host(it, this, args)
 	}
+	if fn.Proto == nil && fn.Fn == nil {
+		return Undefined(), it.throwTypeError("%s is not a function", fn.Name)
+	}
+	if it.depth >= maxDepth {
+		return Undefined(), it.throwNamed("RangeError", errTooDeep)
+	}
+	it.depth++
+	defer func() { it.depth-- }()
 	if fn.Proto != nil {
 		return it.callCompiled(fn, this, args)
-	}
-	if fn.Fn == nil {
-		return Undefined(), it.throwTypeError("%s is not a function", fn.Name)
 	}
 	scope := NewScope(fn.Env)
 	for i, p := range fn.Fn.Params {
@@ -786,6 +804,11 @@ func toStringValue(it *Interp, v Value) (Value, error) {
 // valueToString implements ToString; it may need the interpreter for
 // join-based array conversion (nil is tolerated for display purposes).
 func valueToString(it *Interp, v Value) (string, error) {
+	return toStringDepth(it, v, 0)
+}
+
+// toStringDepth is valueToString inside depth enclosing arrays.
+func toStringDepth(it *Interp, v Value, depth int) (string, error) {
 	switch v.Kind() {
 	case KindUndefined:
 		return "undefined", nil
@@ -810,6 +833,18 @@ func valueToString(it *Interp, v Value) (string, error) {
 			if o.joining {
 				return "", nil
 			}
+			// Nesting counts against the call-depth cap, so calls and
+			// arrays together stay within maxDepth; a display conversion
+			// (no interpreter) counts its own nesting.
+			if it != nil {
+				if it.depth >= maxDepth {
+					return "", it.throwNamed("RangeError", errTooDeep)
+				}
+				it.depth++
+				defer func() { it.depth-- }()
+			} else if depth >= maxDepth {
+				return "", errors.New(errTooDeep)
+			}
 			o.joining = true
 			defer func() { o.joining = false }()
 			// Builder keeps this linear; += on a string accumulator is
@@ -823,7 +858,7 @@ func valueToString(it *Interp, v Value) (string, error) {
 				if el.IsUndefined() || el.IsNull() {
 					continue
 				}
-				s, err := valueToString(it, el)
+				s, err := toStringDepth(it, el, depth+1)
 				if err != nil {
 					return "", err
 				}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 	"unicode/utf8"
 )
 
@@ -179,7 +180,13 @@ func (v Value) ToBoolean() bool {
 }
 
 // ToNumber implements the ES abstract operation (sans exotic cases).
-func (v Value) ToNumber() float64 {
+func (v Value) ToNumber() float64 { return v.toNumberDepth(0) }
+
+// toNumberDepth is ToNumber inside depth enclosing one-element arrays.
+// Past maxDepth, where an engine would throw a RangeError, it gives NaN:
+// ToNumber cannot throw, and the recursion must stay off a Go stack
+// overflow.
+func (v Value) toNumberDepth(depth int) float64 {
 	switch v.Kind() {
 	case KindUndefined:
 		return math.NaN()
@@ -195,44 +202,98 @@ func (v Value) ToNumber() float64 {
 			if o.joining {
 				return 0 // a cycle joins as "", which is 0
 			}
+			if depth >= maxDepth {
+				return math.NaN()
+			}
 			o.joining = true
 			defer func() { o.joining = false }()
-			return o.getIndex(0).ToNumber()
+			return o.getIndex(0).toNumberDepth(depth + 1)
 		}
 		return math.NaN()
 	}
 }
 
+// stringToNumber implements ES5 StringToNumber: after StrWhiteSpace is
+// trimmed, the empty string is 0, an unsigned 0x literal is read in hex,
+// and anything else must be a signed decimal literal or Infinity; every
+// other string is NaN. Values beyond the double range round to ±Infinity.
 func stringToNumber(s string) float64 {
-	t := strings.TrimSpace(s)
+	t := strings.TrimFunc(s, isStrWhiteSpace)
 	if t == "" {
 		return 0
 	}
-	neg := false
-	if strings.HasPrefix(t, "-") {
-		neg = true
-		t = t[1:]
-	} else if strings.HasPrefix(t, "+") {
-		t = t[1:]
-	}
-	var f float64
-	if strings.HasPrefix(t, "0x") || strings.HasPrefix(t, "0X") {
-		n, err := strconv.ParseUint(t[2:], 16, 64)
-		if err != nil {
-			return math.NaN()
+	if len(t) > 2 && t[0] == '0' && (t[1] == 'x' || t[1] == 'X') {
+		for i := 2; i < len(t); i++ {
+			if _, ok := hexDigit(t[i]); !ok {
+				return math.NaN()
+			}
 		}
-		f = float64(n)
-	} else {
-		var err error
-		f, err = strconv.ParseFloat(t, 64)
-		if err != nil {
-			return math.NaN()
+		// A hex float with a zero exponent reads the digits exactly and
+		// rounds once; overflow gives +Inf.
+		f, _ := strconv.ParseFloat(t+"p0", 64)
+		return f
+	}
+	body := t
+	if body[0] == '+' || body[0] == '-' {
+		body = body[1:]
+	}
+	if body == "Infinity" {
+		if t[0] == '-' {
+			return math.Inf(-1)
 		}
+		return math.Inf(1)
 	}
-	if neg {
-		f = -f
+	if !isDecimalLiteral(body) {
+		return math.NaN()
 	}
+	// The grammar is checked; ParseFloat's range error comes with ±Inf.
+	f, _ := strconv.ParseFloat(t, 64)
 	return f
+}
+
+// isDecimalLiteral reports whether s is an ES StrUnsignedDecimalLiteral
+// other than Infinity: digits with an optional fraction, or a fraction
+// alone, then an optional signed exponent.
+func isDecimalLiteral(s string) bool {
+	i, digits := 0, 0
+	for i < len(s) && isDigit(s[i]) {
+		i++
+		digits++
+	}
+	if i < len(s) && s[i] == '.' {
+		i++
+		for i < len(s) && isDigit(s[i]) {
+			i++
+			digits++
+		}
+	}
+	if digits == 0 {
+		return false
+	}
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		i++
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		exp := i
+		for i < len(s) && isDigit(s[i]) {
+			i++
+		}
+		if i == exp {
+			return false
+		}
+	}
+	return i == len(s)
+}
+
+// isStrWhiteSpace reports an ES5 StrWhiteSpaceChar: WhiteSpace (TAB, VT,
+// FF, SP, NBSP, BOM and the Zs separators) or a LineTerminator.
+func isStrWhiteSpace(r rune) bool {
+	switch r {
+	case '\t', '\v', '\f', ' ', '\u00a0', '\ufeff', '\n', '\r', '\u2028', '\u2029':
+		return true
+	}
+	return r > 0xff && unicode.Is(unicode.Zs, r)
 }
 
 // numberToString implements ES Number::toString: the shortest digits

@@ -251,6 +251,9 @@ var differentialScripts = []string{
 	`var a = 0; var b = -0; 1/b;`,
 	"u=0,-\r0",
 	`[-0, 1234567.5, 0.00001, 1e-7, 1.5e300, 1e21, 0.1 + 0.2] + "";`,
+	// StringToNumber: ES grammar, not strconv's.
+	`[Number("1e400"), Number("inf"), Number("-0x10"), Number("Infinity"), Number("-Infinity"), Number("0x"), +" 0x1F ", +"1e-400", +".5e1", +"1_0"] + "";`,
+	`var sn = ["", " ", "12px", "0x10", "-Infinity", "1e"]; var so = ""; for (var i = 0; i < sn.length; i++) so += (sn[i] * 1) + ","; so;`,
 	// Dense and sparse arrays: number keys, string keys, holes, deletes.
 	`var dn = []; dn[-0] = "z"; dn[0] + dn["0"] + dn.length;`,
 	`var sp2 = []; sp2[3] = "c"; sp2[1] = "a"; sp2[0] = "x"; sp2[2] = "b"; var ko = ""; for (var k in sp2) ko += k; ko + sp2.join("") + sp2.length;`,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -90,5 +91,32 @@ func TestDecodeChainLengthCapped(t *testing.T) {
 	out, levels, err := DecodeChain(s)
 	if err != nil || levels != maxFilterChain || string(out) != "A" {
 		t.Fatalf("chain at cap: out=%q levels=%d err=%v", out, levels, err)
+	}
+}
+
+// TestNestedArraysDepthBounded: array elements were parsed without the
+// maxParseDepth check that dictionary values get, so `[[[[…` nested
+// 300 000 deep overflowed the Go stack — a fatal error, not a panic —
+// under a 64 MB limit. Both nestings now stop at the bound, and shallow
+// nesting still parses.
+func TestNestedArraysDepthBounded(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	for _, open := range []string{"[", "<</A "} {
+		close := "]"
+		if open != "[" {
+			close = ">>"
+		}
+		deep := "%PDF-1.4\n1 0 obj\n" + strings.Repeat(open, 300000) + strings.Repeat(close, 300000) +
+			"\nendobj\ntrailer\n<< /Root 1 0 R >>\n%%EOF\n"
+		_, _ = Parse([]byte(deep), ParseOptions{})
+	}
+	shallow := "%PDF-1.4\n1 0 obj\n" + strings.Repeat("[", maxParseDepth) + strings.Repeat("]", maxParseDepth) +
+		"\nendobj\ntrailer\n<< /Root 1 0 R >>\n%%EOF\n"
+	doc, err := Parse([]byte(shallow), ParseOptions{})
+	if err != nil {
+		t.Fatalf("parse of %d nested arrays: %v", maxParseDepth, err)
+	}
+	if obj, ok := doc.Get(1); !ok || obj.Object.Kind() != KindArray {
+		t.Fatalf("object 1 = %v, want the nested array", obj.Object)
 	}
 }

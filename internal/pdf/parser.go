@@ -487,9 +487,6 @@ type objParser struct {
 const maxParseDepth = 128
 
 func (op *objParser) parseObject(depth int) (Object, error) {
-	if depth > maxParseDepth {
-		return nil, fmt.Errorf("%w: nesting depth exceeds %d", ErrParse, maxParseDepth)
-	}
 	tok, err := op.lex.Next()
 	if err != nil {
 		return nil, err
@@ -497,7 +494,12 @@ func (op *objParser) parseObject(depth int) (Object, error) {
 	return op.parseFromToken(tok, depth)
 }
 
+// parseFromToken parses the object starting at tok. Array elements come
+// here directly, so the depth bound is checked here, not in parseObject.
 func (op *objParser) parseFromToken(tok Token, depth int) (Object, error) {
+	if depth > maxParseDepth {
+		return nil, fmt.Errorf("%w: nesting depth exceeds %d", ErrParse, maxParseDepth)
+	}
 	switch tok.Type {
 	case TokInteger:
 		// Could be "N G R" (reference). Lookahead.

@@ -135,7 +135,7 @@ func TestSessionRecycleFreshState(t *testing.T) {
 	sess := sys.NewSession()
 	defer sess.Close()
 
-	if _, err := sess.OpenRaw("crash-1", crasher.Raw, reader.OpenOptions{}); err != nil {
+	if _, err := sess.Proc.Open("crash-1", crasher.Raw, reader.OpenOptions{}); err != nil {
 		// Opening may fail on parse; the crash path is what matters below.
 		t.Logf("open: %v", err)
 	}

@@ -396,14 +396,15 @@ func (s *System) NewSession() *Session {
 	return &Session{Proc: proc, sink: sink, obs: s.Obs}
 }
 
-// Open opens an instrumented document in this session's reader process.
+// Open opens an instrumented document in this session's reader process,
+// from the Result's shared prepared view: a cached artifact is parsed for
+// the reader once, however many times it is opened.
 func (sess *Session) Open(res *instrument.Result, opts reader.OpenOptions) (*reader.OpenResult, error) {
-	return sess.Proc.Open(res.DocID, res.Output, opts)
-}
-
-// OpenRaw opens raw (possibly uninstrumented) bytes.
-func (sess *Session) OpenRaw(docID string, raw []byte, opts reader.OpenOptions) (*reader.OpenResult, error) {
-	return sess.Proc.Open(docID, raw, opts)
+	view, err := res.Prepared()
+	if err != nil {
+		return nil, fmt.Errorf("open %s: %w", res.DocID, err)
+	}
+	return sess.Proc.OpenPrepared(res.DocID, view, opts)
 }
 
 // Close terminates the reader process and its hook sink.
@@ -616,7 +617,7 @@ func (s *System) openAndJudge(ctx context.Context, sess *Session, res *instrumen
 		if openRes.Crashed || ctx.Err() != nil {
 			break
 		}
-		if _, err := sess.OpenRaw(emb.DocID, emb.Output, reader.OpenOptions{ForceExec: prof.force}); err != nil {
+		if _, err := sess.Open(emb, reader.OpenOptions{ForceExec: prof.force}); err != nil {
 			break // crashed attachment ends the session
 		}
 	}

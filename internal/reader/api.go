@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"pdfshield/internal/js"
-	"pdfshield/internal/pdf"
 	"pdfshield/internal/soapsrv"
 )
 
@@ -233,23 +232,12 @@ func (p *Process) buildApp(od *OpenDoc) *js.Object {
 func (p *Process) buildDoc(od *OpenDoc) *js.Object {
 	doc := js.NewHostObject("Doc")
 	info := js.NewObject()
-	title := ""
-	if od.Doc.Trailer != nil {
-		if infoDict, ok := od.Doc.ResolveDict(od.Doc.Trailer.Get("Info")); ok {
-			for _, k := range infoDict.SortedKeys() {
-				if s, ok := od.Doc.Resolve(infoDict[k]).(pdf.String); ok {
-					key := strings.ToLower(string(k))
-					info.Set(key, js.StringValue(s.Text()))
-					if key == "title" {
-						title = s.Text()
-					}
-				}
-			}
-		}
+	for _, e := range od.view.info {
+		info.Set(e.key, js.StringValue(e.text))
 	}
 	doc.Set("info", js.ObjectValue(info))
-	doc.Set("title", js.StringValue(title))
-	doc.Set("numPages", js.NumberValue(float64(countPages(od.Doc))))
+	doc.Set("title", js.StringValue(od.view.title))
+	doc.Set("numPages", js.NumberValue(float64(od.view.pages)))
 	doc.Set("pageNum", js.NumberValue(0))
 
 	doc.Set("addScript", stagedFn(od, "addScript"))
@@ -289,19 +277,6 @@ func (p *Process) buildBookmark(od *OpenDoc) *js.Object {
 	bm.Set("name", js.StringValue("root"))
 	bm.Set("setAction", stagedFn(od, "setAction"))
 	return bm
-}
-
-func countPages(doc *pdf.Document) int {
-	count := 0
-	for _, num := range doc.Numbers() {
-		obj, _ := doc.Get(num)
-		if d, ok := obj.Object.(pdf.Dict); ok {
-			if t, _ := d.Get("Type").(pdf.Name); t == "Page" {
-				count++
-			}
-		}
-	}
-	return count
 }
 
 // ---- util ----

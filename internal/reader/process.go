@@ -7,7 +7,6 @@ import (
 
 	"pdfshield/internal/hook"
 	"pdfshield/internal/js"
-	"pdfshield/internal/pdf"
 	"pdfshield/internal/soapsrv"
 	"pdfshield/internal/winos"
 )
@@ -93,9 +92,8 @@ type OpenOptions struct {
 
 // OpenDoc is one open document within the process.
 type OpenDoc struct {
-	ID     string
-	Doc    *pdf.Document
-	Chains pdf.ChainSet
+	ID   string
+	view *Prepared
 
 	interp      *js.Interp
 	proc        *Process
@@ -105,7 +103,6 @@ type OpenDoc struct {
 
 	timers   []timerEntry
 	dynamic  []string
-	eggData  []byte
 	exploits []ExploitEvent
 	jsErrs   []string
 	jsRuns   int
@@ -313,29 +310,23 @@ func atoiSafe(s string) int {
 
 // Open parses and renders a document: triggers its Javascript, runs timers
 // and dynamically added scripts, then renders embedded content (where the
-// out-of-JS-context exploits live).
+// out-of-JS-context exploits live). It is Prepare followed by OpenPrepared.
 func (p *Process) Open(id string, raw []byte, opts OpenOptions) (*OpenResult, error) {
+	view, err := Prepare(raw)
+	if err != nil {
+		return nil, fmt.Errorf("open %s: %w", id, err)
+	}
+	return p.OpenPrepared(id, view, opts)
+}
+
+// OpenPrepared opens a document from its prepared view. The view is only
+// read, so one view may serve any number of opens at once.
+func (p *Process) OpenPrepared(id string, view *Prepared, opts OpenOptions) (*OpenResult, error) {
 	if p.crashed {
 		return nil, fmt.Errorf("open %s: process has crashed", id)
 	}
-	doc, err := pdf.Parse(raw, pdf.ParseOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("open %s: %w", id, err)
-	}
-	if doc.IsEncrypted() {
-		// The reader can display owner-password documents (empty user
-		// password); decrypt for rendering.
-		if err := pdf.RemoveOwnerPassword(doc); err != nil {
-			return nil, fmt.Errorf("open %s: %w", id, err)
-		}
-	}
-	chains, err := pdf.ReconstructChains(doc)
-	if err != nil {
-		return nil, fmt.Errorf("open %s: %w", id, err)
-	}
-
-	od := &OpenDoc{ID: id, Doc: doc, Chains: chains, proc: p}
-	od.memMB = perDocFixedMB + minf(float64(len(raw))/(1<<20)*perDocPerMB, perDocCapMB)
+	od := &OpenDoc{ID: id, view: view, proc: p}
+	od.memMB = perDocFixedMB + minf(float64(view.rawLen)/(1<<20)*perDocPerMB, perDocCapMB)
 	p.docsMemMB += od.memMB
 	if opts.OptimizeHint && !p.compacted && p.docsMemMB > compactAtMB {
 		// The memory-optimization drop one document exhibits in Figure 8.
@@ -346,7 +337,6 @@ func (p *Process) Open(id string, raw []byte, opts OpenOptions) (*OpenResult, er
 
 	od.force = opts.ForceExec
 	od.interp = p.newDocInterp(od)
-	od.eggData = extractEgg(doc)
 
 	p.runDocScripts(od)
 	if !p.crashed {
@@ -387,36 +377,14 @@ func minf(a, b float64) float64 {
 	return b
 }
 
-// runDocScripts executes the document's triggered scripts in holder order,
+// runDocScripts executes the document's triggered scripts in run order,
 // then timers, then dynamically added scripts, looping until the dynamic
 // queue drains (staged attacks add stages from within stages).
 func (p *Process) runDocScripts(od *OpenDoc) {
-	sequential := make(map[int]bool)
-	for _, c := range od.Chains.Chains {
-		for _, n := range c.NextNums {
-			sequential[n] = true
-		}
-	}
-	chainByHolder := make(map[int]*pdf.JSChain)
-	for i := range od.Chains.Chains {
-		chainByHolder[od.Chains.Chains[i].Holder] = &od.Chains.Chains[i]
-	}
-	for i := range od.Chains.Chains {
-		chain := &od.Chains.Chains[i]
-		if !chain.Triggered || sequential[chain.Holder] {
-			continue
-		}
-		p.execScript(od, chain.Source)
+	for _, source := range od.view.scripts {
+		p.execScript(od, source)
 		if p.crashed {
 			return
-		}
-		for _, next := range chain.NextNums {
-			if nc, ok := chainByHolder[next]; ok {
-				p.execScript(od, nc.Source)
-				if p.crashed {
-					return
-				}
-			}
 		}
 	}
 	for round := 0; round < maxDynamicRounds; round++ {
@@ -519,33 +487,9 @@ func errAsFatal(err error) (*js.FatalError, bool) {
 // renderEmbedded processes embedded Flash/font content; malformed content
 // (carrying a payload program) triggers the out-of-JS-context exploits.
 func (p *Process) renderEmbedded(od *OpenDoc) {
-	for _, num := range od.Doc.Numbers() {
-		obj, _ := od.Doc.Get(num)
-		stream, ok := obj.Object.(*pdf.Stream)
-		if !ok {
-			continue
-		}
-		subtype, _ := stream.Dict.Get("Subtype").(pdf.Name)
-		var cve string
-		switch subtype {
-		case "Flash":
-			cve = CVE20103654
-		case "TrueType", "CIDFontType0C", "Type1C":
-			cve = CVE20102883
-		case "XFA", "JBIG2":
-			cve = CVE20130640
-		default:
-			continue
-		}
-		data, _, err := pdf.DecodeChain(stream)
-		if err != nil {
-			continue
-		}
-		ops, hasPayload := DecodePayload(string(data))
-		if !hasPayload {
-			continue // well-formed embedded content
-		}
-		p.attemptExploit(od, cve, ops, false)
+	for _, e := range od.view.embedded {
+		// The open's result keeps the program, so it gets its own copy.
+		p.attemptExploit(od, e.cve, cloneOps(e.ops), false)
 		if p.crashed {
 			return
 		}
@@ -629,7 +573,7 @@ func (p *Process) runEggHunt(od *OpenDoc, dropPath string) {
 	for i := 0; i < eggHuntProbes; i++ {
 		p.apiCall(searchAPIs[i%len(searchAPIs)], fmt.Sprintf("0x%08x", heapBase+i*0x100000))
 	}
-	egg := od.eggData
+	egg := od.view.egg
 	if egg == nil {
 		egg = fakeExecutable(od.ID)
 	}
@@ -647,27 +591,4 @@ func argOr(args []string, i int, def string) string {
 // fakeExecutable synthesizes MZ-prefixed bytes for dropped malware.
 func fakeExecutable(seed string) []byte {
 	return append([]byte("MZ\x90\x00pdfshield-sim:"), []byte(seed)...)
-}
-
-// extractEgg finds an embedded egg (an /EmbeddedFile stream whose data
-// starts with the egg tag) used by egg-hunt samples.
-func extractEgg(doc *pdf.Document) []byte {
-	for _, num := range doc.Numbers() {
-		obj, _ := doc.Get(num)
-		stream, ok := obj.Object.(*pdf.Stream)
-		if !ok {
-			continue
-		}
-		if t, _ := stream.Dict.Get("Type").(pdf.Name); t != "EmbeddedFile" {
-			continue
-		}
-		data, _, err := pdf.DecodeChain(stream)
-		if err != nil {
-			continue
-		}
-		if strings.HasPrefix(string(data), "EGG!") {
-			return data[4:]
-		}
-	}
-	return nil
 }

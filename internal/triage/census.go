@@ -131,9 +131,7 @@ func TakeCensus(raw []byte, res *instrument.Result) Census {
 		c.Static = f.Vector()
 		c.Encrypted = res.OwnerPasswordRemoved
 		c.EmbeddedPDFs = len(res.Embedded)
-		if res.Doc != nil && res.Doc.Recovered {
-			c.Recovered = true
-		}
+		c.Recovered = res.Recovered
 		// The F1–F5 positives are exactly the suspicious minority of the
 		// corpus (Figure 6 / Table VI); any positive forfeits the fast
 		// path. Flag names stay stable for journal consumers.

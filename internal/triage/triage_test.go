@@ -256,7 +256,7 @@ func resultFor(t *testing.T, raw []byte) *instrument.Result {
 	return &instrument.Result{
 		Features:    feats,
 		Chains:      chains,
-		Doc:         doc,
+		Recovered:   doc.Recovered,
 		ObjectCount: chains.TotalObjects,
 	}
 }
