@@ -260,25 +260,30 @@ func checkArrayInvariants(t *testing.T, at string, o *Object) {
 	}
 }
 
-// TestIndexKeySpellingsAgree: a[-0], a[0] and a["0"] name one element on
-// both engines, whichever spelling stored it; the VM reaches it without a
-// key string, the tree-walker through ToString.
-func TestIndexKeySpellingsAgree(t *testing.T) {
+// indexKeyScripts store through each spelling of index 0 and read the
+// element back through all of them.
+func indexKeyScripts() []string {
+	var out []string
 	for _, store := range []string{`a[-0]`, `a[0]`, `a["0"]`, `a[0.0]`} {
-		src := `var a = []; ` + store + ` = "v"; var o = {}; o[-0] = 1;
-			[a[-0], a[0], a["0"], a.length, (0 in a), a.hasOwnProperty("0"), o["0"]].join("|")`
-		for _, tw := range []bool{true, false} {
-			it := New()
-			it.treeWalk = tw
-			v, err := it.Run(src)
-			if err != nil {
-				t.Fatalf("%s (treeWalk=%v): %v", store, tw, err)
-			}
-			if got, want := ToDisplay(v), "v|v|v|1|true|true|1"; got != want {
-				t.Errorf("%s (treeWalk=%v): %q, want %q", store, tw, got, want)
-			}
+		out = append(out, `var a = []; `+store+` = "v"; var o = {}; o[-0] = 1;
+			[a[-0], a[0], a["0"], a.length, (0 in a), a.hasOwnProperty("0"), o["0"]].join("|")`)
+	}
+	return out
+}
+
+// TestIndexKeySpellingsAgree: a[-0], a[0], a["0"] and a[0.0] name one
+// element, whichever spelling stored it; the VM reaches it without a key
+// string, the other spellings through ToString.
+func TestIndexKeySpellingsAgree(t *testing.T) {
+	for _, src := range indexKeyScripts() {
+		v, err := New().Run(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
 		}
-		assertBothEngines(t, src, diffLimits{})
+		if got, want := ToDisplay(v), "v|v|v|1|true|true|1"; got != want {
+			t.Errorf("%s: %q, want %q", src, got, want)
+		}
+		assertGolden(t, src, diffLimits{})
 	}
 }
 
@@ -366,26 +371,26 @@ func TestLineContinuations(t *testing.T) {
 	}
 }
 
-// TestCyclicArrayConverts: an array that contains itself converts as ""
-// at the point of the cycle, as in browser engines. Each of these used to
+// cyclicArrayScripts convert arrays that contain themselves; each used to
 // recurse until the Go stack overflowed, which kills the whole process.
+var cyclicArrayScripts = []string{
+	`var a = []; a[0] = a; "" + a + "|" + a.join() + "|" + (+a);`,
+	`var b = [1]; b[1] = b; b.join("-") + "|" + b + "|" + [b, 2];`,
+	`var c = [1]; var d = [c]; c[1] = d; String(c) + "|" + d.join(";");`,
+}
+
+// TestCyclicArrayConverts: an array that contains itself converts as ""
+// at the point of the cycle, as in browser engines.
 func TestCyclicArrayConverts(t *testing.T) {
-	cases := map[string]string{
-		`var a = []; a[0] = a; "" + a + "|" + a.join() + "|" + (+a);`:        "||0",
-		`var b = [1]; b[1] = b; b.join("-") + "|" + b + "|" + [b, 2];`:       "1-|1,|1,,2",
-		`var c = [1]; var d = [c]; c[1] = d; String(c) + "|" + d.join(";");`: "1,|1,",
-	}
-	for src, want := range cases {
-		for _, tw := range []bool{true, false} {
-			it := New()
-			it.treeWalk = tw
-			v, err := it.Run(src)
-			if err != nil {
-				t.Fatalf("%s (treeWalk=%v): %v", src, tw, err)
-			}
-			if got := ToDisplay(v); got != want {
-				t.Errorf("%s (treeWalk=%v) = %q, want %q", src, tw, got, want)
-			}
+	want := []string{"||0", "1-|1,|1,,2", "1,|1,"}
+	for i, src := range cyclicArrayScripts {
+		v, err := New().Run(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
 		}
+		if got := ToDisplay(v); got != want[i] {
+			t.Errorf("%s = %q, want %q", src, got, want[i])
+		}
+		assertGolden(t, src, diffLimits{})
 	}
 }

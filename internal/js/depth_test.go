@@ -1,6 +1,7 @@
 package js
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime/debug"
@@ -13,8 +14,8 @@ import (
 // nested-array conversion now stop at maxDepth with a catchable
 // RangeError on both engines.
 
-// depthScripts are run on both engines under a Go stack limit far below
-// what an unbounded recursion to the step budget would take.
+// depthScripts run under a Go stack limit far below what an unbounded
+// recursion to the step budget would take.
 var depthScripts = []string{
 	`function f(n){return f(n+1)} var r; try{f(0)}catch(e){r=e.name+": "+e.message} r;`,
 	`var d=0; function f(n){d=n; return f(n+1)} try{f(0)}catch(e){} d;`,
@@ -40,15 +41,63 @@ func TestDepthCapThrowsRangeError(t *testing.T) {
 		"1|1",
 		"4000",
 	}
-	units := NewUnitCache(8 << 20)
 	for i, src := range depthScripts {
-		for _, tree := range []bool{true, false} {
-			tr := runEngine(src, tree, diffLimits{steps: 2_000_000}, units)
-			if tr.errKind != "" || tr.display != want[i] {
-				t.Errorf("tree=%v %s\n= %q (err %q), want %q", tree, src, tr.display, tr.errKind, want[i])
-			}
+		tr := runEngine(src, false, depthLimits, NewUnitCache(8<<20))
+		if tr.errKind != "" || tr.display != want[i] {
+			t.Errorf("%s\n= %q (err %q), want %q", src, tr.display, tr.errKind, want[i])
 		}
-		assertBothEngines(t, src, diffLimits{steps: 2_000_000})
+		assertGolden(t, src, depthLimits)
+	}
+}
+
+var depthLimits = diffLimits{steps: 2_000_000}
+
+// nested returns src with n levels of one nesting construct.
+func nested(kind string, n int) string {
+	switch kind {
+	case "paren":
+		return strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + ";"
+	case "brace":
+		return strings.Repeat("{", n) + strings.Repeat("}", n)
+	case "bang":
+		return strings.Repeat("!", n) + "1;"
+	case "new":
+		return "function X(){} " + strings.Repeat("new ", n) + "X;"
+	default: // else-if chain
+		return "var x = 0; " + strings.Repeat("if (x) {} else ", n) + "{}"
+	}
+}
+
+// TestParserNestingCap: the parser recurses on the Go stack, so syntactic
+// nesting stops at maxDepth with a SyntaxError instead of overflowing it.
+// At the cap's introduction, 200,000 nested parentheses (415 bytes as a
+// compressed PDF stream) ended the process under a 64 MB stack.
+func TestParserNestingCap(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	if _, err := New().Run(nested("paren", 200_000)); !errors.Is(err, ErrSyntax) {
+		t.Fatalf("200,000 nested parentheses: err = %v, want a SyntaxError", err)
+	}
+	for _, kind := range []string{"paren", "brace", "bang", "new", "else-if"} {
+		if _, err := Parse(nested(kind, maxDepth+1)); !errors.Is(err, ErrSyntax) {
+			t.Errorf("%s nested %d deep: err = %v, want a SyntaxError", kind, maxDepth+1, err)
+		}
+		if _, err := Parse(nested(kind, 4000)); err != nil {
+			t.Errorf("%s nested 4000 deep: %v", kind, err)
+		}
+	}
+	if v, err := New().Run(nested("paren", 4000)); err != nil || v.Num() != 1 {
+		t.Errorf("4000 nested parentheses = %v (err %v), want 1", ToDisplay(v), err)
+	}
+}
+
+// TestFlatConcatenationsRun: the cap counts nesting, not length, so the
+// long left-deep concatenations that packers emit still parse and run.
+func TestFlatConcatenationsRun(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	const n = 10_000
+	src := `var a = "ab"; var s = a` + strings.Repeat(` + a`, n-1) + `; s.length;`
+	if v, err := New().Run(src); err != nil || v.Num() != 2*n {
+		t.Fatalf("%d-term concatenation = %v (err %v), want %d", n, ToDisplay(v), err, 2*n)
 	}
 }
 

@@ -201,19 +201,15 @@ func TestForcedDeterministic(t *testing.T) {
 }
 
 // TestForcedRestoresInterp: ExploreForced must leave the interpreter's
-// Force/StepLimit/treeWalk exactly as it found them.
+// Force and StepLimit exactly as it found them.
 func TestForcedRestoresInterp(t *testing.T) {
 	it, _ := probeInterp()
 	it.StepLimit = 12345678
-	it.treeWalk = true
 	explore(t, it, ForceConfig{}, `if (false) { probe("x"); }`)
 	if it.Force != nil {
 		t.Fatal("Force state leaked")
 	}
 	if it.StepLimit != 12345678 {
 		t.Fatalf("StepLimit = %d, want 12345678", it.StepLimit)
-	}
-	if !it.treeWalk {
-		t.Fatal("treeWalk flag not restored")
 	}
 }

@@ -1,15 +1,21 @@
 package js
 
 import (
+	"reflect"
+	"runtime/debug"
 	"testing"
 )
 
-// FuzzJSInterp runs arbitrary source through the full lex/parse/eval stack
-// under a tight step and heap budget. Scripts inside hostile PDFs are fed to
-// this interpreter verbatim, so the invariant is containment: syntax errors,
-// thrown values, and budget exhaustion are all fine; panics and runaway
-// loops are bugs.
+// FuzzJSInterp runs arbitrary source through the full lex/parse/compile/run
+// stack under a tight step and heap budget, and then again as a hit in the
+// same unit cache. Scripts inside hostile PDFs are fed to this engine
+// verbatim, so the invariants are containment and determinism: syntax
+// errors, thrown values, and budget exhaustion are all fine; panics, stack
+// overflows and runaway loops are bugs, and so is a cached rerun whose
+// observables differ. The Go stack is capped at 64 MB, a sixteenth of the
+// default, so unbounded recursion shows at small inputs.
 func FuzzJSInterp(f *testing.F) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
 	seeds := []string{
 		`var x = 1; for (var i = 0; i < 10; i++) x += i; x;`,
 		`function f(a){ return a ? f(a-1) : 0; } f(5);`,
@@ -27,15 +33,12 @@ func FuzzJSInterp(f *testing.F) {
 		if len(src) > 64<<10 {
 			return
 		}
-		it := New()
-		it.StepLimit = 200_000
-		it.MaxHeap = 8 << 20
-		v, err := it.Run(src)
-		if err != nil {
-			return
+		// runEngine renders the completion value without the interpreter.
+		units := NewUnitCache(4 << 20)
+		first := runEngine(src, false, fuzzLimits, units)
+		if again := runEngine(src, false, fuzzLimits, units); !reflect.DeepEqual(first, again) {
+			t.Fatalf("cache-hit rerun diverged\nscript: %q\nfirst: %s\nagain: %s", src, first.golden(), again.golden())
 		}
-		// The completion value must be renderable without the interpreter.
-		_ = ToDisplay(v)
 	})
 }
 
@@ -45,8 +48,10 @@ func FuzzJSInterp(f *testing.F) {
 // hygiene: whatever the script does — crash, throw, exhaust a budget —
 // the explorer must not panic, must terminate within its path bounds, and
 // must leave the interpreter's forcing state fully unwound so the
-// recycled session's next document starts clean.
+// recycled session's next document starts clean. It runs under the same
+// 64 MB Go stack as FuzzJSInterp.
 func FuzzForcedExec(f *testing.F) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
 	seeds := []string{
 		`if (false) { var a = 1; } else { var a = 2; }`,
 		`var d = new Date(); if (d.getFullYear() >= 2015) { var x = "armed"; }`,

@@ -12,6 +12,11 @@ type Parser struct {
 	prev  Token
 	src   string
 	calls []Expr
+	// depth counts the statements, assignment expressions, unary
+	// operators and new-expressions being parsed. Each recurses on the Go
+	// stack, so nesting past maxDepth is a syntax error rather than a
+	// fatal stack overflow.
+	depth int
 }
 
 // Parse parses a complete program.
@@ -47,6 +52,18 @@ func (p *Parser) errf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s (line %d)", ErrSyntax, msg, p.tok.Line)
 }
 
+// enter counts one level of nesting; every successful enter is paired
+// with a deferred leave.
+func (p *Parser) enter() error {
+	if p.depth >= maxDepth {
+		return p.errf("nesting deeper than %d levels", maxDepth)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
+
 func (p *Parser) isPunct(s string) bool   { return p.tok.Kind == TokPunct && p.tok.Str == s }
 func (p *Parser) isKeyword(s string) bool { return p.tok.Kind == TokKeyword && p.tok.Str == s }
 
@@ -78,6 +95,10 @@ func (p *Parser) consumeSemicolon() error {
 }
 
 func (p *Parser) parseStatement() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch {
 	case p.isPunct("{"):
 		return p.parseBlock()
@@ -637,6 +658,10 @@ var assignOps = map[string]bool{
 }
 
 func (p *Parser) parseAssign() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	left, err := p.parseConditional()
 	if err != nil {
 		return nil, err
@@ -741,46 +766,28 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
-	pos := p.tok.Pos
-	if p.tok.Kind == TokPunct {
-		switch p.tok.Str {
-		case "!", "~", "-", "+":
-			op := p.tok.Str
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			x, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			return &UnaryExpr{base{pos}, op, x}, nil
-		case "++", "--":
-			op := p.tok.Str
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			x, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			return &UpdateExpr{base{pos}, op, x, true}, nil
-		}
+	pos, op := p.tok.Pos, p.tok.Str
+	switch {
+	case p.tok.Kind == TokPunct && (op == "!" || op == "~" || op == "-" || op == "+" || op == "++" || op == "--"):
+	case p.tok.Kind == TokKeyword && (op == "typeof" || op == "void" || op == "delete"):
+	default:
+		return p.parsePostfix()
 	}
-	if p.tok.Kind == TokKeyword {
-		switch p.tok.Str {
-		case "typeof", "void", "delete":
-			op := p.tok.Str
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			x, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			return &UnaryExpr{base{pos}, op, x}, nil
-		}
+	if err := p.enter(); err != nil {
+		return nil, err
 	}
-	return p.parsePostfix()
+	defer p.leave()
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	x, err := p.parseUnary()
+	if err != nil {
+		return nil, err
+	}
+	if op == "++" || op == "--" {
+		return &UpdateExpr{base{pos}, op, x, true}, nil
+	}
+	return &UnaryExpr{base{pos}, op, x}, nil
 }
 
 func (p *Parser) parsePostfix() (Expr, error) {
@@ -850,6 +857,10 @@ func (p *Parser) parseCallMember() (Expr, error) {
 }
 
 func (p *Parser) parseNew() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	pos := p.tok.Pos
 	if err := p.advance(); err != nil { // 'new'
 		return nil, err

@@ -29,7 +29,7 @@ func FuzzRopeVsFlat(f *testing.F) {
 	for _, s := range differentialScripts {
 		f.Add(s)
 	}
-	for _, s := range fuzzSeedCorpus(f) {
+	for _, s := range fuzzSeedCorpus("FuzzJSInterp") {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -1,6 +1,7 @@
 package js
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -8,16 +9,19 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// The differential harness runs every script through both engines — the
-// recursive tree-walker (treeWalk=true) and the bytecode VM — and demands
-// bit-identical observables: completion value, error class, step totals,
-// heap totals, the full allocation event stream, and the large-string hook
-// stream. These observables are exactly what the detector's feature vectors
-// and the journal replay consume, so equality here is the contract that
-// compiling does not move the needle on detection.
+// The engine contract is data. testdata/engine.golden holds, for every
+// (script, limits) pair below, the observables the detector and the
+// journal replay consume: error class, completion value, step total, heap
+// total, the allocation event stream and the large-string hook stream.
+// The lines were recorded from the recursive tree-walking evaluator, the
+// reference the bytecode VM was built against, and the VM must reproduce
+// each one. A deliberate change to the engine's semantics is a reviewed
+// edit of the lines it moves: a failing replay prints the whole line the
+// VM produced.
 
 type engineTrace struct {
 	display string
@@ -114,48 +118,195 @@ func classifyErr(err error) string {
 
 func diffTraces(t *testing.T, src string, tree, vm engineTrace) {
 	t.Helper()
-	if tree.errKind != vm.errKind {
-		t.Fatalf("error divergence\nscript: %s\ntree: %q\nvm:   %q", src, tree.errKind, vm.errKind)
-	}
-	if tree.display != vm.display {
-		t.Fatalf("value divergence\nscript: %s\ntree: %q\nvm:   %q", src, tree.display, vm.display)
-	}
-	if tree.steps != vm.steps {
-		t.Fatalf("step divergence\nscript: %s\ntree: %d\nvm:   %d", src, tree.steps, vm.steps)
-	}
-	if tree.heap != vm.heap {
-		t.Fatalf("heap divergence\nscript: %s\ntree: %d\nvm:   %d", src, tree.heap, vm.heap)
-	}
-	if len(tree.allocs) != len(vm.allocs) {
-		t.Fatalf("alloc stream length divergence\nscript: %s\ntree: %d events\nvm:   %d events", src, len(tree.allocs), len(vm.allocs))
-	}
-	for i := range tree.allocs {
-		if tree.allocs[i] != vm.allocs[i] {
-			t.Fatalf("alloc stream divergence at %d\nscript: %s\ntree: %d\nvm:   %d", i, src, tree.allocs[i], vm.allocs[i])
-		}
-	}
-	if len(tree.large) != len(vm.large) {
-		t.Fatalf("large-string stream divergence\nscript: %s\ntree: %d events\nvm:   %d events", src, len(tree.large), len(vm.large))
-	}
-	for i := range tree.large {
-		if tree.large[i] != vm.large[i] {
-			t.Fatalf("large-string size divergence at %d\nscript: %s", i, src)
-		}
+	if want, got := tree.golden(), vm.golden(); want != got {
+		t.Fatalf("engine divergence\nscript: %q\ntree: %s\nvm:   %s", src, want, got)
 	}
 }
 
-func assertBothEngines(t *testing.T, src string, lim diffLimits) {
+const goldenPath = "testdata/engine.golden"
+
+// goldenKey names a (script, limits) pair: an FNV-64a hash of both.
+func goldenKey(src string, lim diffLimits) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d %d %d\x00%s", lim.steps, lim.heap, lim.largeUnit, src)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// golden renders a trace as the tab-separated fields of a golden line
+// (the line minus its key). The two event streams are each a count and an
+// FNV-64a digest: of every alloc delta, and of every large string's size,
+// content digest and marker flag.
+func (tr engineTrace) golden() string {
+	allocs := fnv.New64a()
+	for _, d := range tr.allocs {
+		binary.Write(allocs, binary.LittleEndian, d)
+	}
+	large := fnv.New64a()
+	for i, n := range tr.large {
+		binary.Write(large, binary.LittleEndian, int64(n))
+		binary.Write(large, binary.LittleEndian, tr.seen[i].sum)
+		binary.Write(large, binary.LittleEndian, tr.seen[i].marker)
+	}
+	return strings.Join([]string{
+		"err=" + strconv.Quote(tr.errKind),
+		"val=" + strconv.Quote(tr.display),
+		fmt.Sprintf("steps=%d", tr.steps),
+		fmt.Sprintf("heap=%d", tr.heap),
+		fmt.Sprintf("alloc=%d:%016x", len(tr.allocs), allocs.Sum64()),
+		fmt.Sprintf("large=%d:%016x", len(tr.large), large.Sum64()),
+	}, "\t")
+}
+
+var (
+	goldenOnce  sync.Once
+	goldenLines map[string]string // key -> fields
+	goldenKeys  []string          // in file order
+	goldenErr   error
+)
+
+// loadGolden reads engine.golden: one "key<TAB>fields" line per entry;
+// blank lines and lines starting with # are comments.
+func loadGolden(t testing.TB) map[string]string {
 	t.Helper()
+	goldenOnce.Do(func() {
+		data, err := os.ReadFile(goldenPath)
+		if err != nil {
+			goldenErr = err
+			return
+		}
+		goldenLines = make(map[string]string)
+		for n, line := range strings.Split(string(data), "\n") {
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			key, fields, ok := strings.Cut(line, "\t")
+			if !ok {
+				goldenErr = fmt.Errorf("%s:%d: no fields", goldenPath, n+1)
+				return
+			}
+			if _, dup := goldenLines[key]; dup {
+				goldenErr = fmt.Errorf("%s:%d: duplicate key %s", goldenPath, n+1, key)
+				return
+			}
+			goldenLines[key] = fields
+			goldenKeys = append(goldenKeys, key)
+		}
+	})
+	if goldenErr != nil {
+		t.Fatal(goldenErr)
+	}
+	return goldenLines
+}
+
+// goldenField returns one named field of a golden line's fields.
+func goldenField(fields, name string) string {
+	for _, f := range strings.Split(fields, "\t") {
+		if v, ok := strings.CutPrefix(f, name+"="); ok {
+			return v
+		}
+	}
+	return ""
+}
+
+// assertGolden replays src under lim on the VM three times — with a fresh
+// unit cache, as a hit in that cache, and with a second fresh cache — and
+// demands the recorded line from each run. Recycled sessions rerun cached
+// units, and journal replay depends on their determinism.
+func assertGolden(t *testing.T, src string, lim diffLimits) {
+	t.Helper()
+	key := goldenKey(src, lim)
+	want, ok := loadGolden(t)[key]
+	if !ok {
+		t.Fatalf("%s has no line %s\nscript: %q\ntree: %s\t%s", goldenPath, key, src, key, runEngine(src, true, lim, NewUnitCache(8<<20)).golden())
+	}
+	if got := runEngine(src, true, lim, NewUnitCache(8<<20)).golden(); got != want {
+		t.Fatalf("tree-walker: %s\nscript: %q\nwant: %s\t%s\ngot:  %s\t%s", goldenDiff(want, got), src, key, want, key, got)
+	}
 	units := NewUnitCache(8 << 20)
-	tree := runEngine(src, true, lim, units)
-	vm := runEngine(src, false, lim, units)
-	diffTraces(t, src, tree, vm)
-	// A cached re-execution must be deterministic: recycled sessions rerun
-	// the same compiled unit, and journal replay depends on it.
-	vm2 := runEngine(src, false, lim, units)
-	diffTraces(t, src, tree, vm2)
+	for run, uc := range []*UnitCache{units, units, NewUnitCache(8 << 20)} {
+		if got := runEngine(src, false, lim, uc).golden(); got != want {
+			t.Fatalf("VM run %d of 3: %s\nscript: %q\nwant: %s\t%s\ngot:  %s\t%s", run+1, goldenDiff(want, got), src, key, want, key, got)
+		}
+	}
 	if st := units.Stats(); st.Entries > 0 && st.Hits == 0 {
-		t.Fatalf("second VM run did not hit the unit cache\nscript: %s", src)
+		t.Fatalf("second VM run did not hit the unit cache\nscript: %q", src)
+	}
+}
+
+// goldenDiff names the observables that differ between two field lists.
+func goldenDiff(want, got string) string {
+	w, g := strings.Split(want, "\t"), strings.Split(got, "\t")
+	var names []string
+	for i := range g {
+		if i >= len(w) || w[i] != g[i] {
+			name, _, _ := strings.Cut(g[i], "=")
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, ", ") + " differ"
+}
+
+// goldenInput is one (script, limits) pair of the golden file.
+type goldenInput struct {
+	src string
+	lim diffLimits
+}
+
+// goldenInputs lists every pair the engine tests replay, in the order the
+// golden file records them; sweepSteps is the reference step total of
+// budgetSweepScript, whose every cutoff is an entry.
+func goldenInputs(sweepSteps int64) []goldenInput {
+	var in []goldenInput
+	add := func(lim diffLimits, srcs ...string) {
+		for _, s := range srcs {
+			in = append(in, goldenInput{s, lim})
+		}
+	}
+	add(diffLimits{}, differentialScripts...)
+	add(attackLimits, attackScripts...)
+	add(diffLimits{}, budgetSweepScript)
+	for limit := int64(1); limit <= sweepSteps+1; limit++ {
+		add(diffLimits{steps: limit}, budgetSweepScript)
+	}
+	add(depthLimits, depthScripts...)
+	add(diffLimits{}, indexKeyScripts()...)
+	add(diffLimits{}, cyclicArrayScripts...)
+	add(fuzzLimits, differentialScripts...)
+	add(fuzzLimits, fuzzSeedCorpus("FuzzJSInterp")...)
+	add(ropeLimits, fuzzSeedCorpus("FuzzRopeVsFlat")...)
+	return in
+}
+
+// sweepSteps reads the reference step total of budgetSweepScript.
+func sweepSteps(t testing.TB) int64 {
+	t.Helper()
+	fields, ok := loadGolden(t)[goldenKey(budgetSweepScript, diffLimits{})]
+	if !ok {
+		t.Fatalf("%s has no line for the budget sweep script", goldenPath)
+	}
+	n, err := strconv.ParseInt(goldenField(fields, "steps"), 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestEngineGoldenComplete: the golden file holds exactly one line per
+// replayed pair, so no line goes stale and no replay goes unrecorded.
+func TestEngineGoldenComplete(t *testing.T) {
+	lines := loadGolden(t)
+	want := make(map[string]bool)
+	for _, in := range goldenInputs(sweepSteps(t)) {
+		key := goldenKey(in.src, in.lim)
+		want[key] = true
+		if _, ok := lines[key]; !ok {
+			t.Errorf("no line %s for %q under %+v", key, in.src, in.lim)
+		}
+	}
+	for _, key := range goldenKeys {
+		if !want[key] {
+			t.Errorf("line %s replays no input", key)
+		}
 	}
 }
 
@@ -267,49 +418,50 @@ var differentialScripts = []string{
 func TestVMDifferential(t *testing.T) {
 	for i, src := range differentialScripts {
 		t.Run(fmt.Sprintf("script_%02d", i), func(t *testing.T) {
-			assertBothEngines(t, src, diffLimits{})
+			assertGolden(t, src, diffLimits{})
 		})
 	}
 }
 
-// TestVMDifferentialAttackPatterns mirrors the malicious-corpus payload
-// shapes (heap spray, shellcode staging, eval unpacking) including the hook
-// streams they are detected by.
-func TestVMDifferentialAttackPatterns(t *testing.T) {
-	scripts := []string{
-		// Heap spray by doubling: exercises OnAlloc and OnLargeString.
-		`var shellcode = unescape("%u9090%u9090%u4141");
+// attackScripts mirror the malicious-corpus payload shapes (heap spray,
+// shellcode staging, eval unpacking) including the hook streams they are
+// detected by.
+var attackScripts = []string{
+	// Heap spray by doubling: exercises OnAlloc and OnLargeString.
+	`var shellcode = unescape("%u9090%u9090%u4141");
 		 var block = shellcode;
 		 while (block.length < 4096) block += block;
 		 var spray = [];
 		 for (var i = 0; i < 8; i++) spray[i] = block + i;
 		 spray.length;`,
-		// Staged eval unpacking, twice so the unit cache is exercised inside
-		// one run.
-		`var stage = "var p = 0; for (var i = 0; i < 10; i++) p += i; p;";
+	// Staged eval unpacking, twice so the unit cache is exercised inside
+	// one run.
+	`var stage = "var p = 0; for (var i = 0; i < 10; i++) p += i; p;";
 		 eval(stage) + eval(stage);`,
-		// String scan loops: work() charging parity.
-		`var hay = "x"; while (hay.length < 2048) hay += hay;
+	// String scan loops: work() charging parity.
+	`var hay = "x"; while (hay.length < 2048) hay += hay;
 		 var hits = 0;
 		 for (var i = 0; i < 16; i++) if (hay.indexOf("y") === -1) hits++;
 		 hits;`,
-		// Budget bomb (must die with identical step counters).
-		`var n = 0; while (true) n++;`,
-		// Heap bomb (identical heap counters and alloc streams).
-		`var b = "AAAA"; try { while (true) b += b; } catch (e) { e.name }`,
-	}
-	for i, src := range scripts {
+	// Budget bomb (must die with identical step counters).
+	`var n = 0; while (true) n++;`,
+	// Heap bomb (identical heap counters and alloc streams).
+	`var b = "AAAA"; try { while (true) b += b; } catch (e) { e.name }`,
+}
+
+var attackLimits = diffLimits{steps: 300_000, heap: 4 << 20, largeUnit: 2048}
+
+func TestVMDifferentialAttackPatterns(t *testing.T) {
+	for i, src := range attackScripts {
 		t.Run(fmt.Sprintf("attack_%02d", i), func(t *testing.T) {
-			assertBothEngines(t, src, diffLimits{steps: 300_000, heap: 4 << 20, largeUnit: 2048})
+			assertGolden(t, src, attackLimits)
 		})
 	}
 }
 
-// TestVMBudgetExhaustionParity sweeps the step limit across a script's full
-// range so exhaustion lands inside every kind of folded charge region; the
-// reported step counter and error must match at each cutoff.
-func TestVMBudgetExhaustionParity(t *testing.T) {
-	src := `var total = 0;
+// budgetSweepScript runs under every step limit up to its own step total,
+// so exhaustion lands inside every kind of folded charge region.
+const budgetSweepScript = `var total = 0;
 	function work(n){
 		var acc = "";
 		for (var i = 0; i < n; i++) {
@@ -319,48 +471,51 @@ func TestVMBudgetExhaustionParity(t *testing.T) {
 	}
 	for (var r = 0; r < 6; r++) total += work(r + 4);
 	total;`
-	full := runEngine(src, true, diffLimits{}, NewUnitCache(1<<20))
-	if full.errKind != "" {
-		t.Fatalf("reference run failed: %s", full.errKind)
-	}
-	units := NewUnitCache(1 << 20)
-	for limit := int64(1); limit <= full.steps+1; limit++ {
-		lim := diffLimits{steps: limit}
-		tree := runEngine(src, true, lim, units)
-		vm := runEngine(src, false, lim, units)
-		if tree.errKind != vm.errKind || tree.steps != vm.steps {
-			t.Fatalf("limit %d: tree(err=%q steps=%d) vm(err=%q steps=%d)",
-				limit, tree.errKind, tree.steps, vm.errKind, vm.steps)
-		}
+
+// TestVMBudgetExhaustionParity: the step counter and error at each cutoff
+// are the reference's.
+func TestVMBudgetExhaustionParity(t *testing.T) {
+	assertGolden(t, budgetSweepScript, diffLimits{})
+	for limit := int64(1); limit <= sweepSteps(t)+1; limit++ {
+		assertGolden(t, budgetSweepScript, diffLimits{steps: limit})
 	}
 }
 
+// fuzzLimits and ropeLimits are the budgets of the fuzz targets.
+var (
+	fuzzLimits = diffLimits{steps: 200_000, heap: 8 << 20}
+	ropeLimits = diffLimits{steps: 200_000, heap: 8 << 20, largeUnit: 64}
+)
+
 // FuzzCompileVsTreeWalk is the differential fuzz target: any parseable
-// input must behave identically on both engines.
+// input must behave identically on both engines, and its seeds replay
+// their golden lines.
 func FuzzCompileVsTreeWalk(f *testing.F) {
 	for _, s := range differentialScripts {
 		f.Add(s)
 	}
-	for _, s := range fuzzSeedCorpus(f) {
+	for _, s := range fuzzSeedCorpus("FuzzJSInterp") {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 64<<10 {
 			return
 		}
-		lim := diffLimits{steps: 200_000, heap: 8 << 20}
+		if _, ok := loadGolden(t)[goldenKey(src, fuzzLimits)]; ok {
+			assertGolden(t, src, fuzzLimits)
+			return
+		}
 		units := NewUnitCache(4 << 20)
-		tree := runEngine(src, true, lim, units)
-		vm := runEngine(src, false, lim, units)
+		tree := runEngine(src, true, fuzzLimits, units)
+		vm := runEngine(src, false, fuzzLimits, units)
 		diffTraces(t, src, tree, vm)
 	})
 }
 
-// fuzzSeedCorpus re-seeds the differential target with the committed
-// FuzzJSInterp corpus (go test fuzz v1 files hold one quoted string each).
-func fuzzSeedCorpus(f *testing.F) []string {
-	f.Helper()
-	dir := filepath.Join("testdata", "fuzz", "FuzzJSInterp")
+// fuzzSeedCorpus reads the committed seed corpus of a fuzz target (go test
+// fuzz v1 files hold one quoted string each), in file-name order.
+func fuzzSeedCorpus(target string) []string {
+	dir := filepath.Join("testdata", "fuzz", target)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil
