@@ -68,13 +68,13 @@ race:
 # Fuzz every attacker-facing decoder for FUZZTIME each: full-document PDF
 # parsing, the stream filter codecs, the Javascript interpreter (single
 # run and forced-execution exploration — arbitrary scripts must never
-# panic, hang, or leak forcing state out of the explorer — plus three
-# differentials: the bytecode VM must match the tree-walking reference
-# evaluator, rope strings must be invisible next to flat ones, and an
-# array's dense prefix must be invisible next to a map-only model), the SOAP
-# envelope codec, the in-process context and hook delivery paths (each
-# must accept, reject and normalise exactly what its wire path does),
-# the static triage tier (census + abstract interpretation over arbitrary
+# panic, hang, or leak forcing state out of the explorer, and a rerun as a
+# compiled-unit cache hit must observe exactly what the first run did —
+# plus two differentials: rope strings must be invisible next to flat
+# ones, and an array's dense prefix must be invisible next to a map-only
+# model), the SOAP envelope codec, the in-process context and hook
+# delivery paths (each must accept, reject and normalise exactly what its
+# wire path does), the static triage tier (census + abstract interpretation over arbitrary
 # bytes — it must stay fail-safe, never panic, and never route unparseable
 # input confident-benign), and the staged-call rewriter (it must change
 # only the code arguments the reader runs, each decoding as the engine
@@ -86,7 +86,6 @@ fuzz:
 	$(GO) test -fuzz '^FuzzFilters$$' -fuzztime $(FUZZTIME) ./internal/pdf/
 	$(GO) test -fuzz '^FuzzJSInterp$$' -fuzztime $(FUZZTIME) ./internal/js/
 	$(GO) test -fuzz '^FuzzForcedExec$$' -fuzztime $(FUZZTIME) ./internal/js/
-	$(GO) test -fuzz '^FuzzCompileVsTreeWalk$$' -fuzztime $(FUZZTIME) ./internal/js/
 	$(GO) test -fuzz '^FuzzRopeVsFlat$$' -fuzztime $(FUZZTIME) ./internal/js/
 	$(GO) test -fuzz '^FuzzArrayModel$$' -fuzztime $(FUZZTIME) ./internal/js/
 	$(GO) test -fuzz '^FuzzEnvelope$$' -fuzztime $(FUZZTIME) ./internal/soapsrv/

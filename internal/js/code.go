@@ -6,12 +6,12 @@ package js
 // constant pool (with UTF-16 lengths precomputed, so string literals never
 // rescan at runtime), and the prototypes of every nested function.
 //
-// The VM must charge the step budget exactly like the tree-walker, which
-// bills one step at the entry of every eval/execStmt/callFunction. The
-// compiler folds those per-node charges into the Cost field of the first
-// instruction emitted for each node's region, so cumulative step totals and
-// the order of charges relative to every observable effect (host calls,
-// allocations, hook events) are identical between the two engines.
+// The step budget charges one step at the entry of every statement and
+// expression node and every callFunction. The compiler folds those
+// per-node charges into the Cost field of the first instruction emitted
+// for each node's region, so cumulative step totals and the order of
+// charges relative to every observable effect (host calls, allocations,
+// hook events) are those of charging node by node.
 
 // Op is a VM opcode.
 type Op uint8
@@ -59,7 +59,7 @@ const (
 	// charging 16 bytes of heap.
 	opArrayPush
 	// opArrayHole appends undefined to the array on top without charging
-	// (elided array elements allocate nothing in the tree-walker).
+	// (an elided array element allocates nothing).
 	opArrayHole
 	// opNewObject pushes an empty object.
 	opNewObject
@@ -94,10 +94,9 @@ const (
 	// opIncDec pops the old value and pushes the expression result followed
 	// by the value to store. A=+1/-1, B=1 for prefix.
 	opIncDec
-	// opInvalidTarget raises the tree-walker's "invalid assignment target"
-	// TypeError (assignments/updates whose target is not an identifier or
-	// member expression, raised only after the operand evaluations the
-	// tree-walker performs first).
+	// opInvalidTarget raises the "invalid assignment target" TypeError
+	// (assignments/updates whose target is not an identifier or member
+	// expression, raised only after the operands have been evaluated).
 	opInvalidTarget
 	// opBinary pops r then l and pushes Interp.binaryOp(binOps[A], l, r).
 	opBinary
@@ -115,8 +114,8 @@ const (
 	// pops it (|| short circuit).
 	opJumpIfTruePeek
 	// opCaseJump pops the case test then peeks the switch discriminant;
-	// jumps to A when strictly equal (no compare charge, matching the
-	// tree-walker's switch).
+	// jumps to A when strictly equal (case matching bills no compare
+	// work).
 	opCaseJump
 
 	// opPrepCall pops the callee value and pushes call info with
@@ -150,8 +149,8 @@ const (
 	// opThrow pops a value and raises it as a ThrowError.
 	opThrow
 	// opBreakErr / opContinueErr raise the break/continue control signals
-	// with no enclosing loop in this frame (the tree-walker lets them
-	// escape to the caller as errors).
+	// with no enclosing loop in this frame (they escape to the caller as
+	// errors).
 	opBreakErr
 	opContinueErr
 	// opUnwind performs break/continue through enclosing try handlers
@@ -216,7 +215,7 @@ type unwindPoint struct {
 	sp       int32
 }
 
-// hoistEntry reproduces one step of the tree-walker's hoist pass.
+// hoistEntry is one declaration hoisted to frame entry.
 type hoistEntry struct {
 	name string
 	// proto is non-nil for function declarations; nil entries declare the
@@ -277,9 +276,8 @@ func (c *Code) SizeEstimate() int64 {
 	return n
 }
 
-// binOps interns binary operator strings; opBinary carries an index so the
-// VM dispatches through the exact same Interp.binaryOp switch as the
-// tree-walker.
+// binOps interns binary operator strings; opBinary carries an index into
+// it and dispatches through Interp.binaryOp.
 var binOps = []string{
 	"+", "-", "*", "/", "%",
 	"==", "!=", "===", "!==",

@@ -1,15 +1,16 @@
 package js
 
 // The compiler lowers a parsed Program into a Code unit executed by vm.go.
-// Its one hard invariant is charge parity with the tree-walker: eval.go
-// bills one step at the entry of every eval()/execStmt() call, so the
+// Its one hard invariant is the step charge model: one step at the entry
+// of every statement and expression node, each time it is evaluated. The
 // compiler accumulates those per-node charges in `pending` and folds them
 // into the cost of the next emitted instruction. Because a node's entry
 // charge is immediately followed by its first child's entry charge (with no
 // observable effect in between), folding consecutive charges into one
 // instruction preserves both totals and the order of charges relative to
-// every host-visible effect. Where no following instruction exists inside
-// the charged region — empty statements, loop headers whose first
+// every host-visible effect; chargeSteps stops a folded charge at limit+1,
+// as one-at-a-time charging would. Where no following instruction exists
+// inside the charged region — empty statements, loop headers whose first
 // instruction re-executes each iteration — the compiler flushes the pending
 // charge into an explicit opNop.
 
@@ -77,8 +78,9 @@ func (c *compiler) nameIndex(s string) int32 {
 	return idx
 }
 
-// hoistList reproduces the tree-walker's hoist pass as a flat list applied
-// at frame entry, compiling declared function bodies on the way.
+// hoistList collects a body's var and function declarations, nested
+// statements included, as a flat list applied at frame entry, compiling
+// declared function bodies on the way.
 func (c *compiler) hoistList(body []Stmt) []hoistEntry {
 	var out []hoistEntry
 	for _, st := range body {
@@ -248,9 +250,9 @@ func (a *asm) topLevel(body []Stmt) {
 	}
 }
 
-// valued compiles a statement leaving its tree-walker completion value on
-// the stack (only ExprStmt, BlockStmt and IfStmt produce one; everything
-// else completes with undefined).
+// valued compiles a statement leaving its completion value on the stack
+// (only ExprStmt, BlockStmt and IfStmt produce one; everything else
+// completes with undefined).
 func (a *asm) valued(st Stmt) {
 	a.pending++
 	switch s := st.(type) {
@@ -258,8 +260,7 @@ func (a *asm) valued(st Stmt) {
 		a.expr(s.X)
 	case *BlockStmt:
 		// The block completion starts undefined and is overwritten by each
-		// direct child expression statement, matching execStmt's BlockStmt
-		// arm which only captures isExprStmt children.
+		// direct child expression statement; no other child sets it.
 		a.emitConst(Undefined())
 		for _, inner := range s.Body {
 			if es, ok := inner.(*ExprStmt); ok {
@@ -306,7 +307,7 @@ func (a *asm) stmtBody(st Stmt) {
 	case *EmptyStmt:
 		// flush() bills the bare statement's step.
 	case *FuncDecl:
-		// Hoisted; only the execStmt entry charge remains.
+		// Hoisted; only the statement's entry charge remains.
 	case *VarStmt:
 		for _, d := range s.Decls {
 			if d.Init != nil {
@@ -547,8 +548,8 @@ func (a *asm) popLoop(lc *loopCtx) {
 
 // breakContinue compiles break/continue: a plain jump when nothing lies
 // between the statement and its loop, an unwind when intervening try
-// handlers or for-in iterators must be processed, and the tree-walker's
-// escaping control error when no loop encloses the statement at all.
+// handlers or for-in iterators must be processed, and an escaping control
+// error when no loop encloses the statement at all.
 func (a *asm) breakContinue(isBreak bool) {
 	var lc *loopCtx
 	for i := len(a.loops) - 1; i >= 0; i-- {
@@ -718,7 +719,7 @@ func (a *asm) unary(x *UnaryExpr) {
 	case "typeof":
 		if id, ok := x.X.(*Ident); ok {
 			// typeof of an identifier never charges for the operand: the
-			// tree-walker looks it up directly without eval.
+			// name is looked up directly, not evaluated as a node.
 			a.emit(opTypeofName, a.c.nameIndex(id.Name), 0)
 			a.push(1)
 			return
@@ -777,9 +778,9 @@ func (a *asm) update(x *UpdateExpr) {
 		a.emit(opStoreNamePop, a.c.nameIndex(t.Name), 0)
 		a.pop(1)
 	case *MemberExpr:
-		// storeTo re-evaluates the object (and computed property), exactly
-		// like the tree-walker's second evaluation; the member node itself
-		// is not re-charged.
+		// The store re-evaluates the object (and computed property), each
+		// charged again as a node entry; the member node itself is not
+		// re-charged.
 		a.expr(t.Object)
 		if t.Computed {
 			a.expr(t.Property)
@@ -854,9 +855,9 @@ func (a *asm) call(x *CallExpr) {
 }
 
 // fold evaluates literal-only subexpressions at compile time. It returns
-// the folded value, the number of eval() entries the tree-walker would have
-// charged for the folded subtree (so the constant carries the same step
-// cost), and whether folding applied. Only operations with no side channel
+// the folded value, the number of node entries the folded subtree charges
+// (so the constant carries the same step cost), and whether folding
+// applied. Only operations with no side channel
 // are folded: string concatenation allocates (heap accounting, spray
 // hooks) and string comparison bills scan work, so both stay runtime ops.
 func (a *asm) fold(e Expr) (Value, int32, bool) {

@@ -12,7 +12,7 @@ import (
 // Unbounded recursion used to run on the Go stack until it overflowed,
 // which is a fatal error that ends the whole process. Script calls and
 // nested-array conversion now stop at maxDepth with a catchable
-// RangeError on both engines.
+// RangeError.
 
 // depthScripts run under a Go stack limit far below what an unbounded
 // recursion to the step budget would take.
@@ -42,7 +42,7 @@ func TestDepthCapThrowsRangeError(t *testing.T) {
 		"4000",
 	}
 	for i, src := range depthScripts {
-		tr := runEngine(src, false, depthLimits, NewUnitCache(8<<20))
+		tr := runEngine(src, depthLimits, NewUnitCache(8<<20))
 		if tr.errKind != "" || tr.display != want[i] {
 			t.Errorf("%s\n= %q (err %q), want %q", src, tr.display, tr.errKind, want[i])
 		}

@@ -18,8 +18,7 @@ package js
 // and ternary conditionals. Loop back-edges, switch dispatch, and &&/||
 // short-circuits always take their natural outcome, so a decryptor
 // for-loop cannot saturate the decision budget before the payload gate
-// is reached. Forcing works on the bytecode VM only; ExploreForced
-// disables the tree-walker for its duration (documented fallback).
+// is reached.
 
 // Default exploration bounds. Sixteen paths covers every single-flip
 // variant of a script with up to fifteen guards plus the natural run;
@@ -132,13 +131,10 @@ func (it *Interp) ExploreForced(cfg ForceConfig, run func() error) ForceResult {
 
 	prevForce := it.Force
 	prevLimit := it.StepLimit
-	prevTree := it.treeWalk
 	defer func() {
 		it.Force = prevForce
 		it.StepLimit = prevLimit
-		it.treeWalk = prevTree
 	}()
-	it.treeWalk = false // forcing is VM-only; see package comment
 
 	var res ForceResult
 	visited := map[string]bool{"": true}

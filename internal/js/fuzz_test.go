@@ -33,13 +33,20 @@ func FuzzJSInterp(f *testing.F) {
 		if len(src) > 64<<10 {
 			return
 		}
-		// runEngine renders the completion value without the interpreter.
-		units := NewUnitCache(4 << 20)
-		first := runEngine(src, false, fuzzLimits, units)
-		if again := runEngine(src, false, fuzzLimits, units); !reflect.DeepEqual(first, again) {
-			t.Fatalf("cache-hit rerun diverged\nscript: %q\nfirst: %s\nagain: %s", src, first.golden(), again.golden())
-		}
+		assertCachedRerun(t, src)
 	})
+}
+
+// assertCachedRerun runs src under fuzzLimits, then again as a hit in the
+// same unit cache, and demands identical traces. runEngine also renders
+// the completion value without the interpreter.
+func assertCachedRerun(t *testing.T, src string) {
+	t.Helper()
+	units := NewUnitCache(4 << 20)
+	first := runEngine(src, fuzzLimits, units)
+	if again := runEngine(src, fuzzLimits, units); !reflect.DeepEqual(first, again) {
+		t.Fatalf("cache-hit rerun diverged\nscript: %q\nfirst: %s\nagain: %s", src, first.golden(), again.golden())
+	}
 }
 
 // FuzzForcedExec explores arbitrary source with the forced-execution

@@ -60,10 +60,6 @@ var (
 	errContinue = errors.New("continue")
 )
 
-type returnSignal struct{ value Value }
-
-func (returnSignal) Error() string { return "return outside function" }
-
 // Scope is one lexical environment.
 type Scope struct {
 	vars   map[string]Value
@@ -133,7 +129,7 @@ type Interp struct {
 	// in the bytecode VM (if/else and ternaries; never loop back-edges):
 	// each decision consults the ForceState, which may override the
 	// natural outcome to steer execution down an unexplored arm. Set by
-	// ExploreForced; the tree-walker ignores it.
+	// ExploreForced.
 	Force *ForceState
 	// Units overrides the compiled-unit cache (nil = DefaultUnits).
 	Units *UnitCache
@@ -143,10 +139,6 @@ type Interp struct {
 	// depth counts the script function calls and array-to-string
 	// conversions in progress (maxDepth).
 	depth int
-	// treeWalk runs the recursive evaluator instead of the bytecode VM. It
-	// is the reference the differential tests compare the VM against;
-	// nothing outside them sets it.
-	treeWalk bool
 
 	// unitsMemo caches the most recent UTF-16 re-encoding done by the
 	// string builtins. Decoder loops (charCodeAt over an escaped payload)
@@ -179,23 +171,10 @@ func New() *Interp {
 // Steps returns the number of interpreter steps consumed so far.
 func (it *Interp) Steps() int64 { return it.steps }
 
-func (it *Interp) step() error {
-	it.steps++
-	limit := it.StepLimit
-	if limit == 0 {
-		limit = DefaultStepLimit
-	}
-	if it.steps > limit {
-		return ErrBudget
-	}
-	return nil
-}
-
-// chargeSteps bills a folded step charge of k node entries at once. It
-// reproduces the tree-walker's behavior bit-for-bit: there, charges land one
-// step at a time and execution stops at the first step past the limit, so on
-// budget exhaustion the visible counter reads limit+1 rather than
-// overshooting by the folded amount.
+// chargeSteps bills a folded step charge of k node entries at once. The
+// charge model is one step per node entry, stopping at the first step past
+// the limit, so on budget exhaustion the visible counter reads limit+1
+// rather than overshooting by the folded amount.
 func (it *Interp) chargeSteps(k int64) error {
 	limit := it.StepLimit
 	if limit == 0 {
@@ -322,13 +301,6 @@ func (it *Interp) throwNamed(name, msg string) error {
 // value (the value of the last expression statement). Compiled units are
 // reused across runs through the content-addressed unit cache.
 func (it *Interp) Run(src string) (Value, error) {
-	if it.treeWalk {
-		prog, err := Parse(src)
-		if err != nil {
-			return Undefined(), err
-		}
-		return it.runProgramTree(prog)
-	}
 	code, err := it.units().Load(src)
 	if err != nil {
 		return Undefined(), err
@@ -338,9 +310,6 @@ func (it *Interp) Run(src string) (Value, error) {
 
 // RunProgram executes a parsed program in the global scope.
 func (it *Interp) RunProgram(prog *Program) (Value, error) {
-	if it.treeWalk {
-		return it.runProgramTree(prog)
-	}
 	return it.runCode(Compile(prog), it.Global, modeProgram)
 }
 
@@ -349,322 +318,6 @@ func (it *Interp) units() *UnitCache {
 		return it.Units
 	}
 	return DefaultUnits
-}
-
-// runProgramTree is the recursive-evaluator program path, kept as the
-// reference implementation for the differential harness.
-func (it *Interp) runProgramTree(prog *Program) (Value, error) {
-	sc := it.Global
-	it.curScope = sc
-	hoist(prog.Body, sc, it)
-	var completion Value
-	for _, st := range prog.Body {
-		v, err := it.execStmt(st, sc)
-		if err != nil {
-			if _, isRet := err.(returnSignal); isRet {
-				return Undefined(), it.throwNamed("SyntaxError", "return outside function")
-			}
-			if err == errBreak || err == errContinue {
-				return Undefined(), it.throwNamed("SyntaxError", "break/continue outside loop")
-			}
-			return Undefined(), err
-		}
-		if v.Kind() != KindUndefined || isExprStmt(st) {
-			completion = v
-		}
-	}
-	return completion, nil
-}
-
-func isExprStmt(st Stmt) bool {
-	_, ok := st.(*ExprStmt)
-	return ok
-}
-
-// hoist declares vars (undefined) and function declarations into sc.
-func hoist(body []Stmt, sc *Scope, it *Interp) {
-	for _, st := range body {
-		hoistStmt(st, sc, it)
-	}
-}
-
-func hoistStmt(st Stmt, sc *Scope, it *Interp) {
-	switch s := st.(type) {
-	case *VarStmt:
-		for _, d := range s.Decls {
-			if _, exists := sc.vars[d.Name]; !exists {
-				sc.Declare(d.Name, Undefined())
-			}
-		}
-	case *FuncDecl:
-		fn := &Object{Class: ClassFunction, Name: s.Name, Fn: s.Fn, Env: sc, props: make(map[string]Value)}
-		sc.Declare(s.Name, ObjectValue(fn))
-	case *IfStmt:
-		hoistStmt(s.Then, sc, it)
-		if s.Else != nil {
-			hoistStmt(s.Else, sc, it)
-		}
-	case *WhileStmt:
-		hoistStmt(s.Body, sc, it)
-	case *DoWhileStmt:
-		hoistStmt(s.Body, sc, it)
-	case *ForStmt:
-		if s.Init != nil {
-			hoistStmt(s.Init, sc, it)
-		}
-		hoistStmt(s.Body, sc, it)
-	case *ForInStmt:
-		if s.Declare {
-			if _, exists := sc.vars[s.VarName]; !exists {
-				sc.Declare(s.VarName, Undefined())
-			}
-		}
-		hoistStmt(s.Body, sc, it)
-	case *BlockStmt:
-		hoist(s.Body, sc, it)
-	case *TryStmt:
-		hoist(s.Body.Body, sc, it)
-		if s.Catch != nil {
-			hoist(s.Catch.Body, sc, it)
-		}
-		if s.Finally != nil {
-			hoist(s.Finally.Body, sc, it)
-		}
-	case *SwitchStmt:
-		for _, c := range s.Cases {
-			hoist(c.Body, sc, it)
-		}
-	}
-}
-
-// execStmt executes one statement, returning its completion value.
-func (it *Interp) execStmt(st Stmt, sc *Scope) (Value, error) {
-	if err := it.step(); err != nil {
-		return Undefined(), err
-	}
-	switch s := st.(type) {
-	case *EmptyStmt:
-		return Undefined(), nil
-	case *VarStmt:
-		for _, d := range s.Decls {
-			if d.Init != nil {
-				v, err := it.eval(d.Init, sc)
-				if err != nil {
-					return Undefined(), err
-				}
-				declareVar(sc, d.Name, v)
-			} else if _, exists := lookupDeclaring(sc, d.Name); !exists {
-				declareVar(sc, d.Name, Undefined())
-			}
-		}
-		return Undefined(), nil
-	case *FuncDecl:
-		// Hoisted already.
-		return Undefined(), nil
-	case *ExprStmt:
-		return it.eval(s.X, sc)
-	case *IfStmt:
-		cond, err := it.eval(s.Cond, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		if cond.ToBoolean() {
-			return it.execStmt(s.Then, sc)
-		}
-		if s.Else != nil {
-			return it.execStmt(s.Else, sc)
-		}
-		return Undefined(), nil
-	case *WhileStmt:
-		for {
-			cond, err := it.eval(s.Cond, sc)
-			if err != nil {
-				return Undefined(), err
-			}
-			if !cond.ToBoolean() {
-				return Undefined(), nil
-			}
-			if _, err := it.execStmt(s.Body, sc); err != nil {
-				if err == errBreak {
-					return Undefined(), nil
-				}
-				if err == errContinue {
-					continue
-				}
-				return Undefined(), err
-			}
-		}
-	case *DoWhileStmt:
-		for {
-			if _, err := it.execStmt(s.Body, sc); err != nil {
-				if err == errBreak {
-					return Undefined(), nil
-				}
-				if err != errContinue {
-					return Undefined(), err
-				}
-			}
-			cond, err := it.eval(s.Cond, sc)
-			if err != nil {
-				return Undefined(), err
-			}
-			if !cond.ToBoolean() {
-				return Undefined(), nil
-			}
-		}
-	case *ForStmt:
-		if s.Init != nil {
-			if _, err := it.execStmt(s.Init, sc); err != nil {
-				return Undefined(), err
-			}
-		}
-		for {
-			if s.Cond != nil {
-				cond, err := it.eval(s.Cond, sc)
-				if err != nil {
-					return Undefined(), err
-				}
-				if !cond.ToBoolean() {
-					return Undefined(), nil
-				}
-			}
-			if _, err := it.execStmt(s.Body, sc); err != nil {
-				if err == errBreak {
-					return Undefined(), nil
-				}
-				if err != errContinue {
-					return Undefined(), err
-				}
-			}
-			if s.Post != nil {
-				if _, err := it.eval(s.Post, sc); err != nil {
-					return Undefined(), err
-				}
-			}
-		}
-	case *ForInStmt:
-		objV, err := it.eval(s.Object, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		o := objV.Object()
-		if o == nil {
-			return Undefined(), nil // for-in over non-object iterates nothing
-		}
-		for _, key := range o.Keys() {
-			kv := StringValue(key)
-			if s.Declare {
-				declareVar(sc, s.VarName, kv)
-			} else {
-				sc.Assign(s.VarName, kv)
-			}
-			if _, err := it.execStmt(s.Body, sc); err != nil {
-				if err == errBreak {
-					return Undefined(), nil
-				}
-				if err != errContinue {
-					return Undefined(), err
-				}
-			}
-		}
-		return Undefined(), nil
-	case *ReturnStmt:
-		v := Undefined()
-		if s.X != nil {
-			var err error
-			v, err = it.eval(s.X, sc)
-			if err != nil {
-				return Undefined(), err
-			}
-		}
-		return Undefined(), returnSignal{value: v}
-	case *BreakStmt:
-		return Undefined(), errBreak
-	case *ContinueStmt:
-		return Undefined(), errContinue
-	case *BlockStmt:
-		var completion Value
-		for _, inner := range s.Body {
-			v, err := it.execStmt(inner, sc)
-			if err != nil {
-				return Undefined(), err
-			}
-			if isExprStmt(inner) {
-				completion = v
-			}
-		}
-		return completion, nil
-	case *ThrowStmt:
-		v, err := it.eval(s.X, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		return Undefined(), &ThrowError{Value: v}
-	case *TryStmt:
-		_, tryErr := it.execStmt(s.Body, sc)
-		var fatal *FatalError
-		if errors.As(tryErr, &fatal) {
-			// Hijack/crash: no catch, no finally.
-			return Undefined(), tryErr
-		}
-		var thrown *ThrowError
-		if tryErr != nil {
-			if errors.As(tryErr, &thrown) && s.Catch != nil {
-				catchScope := NewScope(sc)
-				catchScope.Declare(s.CatchName, thrown.Value)
-				_, tryErr = it.execStmt(s.Catch, catchScope)
-			}
-		}
-		if s.Finally != nil {
-			if _, finErr := it.execStmt(s.Finally, sc); finErr != nil {
-				return Undefined(), finErr
-			}
-		}
-		if tryErr != nil {
-			return Undefined(), tryErr
-		}
-		return Undefined(), nil
-	case *SwitchStmt:
-		disc, err := it.eval(s.Disc, sc)
-		if err != nil {
-			return Undefined(), err
-		}
-		matched := -1
-		defaultIdx := -1
-		for i, c := range s.Cases {
-			if c.Test == nil {
-				defaultIdx = i
-				continue
-			}
-			tv, err := it.eval(c.Test, sc)
-			if err != nil {
-				return Undefined(), err
-			}
-			if strictEquals(disc, tv) {
-				matched = i
-				break
-			}
-		}
-		if matched < 0 {
-			matched = defaultIdx
-		}
-		if matched < 0 {
-			return Undefined(), nil
-		}
-		for i := matched; i < len(s.Cases); i++ {
-			for _, inner := range s.Cases[i].Body {
-				if _, err := it.execStmt(inner, sc); err != nil {
-					if err == errBreak {
-						return Undefined(), nil
-					}
-					return Undefined(), err
-				}
-			}
-		}
-		return Undefined(), nil
-	default:
-		return Undefined(), fmt.Errorf("js: unhandled statement %T", st)
-	}
 }
 
 // declareVar declares into the nearest function-level scope (approximated by
@@ -677,15 +330,15 @@ func lookupDeclaring(sc *Scope, name string) (Value, bool) {
 	return v, ok
 }
 
-// callFunction invokes a callable object.
+// callFunction invokes a callable object; the call itself costs one step.
 func (it *Interp) callFunction(fn *Object, this Value, args []Value) (Value, error) {
-	if err := it.step(); err != nil {
+	if err := it.chargeSteps(1); err != nil {
 		return Undefined(), err
 	}
 	if fn.Host != nil {
 		return fn.Host(it, this, args)
 	}
-	if fn.Proto == nil && fn.Fn == nil {
+	if fn.Proto == nil {
 		return Undefined(), it.throwTypeError("%s is not a function", fn.Name)
 	}
 	if it.depth >= maxDepth {
@@ -693,44 +346,7 @@ func (it *Interp) callFunction(fn *Object, this Value, args []Value) (Value, err
 	}
 	it.depth++
 	defer func() { it.depth-- }()
-	if fn.Proto != nil {
-		return it.callCompiled(fn, this, args)
-	}
-	scope := NewScope(fn.Env)
-	for i, p := range fn.Fn.Params {
-		if i < len(args) {
-			scope.Declare(p, args[i])
-		} else {
-			scope.Declare(p, Undefined())
-		}
-	}
-	argObj := NewArray(args...)
-	scope.Declare("arguments", ObjectValue(argObj))
-	if fn.Fn.Name != "" {
-		if _, exists := scope.vars[fn.Fn.Name]; !exists {
-			scope.Declare(fn.Fn.Name, ObjectValue(fn))
-		}
-	}
-	hoist(fn.Fn.Body, scope, it)
-
-	prevScope := it.curScope
-	prevThis := it.This
-	it.curScope = scope
-	it.This = this
-	defer func() {
-		it.curScope = prevScope
-		it.This = prevThis
-	}()
-
-	for _, st := range fn.Fn.Body {
-		if _, err := it.execStmt(st, scope); err != nil {
-			if ret, ok := err.(returnSignal); ok {
-				return ret.value, nil
-			}
-			return Undefined(), err
-		}
-	}
-	return Undefined(), nil
+	return it.callCompiled(fn, this, args)
 }
 
 // CurrentScope exposes the scope of the innermost active call (used by the
@@ -746,37 +362,12 @@ func (it *Interp) CurrentScope() *Scope {
 // Compiled units are cached by content hash, so unpacker loops that eval the
 // same decoded payload repeatedly compile it once.
 func (it *Interp) EvalInScope(src string, sc *Scope) (Value, error) {
-	if it.treeWalk {
-		return it.evalInScopeTree(src, sc)
-	}
 	code, err := it.units().Load(src)
 	if err != nil {
 		// eval of malformed source throws a catchable SyntaxError.
 		return Undefined(), it.throwNamed("SyntaxError", err.Error())
 	}
 	return it.runCode(code, sc, modeEval)
-}
-
-func (it *Interp) evalInScopeTree(src string, sc *Scope) (Value, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return Undefined(), it.throwNamed("SyntaxError", err.Error())
-	}
-	hoist(prog.Body, sc, it)
-	var completion Value
-	for _, st := range prog.Body {
-		v, err := it.execStmt(st, sc)
-		if err != nil {
-			if ret, ok := err.(returnSignal); ok {
-				return ret.value, nil
-			}
-			return Undefined(), err
-		}
-		if isExprStmt(st) {
-			completion = v
-		}
-	}
-	return completion, nil
 }
 
 // ToDisplay renders a value for diagnostics and alert messages.
@@ -871,8 +462,8 @@ func toStringDepth(it *Interp, v Value, depth int) (string, error) {
 			}
 			return b.String(), nil
 		case o.IsCallable():
-			if o.Fn != nil && o.Fn.Source != "" {
-				return o.Fn.Source, nil
+			if o.Proto != nil && o.Proto.Lit.Source != "" {
+				return o.Proto.Lit.Source, nil
 			}
 			return "function " + o.Name + "() { [native code] }", nil
 		case o.Class == ClassError:

@@ -15,7 +15,7 @@ func runRopeMin(src string, minBytes int, lim diffLimits) engineTrace {
 	prev := ropeMinBytes
 	ropeMinBytes = minBytes
 	defer func() { ropeMinBytes = prev }()
-	return runEngine(src, false, lim, NewUnitCache(4<<20))
+	return runEngine(src, lim, NewUnitCache(4<<20))
 }
 
 // FuzzRopeVsFlat is the rope differential: whatever a script does, the

@@ -410,11 +410,8 @@ type Object struct {
 	// getters are consulted before props (host objects).
 	getters map[string]PropGetter
 
-	// Fn is set for user-defined functions.
-	Fn *FuncLit
-	// Proto is the compiled body when the function was created by the
-	// bytecode VM; callFunction dispatches to the VM when set, so a
-	// closure always runs on the engine that created it.
+	// Proto is the compiled function for script-defined functions; its
+	// Lit is the parsed literal (name, parameters and source text).
 	Proto *FnProto
 	// Env is the closure environment for user functions.
 	Env *Scope
@@ -446,7 +443,7 @@ func NewHostFunc(name string, fn HostFn) *Object {
 }
 
 // IsCallable reports whether the object can be invoked.
-func (o *Object) IsCallable() bool { return o != nil && (o.Host != nil || o.Fn != nil) }
+func (o *Object) IsCallable() bool { return o != nil && (o.Host != nil || o.Proto != nil) }
 
 // DefineGetter registers a dynamic property on a host object.
 func (o *Object) DefineGetter(name string, g PropGetter) {

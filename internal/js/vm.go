@@ -2,14 +2,12 @@ package js
 
 import "errors"
 
-// The VM executes compiled Code units on an explicit value stack. All
+// The VM executes compiled Code units on an explicit value stack. The
 // semantic heavy lifting — binary operators, property access, builtin
-// method lookup, function invocation, string conversion — goes through the
-// exact helpers the tree-walker uses (binaryOp, getMember, lookupMethod,
-// callFunction, valueToString), so work charging, heap accounting and every
-// host-visible hook fire identically from both engines. The VM only
-// replaces the recursive dispatch and the error-based control flow of
-// eval.go with jumps and an explicit handler stack.
+// method lookup, function invocation, string conversion — goes through
+// shared helpers (binaryOp, getMember, lookupMethod, callFunction,
+// valueToString), which own work charging, heap accounting and every
+// host-visible hook. Control flow is jumps and an explicit handler stack.
 
 // Frame execution modes. Program and eval frames track a completion value
 // with their respective capture rules; function frames return via opReturn.
@@ -74,12 +72,14 @@ type vmFrame struct {
 	calls      []vmCallInfo
 }
 
-// applyHoists reproduces the tree-walker's hoist pass at frame entry.
+// applyHoists declares a frame's hoisted names at its entry: each function
+// declaration binds a new closure, and each var is declared undefined
+// unless already declared in sc.
 func applyHoists(sc *Scope, entries []hoistEntry) {
 	for i := range entries {
 		e := &entries[i]
 		if e.proto != nil {
-			fn := &Object{Class: ClassFunction, Name: e.name, Fn: e.proto.Lit, Proto: e.proto, Env: sc, props: make(map[string]Value)}
+			fn := &Object{Class: ClassFunction, Name: e.name, Proto: e.proto, Env: sc, props: make(map[string]Value)}
 			sc.Declare(e.name, ObjectValue(fn))
 		} else if _, exists := sc.vars[e.name]; !exists {
 			sc.Declare(e.name, Undefined())
@@ -108,7 +108,7 @@ func (it *Interp) runCode(code *Code, sc *Scope, mode int) (Value, error) {
 		if mode == modeProgram {
 			return Undefined(), it.throwNamed("SyntaxError", "return outside function")
 		}
-		// eval converts a stray return into its value, like EvalInScope.
+		// eval converts a stray return into its value.
 		return comp.val, nil
 	default:
 		if mode == modeProgram && (comp.err == errBreak || comp.err == errContinue) {
@@ -118,10 +118,9 @@ func (it *Interp) runCode(code *Code, sc *Scope, mode int) (Value, error) {
 	}
 }
 
-// callCompiled invokes a function object carrying compiled code. The scope
-// setup mirrors callFunction's tree path declaration for declaration:
-// parameters, then arguments (which shadows a parameter of that name), then
-// the self-name binding, then hoisting.
+// callCompiled invokes a function object carrying compiled code. Its
+// scope is set up in order: parameters, then arguments (which shadows a
+// parameter of that name), then the self-name binding, then hoisting.
 func (it *Interp) callCompiled(fn *Object, this Value, args []Value) (Value, error) {
 	p := fn.Proto
 	scope := NewScope(fn.Env)
@@ -167,13 +166,13 @@ func (it *Interp) callCompiled(fn *Object, this Value, args []Value) (Value, err
 	}
 }
 
-// unwind routes an abrupt completion through the frame's try handlers,
-// mirroring execStmt's TryStmt arm: FatalError skips catch and finally
-// entirely; only ThrowError is catchable; every other abrupt completion
-// (break, continue, return, budget/heap errors) still runs finally blocks;
-// an abrupt completion inside a finally replaces the pending one. It
-// returns (false, _) when execution resumes inside the frame and
-// (true, final) when the frame exits.
+// unwind routes an abrupt completion through the frame's try handlers:
+// FatalError skips catch and finally entirely; only ThrowError is
+// catchable; every other abrupt completion (break, continue, return,
+// budget/heap errors) still runs finally blocks; an abrupt completion
+// inside a finally replaces the pending one. It returns (false, _) when
+// execution resumes inside the frame and (true, final) when the frame
+// exits.
 func (f *vmFrame) unwind(it *Interp, comp vmComp) (bool, vmComp) {
 	if comp.kind == compErr {
 		var fatal *FatalError
@@ -307,7 +306,7 @@ func runFrame(it *Interp, f *vmFrame) vmComp {
 			f.sp++
 		case opClosure:
 			p := f.unit.Protos[in.a]
-			fn := &Object{Class: ClassFunction, Name: p.Lit.Name, Fn: p.Lit, Proto: p, Env: f.scope, props: make(map[string]Value)}
+			fn := &Object{Class: ClassFunction, Name: p.Lit.Name, Proto: p, Env: f.scope, props: make(map[string]Value)}
 			f.stack[f.sp] = ObjectValue(fn)
 			f.sp++
 		case opNewArray:
@@ -533,8 +532,7 @@ func runFrame(it *Interp, f *vmFrame) vmComp {
 			var v Value
 			var err error
 			if ci.hf != nil {
-				// Builtin method fast path: no callFunction step, exactly
-				// like evalCall's lookupMethod dispatch.
+				// Builtin method fast path: no callFunction step.
 				v, err = ci.hf(it, ci.this, args)
 			} else {
 				v, err = it.callFunction(ci.fn, ci.this, args)
@@ -687,7 +685,7 @@ func (f *vmFrame) stored(it *Interp, o *Object, keep bool) error {
 	return nil
 }
 
-// construct implements new-expression semantics, mirroring evalNew.
+// construct implements new-expression semantics.
 func (it *Interp) construct(ctor *Object, calleeV Value, args []Value) (Value, error) {
 	switch ctor.Name {
 	case "Array", "Object", "String", "Number", "Boolean", "Error", "Function", "RegExp", "Date":

@@ -63,9 +63,10 @@ type diffLimits struct {
 	largeUnit int
 }
 
-func runEngine(src string, treeWalk bool, lim diffLimits, units *UnitCache) engineTrace {
+// runEngine runs src on a fresh interpreter under lim, with units as its
+// unit cache, and records what it observed.
+func runEngine(src string, lim diffLimits, units *UnitCache) engineTrace {
 	it := New()
-	it.treeWalk = treeWalk
 	it.Units = units
 	if lim.steps != 0 {
 		it.StepLimit = lim.steps
@@ -114,13 +115,6 @@ func classifyErr(err error) string {
 		return "throw:" + ToDisplay(thrown.Value)
 	}
 	return "err:" + err.Error()
-}
-
-func diffTraces(t *testing.T, src string, tree, vm engineTrace) {
-	t.Helper()
-	if want, got := tree.golden(), vm.golden(); want != got {
-		t.Fatalf("engine divergence\nscript: %q\ntree: %s\nvm:   %s", src, want, got)
-	}
 }
 
 const goldenPath = "testdata/engine.golden"
@@ -217,14 +211,11 @@ func assertGolden(t *testing.T, src string, lim diffLimits) {
 	key := goldenKey(src, lim)
 	want, ok := loadGolden(t)[key]
 	if !ok {
-		t.Fatalf("%s has no line %s\nscript: %q\ntree: %s\t%s", goldenPath, key, src, key, runEngine(src, true, lim, NewUnitCache(8<<20)).golden())
-	}
-	if got := runEngine(src, true, lim, NewUnitCache(8<<20)).golden(); got != want {
-		t.Fatalf("tree-walker: %s\nscript: %q\nwant: %s\t%s\ngot:  %s\t%s", goldenDiff(want, got), src, key, want, key, got)
+		t.Fatalf("%s has no line %s\nscript: %q\nvm: %s\t%s", goldenPath, key, src, key, runEngine(src, lim, NewUnitCache(8<<20)).golden())
 	}
 	units := NewUnitCache(8 << 20)
 	for run, uc := range []*UnitCache{units, units, NewUnitCache(8 << 20)} {
-		if got := runEngine(src, false, lim, uc).golden(); got != want {
+		if got := runEngine(src, lim, uc).golden(); got != want {
 			t.Fatalf("VM run %d of 3: %s\nscript: %q\nwant: %s\t%s\ngot:  %s\t%s", run+1, goldenDiff(want, got), src, key, want, key, got)
 		}
 	}
@@ -487,9 +478,11 @@ var (
 	ropeLimits = diffLimits{steps: 200_000, heap: 8 << 20, largeUnit: 64}
 )
 
-// FuzzCompileVsTreeWalk is the differential fuzz target: any parseable
-// input must behave identically on both engines, and its seeds replay
-// their golden lines.
+// FuzzCompileVsTreeWalk checks the VM against the tree-walker's recorded
+// outputs: each seed (differentialScripts and the committed FuzzJSInterp
+// corpus) replays its golden line under fuzzLimits. A new input has no
+// recorded line, so it gets FuzzJSInterp's cache-hit check only; `make
+// fuzz` fuzzes FuzzJSInterp instead of this target.
 func FuzzCompileVsTreeWalk(f *testing.F) {
 	for _, s := range differentialScripts {
 		f.Add(s)
@@ -505,10 +498,7 @@ func FuzzCompileVsTreeWalk(f *testing.F) {
 			assertGolden(t, src, fuzzLimits)
 			return
 		}
-		units := NewUnitCache(4 << 20)
-		tree := runEngine(src, true, fuzzLimits, units)
-		vm := runEngine(src, false, fuzzLimits, units)
-		diffTraces(t, src, tree, vm)
+		assertCachedRerun(t, src)
 	})
 }
 
