@@ -25,6 +25,7 @@ func runRopeMin(src string, minBytes int, lim diffLimits) engineTrace {
 // must match the flat run: completion value, error class, step and heap
 // totals, the alloc-delta stream, and each large-string observation
 // (length, content digest and marker search, all read without flattening).
+// A committed seed also replays its golden line.
 func FuzzRopeVsFlat(f *testing.F) {
 	for _, s := range differentialScripts {
 		f.Add(s)
@@ -36,10 +37,12 @@ func FuzzRopeVsFlat(f *testing.F) {
 		if len(src) > 64<<10 {
 			return
 		}
-		lim := diffLimits{steps: 200_000, heap: 8 << 20, largeUnit: 64}
-		flat := runRopeMin(src, math.MaxInt, lim)
+		if _, ok := loadGolden(t)[goldenKey(src, ropeLimits)]; ok {
+			assertGolden(t, src, ropeLimits)
+		}
+		flat := runRopeMin(src, math.MaxInt, ropeLimits)
 		for _, minBytes := range []int{1, 16} {
-			if roped := runRopeMin(src, minBytes, lim); !reflect.DeepEqual(flat, roped) {
+			if roped := runRopeMin(src, minBytes, ropeLimits); !reflect.DeepEqual(flat, roped) {
 				t.Fatalf("rope divergence at threshold %d\nscript: %s\nflat:  %+v\nroped: %+v", minBytes, src, flat, roped)
 			}
 		}
