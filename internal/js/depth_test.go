@@ -70,8 +70,8 @@ func nested(kind string, n int) string {
 
 // TestParserNestingCap: the parser recurses on the Go stack, so syntactic
 // nesting stops at maxDepth with a SyntaxError instead of overflowing it.
-// At the cap's introduction, 200,000 nested parentheses (415 bytes as a
-// compressed PDF stream) ended the process under a 64 MB stack.
+// Uncapped, 200,000 nested parentheses (415 bytes as a compressed PDF
+// stream) end the process under a 64 MB stack.
 func TestParserNestingCap(t *testing.T) {
 	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
 	if _, err := New().Run(nested("paren", 200_000)); !errors.Is(err, ErrSyntax) {
