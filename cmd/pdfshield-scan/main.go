@@ -16,7 +16,7 @@
 //	               [-out instrumented.pdf] [-spec spec.json]
 //	               [-registry registry.json] [-endpoint url]
 //	               [-workers N] [-cache] [-cache-entries N]
-//	               [-cache-bytes N] [-cache-ttl d] [-metrics-addr host:port]
+//	               [-cache-bytes N] [-metrics-addr host:port]
 //	               [-journal events.jsonl] [-log-level info] [-log-json]
 //	               input.pdf [input2.pdf ...]
 //
@@ -66,7 +66,6 @@ func run() error {
 	useCache := flag.Bool("cache", true, "deduplicate byte-identical inputs through the content-addressed front-end cache")
 	cacheEntries := flag.Int("cache-entries", 0, "cache entry cap (0 = default, negative = unlimited)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "cache byte cap (0 = default, negative = unlimited)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "cache entry time-to-live (0 = never expires)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics on this address (/metrics); empty = off")
 	pprofOn := flag.Bool("pprof", false, "also mount net/http/pprof at /debug/pprof on -metrics-addr (opt-in)")
 	depthFlag := flag.String("depth", "", "scan depth: static|standard|deep|auto (same vocabulary as the pipeline commands; static and auto include the triage report)")
@@ -145,7 +144,6 @@ func run() error {
 		fc = cache.New(cache.Config{
 			MaxEntries: *cacheEntries,
 			MaxBytes:   *cacheBytes,
-			TTL:        *cacheTTL,
 		})
 		fc.RegisterMetrics(obs.Default)
 	}
@@ -190,8 +188,8 @@ func run() error {
 	}
 	if fc != nil && !*analyzeOnly {
 		s := fc.Stats()
-		fmt.Printf("cache:             %d hits, %d shared, %d misses (%.0f%% hit rate), %d evicted, %d expired, %d resident (%d bytes)\n",
-			s.Hits, s.Shared, s.Misses, s.HitRate()*100, s.Evictions, s.Expired, s.Entries, s.Bytes)
+		fmt.Printf("cache:             %d hits, %d shared, %d misses (%.0f%% hit rate), %d evicted, %d resident (%d bytes)\n",
+			s.Hits, s.Shared, s.Misses, s.HitRate()*100, s.Evictions, s.Entries, s.Bytes)
 	}
 	if firstErr != nil {
 		return fmt.Errorf("one or more inputs failed: %w", firstErr)

@@ -22,19 +22,16 @@
 //	pdfshield-serve [-addr :8947] [-workers N] [-queue N]
 //	                [-max-doc-bytes N] [-drain-timeout d]
 //	                [-tenant-rate R] [-tenant-burst N]
-//	                [-cache] [-cache-entries N] [-cache-bytes N] [-cache-ttl d]
+//	                [-cache] [-cache-entries N] [-cache-bytes N]
 //	                [-depth static|standard|deep|auto]
 //	                [-seed N] [-journal events.jsonl] [-log-level info]
 //	                [-pprof]
 //
 // The daemon also serves the live debug surface (/v1/debug/traces,
-// /v1/debug/slow, /v1/debug/slo, /v1/debug/stalls), and with -pprof the
-// net/http/pprof handlers at /debug/pprof. SIGQUIT prints a diagnostic
-// dump (SLO burn rates, slowest retained traces, stall reports, a full
-// goroutine dump) to stderr without interrupting service. One-shot
-// remote diagnosis of a running node:
-//
-//	pdfshield-serve -doctor host:port
+// /v1/debug/slow, /v1/debug/stalls), and with -pprof the net/http/pprof
+// handlers at /debug/pprof. SIGQUIT prints a diagnostic dump (flight
+// recorder with the slowest retained traces, stall reports, a full
+// goroutine dump) to stderr without interrupting service.
 //
 // Throughput is measured with the repository benchmark,
 // bash perfbench/run.sh.
@@ -75,10 +72,8 @@ func run() error {
 	useCache := flag.Bool("cache", true, "content-addressed front-end cache (byte-identical documents share instrumentation)")
 	cacheEntries := flag.Int("cache-entries", 0, "cache entry cap (0 = default, negative = unlimited)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "cache byte cap (0 = default, negative = unlimited)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "cache entry time-to-live (0 = never expires)")
 	seed := flag.Int64("seed", 0, "instrumentation randomization seed (0 = time-based)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof (opt-in: profiles expose goroutine stacks and heap contents)")
-	doctor := flag.String("doctor", "", "one-shot: fetch and pretty-print a running daemon's diagnostics (health, SLO burn rates, slow traces, stalls) from this address, then exit")
 	depthFlag := flag.String("depth", "", "scan depth: static|standard|deep|auto (empty = standard; auto adds forced-execution deep scans for triage-uncertain documents)")
 
 	logOpts := cli.RegisterLogFlags(flag.CommandLine)
@@ -88,10 +83,6 @@ func run() error {
 	logger, err := logOpts.SetupLogger("pdfshield-serve")
 	if err != nil {
 		return err
-	}
-
-	if *doctor != "" {
-		return serve.RunDoctor(*doctor, os.Stdout)
 	}
 
 	jw, err := jOpts.Open(obs.Default)
@@ -128,7 +119,6 @@ func run() error {
 		cfg.Pipeline.Cache = &cache.Config{
 			MaxEntries: *cacheEntries,
 			MaxBytes:   *cacheBytes,
-			TTL:        *cacheTTL,
 		}
 	}
 	depth, err := pipeline.ParseDepth(*depthFlag)
@@ -148,8 +138,8 @@ func run() error {
 
 	// Drain on SIGINT/SIGTERM: stop accepting, finish in-flight documents
 	// under the drain deadline, flush the journal, then exit. SIGQUIT
-	// prints a diagnostic dump (SLO status, slowest traces, stall reports,
-	// goroutines) to stderr and keeps serving — the kill -QUIT an operator
+	// prints a diagnostic dump (flight recorder, slowest traces, stall
+	// reports, goroutines) to stderr and keeps serving — the kill -QUIT an operator
 	// sends a wedged-looking node before deciding whether to restart it.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGQUIT)

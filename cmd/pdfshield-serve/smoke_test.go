@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -23,9 +24,11 @@ var addrRE = regexp.MustCompile(`addr=([0-9.]+:[0-9]+)`)
 
 // TestServeSmoke is the end-to-end daemon smoke test (`make serve-smoke`):
 // build the real binary, start it on an ephemeral port with a journal,
-// POST a corpus document, assert the verdict JSON, then SIGTERM and
-// require a clean drain — exit 0, "drained" logged, and the journaled
-// doc-open flushed to disk.
+// POST a corpus document, assert the verdict JSON, send SIGQUIT and
+// require the diagnostic dump on stderr to list the document in its
+// flight recorder section while the daemon keeps serving (/v1/healthz
+// and /v1/debug/slow), then SIGTERM and require a clean drain — exit 0,
+// "drained" logged, and the journaled doc-open flushed to disk.
 func TestServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the daemon binary")
@@ -117,14 +120,34 @@ func TestServeSmoke(t *testing.T) {
 		t.Error("verdict missing journal_session correlation key")
 	}
 
-	hr, err := http.Get("http://" + addr + "/v1/healthz")
-	if err != nil {
-		t.Fatalf("healthz: %v", err)
+	// SIGQUIT prints the diagnostic dump to stderr and keeps serving.
+	if err := cmd.Process.Signal(syscall.SIGQUIT); err != nil {
+		t.Fatalf("SIGQUIT: %v", err)
 	}
-	_, _ = io.Copy(io.Discard, hr.Body)
-	_ = hr.Body.Close()
-	if hr.StatusCode != http.StatusOK {
-		t.Errorf("healthz status %d, want 200", hr.StatusCode)
+	var dump string
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		log := readLog(&mu, &logbuf)
+		if i := strings.Index(log, "=== pdfshield diagnostic dump ==="); i >= 0 && strings.Contains(log[i:], "=== end dump ===") {
+			dump = log[i:]
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no complete diagnostic dump on stderr after SIGQUIT\n%s", log)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	flight, _, _ := strings.Cut(dump, "--- goroutines ---")
+	if _, flight, ok := strings.Cut(flight, "--- flight recorder ---"); !ok || !strings.Contains(flight, "smoke-doc") {
+		t.Errorf("dump's flight recorder section does not list smoke-doc:\n%s", dump)
+	}
+
+	status, _ := get(t, "http://"+addr+"/v1/healthz")
+	if status != http.StatusOK {
+		t.Errorf("healthz status %d after SIGQUIT, want 200", status)
+	}
+	status, body = get(t, "http://"+addr+"/v1/debug/slow")
+	if status != http.StatusOK || !bytes.Contains(body, []byte(`"doc_id": "smoke-doc"`)) {
+		t.Errorf("/v1/debug/slow after SIGQUIT: status %d, body %s; want smoke-doc listed", status, body)
 	}
 
 	// Clean drain on SIGTERM. All stderr reads must complete before
@@ -173,6 +196,17 @@ func TestServeSmoke(t *testing.T) {
 		t.Errorf("journal missing smoke-doc events (open=%v verdict=%v, %d total)", open, verd, len(events))
 	}
 	_ = os.Remove(bin)
+}
+
+func get(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, body
 }
 
 func readLog(mu *sync.Mutex, buf *bytes.Buffer) string {

@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"pdfshield/internal/instrument"
 	"pdfshield/internal/obs"
@@ -55,13 +54,9 @@ type Config struct {
 	// MaxBytes bounds the total payload bytes retained (0 =
 	// DefaultMaxBytes, negative = unlimited).
 	MaxBytes int64
-	// TTL expires entries this long after they are stored (0 = never).
-	TTL time.Duration
 	// Shards is the number of independently-locked shards (0 =
 	// DefaultShards).
 	Shards int
-	// Now overrides the clock (tests); nil = time.Now.
-	Now func() time.Time
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -75,8 +70,6 @@ type Stats struct {
 	Shared uint64 `json:"shared"`
 	// Evictions counts entries dropped by the LRU capacity bounds.
 	Evictions uint64 `json:"evictions"`
-	// Expired counts entries dropped because their TTL lapsed.
-	Expired uint64 `json:"expired"`
 	// Entries and Bytes describe the current residency.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
@@ -95,15 +88,11 @@ func (s Stats) HitRate() float64 {
 // hands back: ErrNoJavaScript arrives with a non-nil Result, parse
 // failures with a nil one.
 type entry struct {
-	key     string
-	res     *instrument.Result
-	err     error
-	size    int64
-	expires time.Time // zero = never
-	elem    *list.Element
-	// expElem is the entry's slot in the shard's expiry FIFO (nil when the
-	// cache has no TTL).
-	expElem *list.Element
+	key  string
+	res  *instrument.Result
+	err  error
+	size int64
+	elem *list.Element
 }
 
 // flight is an in-progress front-end pass other submitters can join.
@@ -117,16 +106,12 @@ type shard struct {
 	mu      sync.Mutex
 	entries map[string]*entry
 	lru     *list.List // front = most recently used
-	// expiry orders entries by store time (front = oldest). The TTL is a
-	// per-cache constant, so store order IS expiry order, and sweeping is
-	// an exact pop-from-front loop instead of a full scan.
-	expiry  *list.List
 	flights map[string]*flight
 	bytes   int64
 	// onDrop is the cache's drop observer (see SetDropObserver).
 	onDrop func(*instrument.Result)
 
-	hits, misses, shared, evictions, expired uint64
+	hits, misses, shared, evictions uint64
 }
 
 // Cache is a sharded, content-addressed front-end cache.
@@ -134,8 +119,6 @@ type Cache struct {
 	shards     []*shard
 	maxEntries int   // per shard (<=0 = unlimited)
 	maxBytes   int64 // per shard (<=0 = unlimited)
-	ttl        time.Duration
-	now        func() time.Time
 }
 
 // New builds a cache from cfg (zero values take the package defaults).
@@ -152,15 +135,7 @@ func New(cfg Config) *Cache {
 	if maxBytes == 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
-	c := &Cache{
-		shards: make([]*shard, nshards),
-		ttl:    cfg.TTL,
-		now:    now,
-	}
+	c := &Cache{shards: make([]*shard, nshards)}
 	// Capacity bounds are split evenly across shards; each shard evicts
 	// independently, so the totals hold without a global lock.
 	if maxEntries > 0 {
@@ -173,7 +148,6 @@ func New(cfg Config) *Cache {
 		c.shards[i] = &shard{
 			entries: make(map[string]*entry),
 			lru:     list.New(),
-			expiry:  list.New(),
 			flights: make(map[string]*flight),
 		}
 	}
@@ -196,14 +170,14 @@ func (c *Cache) shardFor(key string) *shard {
 	return c.shards[h%uint32(len(c.shards))]
 }
 
-// Get returns the cached outcome for key, if present and fresh. The
-// third return reports whether the lookup hit. Get never joins a flight;
-// use Do for the full read-through path.
+// Get returns the cached outcome for key, if present. The third return
+// reports whether the lookup hit. Get never joins a flight; use Do for
+// the full read-through path.
 func (c *Cache) Get(key string) (*instrument.Result, error, bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.lookupLocked(key, c.now())
+	e, ok := sh.lookupLocked(key)
 	if !ok {
 		sh.misses++
 		return nil, nil, false
@@ -218,7 +192,7 @@ type Outcome int
 const (
 	// OutcomeMiss: the caller was the singleflight leader and ran fn.
 	OutcomeMiss Outcome = iota
-	// OutcomeHit: served from a completed, fresh entry.
+	// OutcomeHit: served from a completed entry.
 	OutcomeHit
 	// OutcomeShared: joined (or waited on) another caller's in-flight
 	// front-end pass.
@@ -245,7 +219,7 @@ func (c *Cache) Do(key string, fn func() (*instrument.Result, error)) (*instrume
 	return res, err, oc != OutcomeMiss
 }
 
-// DoContext is the read-through entry point: a fresh entry is returned
+// DoContext is the read-through entry point: a stored entry is returned
 // at once; otherwise the first caller for a key becomes the singleflight
 // leader, runs fn exactly once and stores the outcome, while concurrent
 // callers for the same key block on the leader and share its result.
@@ -260,7 +234,7 @@ func (c *Cache) Do(key string, fn func() (*instrument.Result, error)) (*instrume
 func (c *Cache) DoContext(ctx context.Context, key string, fn func() (*instrument.Result, error)) (*instrument.Result, error, Outcome) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
-	if e, ok := sh.lookupLocked(key, c.now()); ok {
+	if e, ok := sh.lookupLocked(key); ok {
 		sh.hits++
 		sh.mu.Unlock()
 		return e.res, e.err, OutcomeHit
@@ -308,11 +282,11 @@ func transient(err error) bool {
 }
 
 // SetDropObserver registers fn to receive every stored Result the cache
-// lets go: evicted, expired, invalidated, replaced, or never stored
-// because it exceeds a shard's byte budget. The owner of the artifacts
-// uses it to release what each one holds (the pipeline forgets their
-// registry records). fn runs under a shard lock and must not call back
-// into the cache. Set it before the cache is shared.
+// lets go: evicted, invalidated, replaced, or never stored because it
+// exceeds a shard's byte budget. The owner of the artifacts uses it to
+// release what each one holds (the pipeline forgets their registry
+// records). fn runs under a shard lock and must not call back into the
+// cache. Set it before the cache is shared.
 func (c *Cache) SetDropObserver(fn func(*instrument.Result)) {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
@@ -349,26 +323,19 @@ func (c *Cache) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc(obs.MetricCacheMisses, stat(func(s Stats) float64 { return float64(s.Misses) }))
 	reg.CounterFunc(obs.MetricCacheShared, stat(func(s Stats) float64 { return float64(s.Shared) }))
 	reg.CounterFunc(obs.MetricCacheEvictions, stat(func(s Stats) float64 { return float64(s.Evictions) }))
-	reg.CounterFunc(obs.MetricCacheExpired, stat(func(s Stats) float64 { return float64(s.Expired) }))
 	reg.GaugeFunc(obs.MetricCacheEntries, stat(func(s Stats) float64 { return float64(s.Entries) }))
 	reg.GaugeFunc(obs.MetricCacheBytes, stat(func(s Stats) float64 { return float64(s.Bytes) }))
 }
 
-// Stats sums a snapshot over all shards. Each shard is swept first, so
-// Entries/Bytes report live residency even when no lookups have touched
-// a shard since its entries' TTL lapsed (metrics scrapes on an idle
-// daemon see the true footprint, and the sweep itself frees it).
+// Stats sums a snapshot over all shards.
 func (c *Cache) Stats() Stats {
 	var s Stats
-	now := c.now()
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		sh.sweepLocked(now)
 		s.Hits += sh.hits
 		s.Misses += sh.misses
 		s.Shared += sh.shared
 		s.Evictions += sh.evictions
-		s.Expired += sh.expired
 		s.Entries += len(sh.entries)
 		s.Bytes += sh.bytes
 		sh.mu.Unlock()
@@ -387,56 +354,18 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// lookupLocked finds a fresh entry and promotes hits to the LRU front.
-// The shard-wide sweep runs first, so every lookup — whatever key it asks
-// for — releases the bytes and slots of entries whose TTL has lapsed;
-// before the sweep existed an expired entry kept charging MaxBytes /
-// MaxEntries until its own key happened to be looked up again, pinning
-// dead bytes in a long-idle daemon and over-reporting Stats.
-func (sh *shard) lookupLocked(key string, now time.Time) (*entry, bool) {
-	sh.sweepLocked(now)
+// lookupLocked finds an entry and promotes hits to the LRU front.
+func (sh *shard) lookupLocked(key string) (*entry, bool) {
 	e, ok := sh.entries[key]
-	if !ok {
-		return nil, false
+	if ok {
+		sh.lru.MoveToFront(e.elem)
 	}
-	return e, sh.freshLocked(e, now)
-}
-
-// freshLocked expires e if its TTL lapsed, else front-promotes it.
-func (sh *shard) freshLocked(e *entry, now time.Time) bool {
-	if !e.expires.IsZero() && now.After(e.expires) {
-		sh.removeLocked(e)
-		sh.expired++
-		return false
-	}
-	sh.lru.MoveToFront(e.elem)
-	return true
-}
-
-// sweepLocked drops every entry whose TTL has lapsed. Entries sit in the
-// expiry FIFO in store order and carry a constant TTL, so the loop stops
-// at the first fresh entry: the cost is O(expired), not O(entries).
-func (sh *shard) sweepLocked(now time.Time) {
-	for {
-		front := sh.expiry.Front()
-		if front == nil {
-			return
-		}
-		e := front.Value.(*entry)
-		if e.expires.IsZero() || !now.After(e.expires) {
-			return
-		}
-		sh.removeLocked(e)
-		sh.expired++
-	}
+	return e, ok
 }
 
 // storeLocked inserts an outcome and evicts from the LRU tail until the
 // shard is back under both capacity bounds.
 func (sh *shard) storeLocked(c *Cache, key string, res *instrument.Result, err error) {
-	// Release lapsed entries before charging the new one, so eviction
-	// pressure falls on dead bytes first, not on live LRU victims.
-	sh.sweepLocked(c.now())
 	if old, ok := sh.entries[key]; ok {
 		// A racing Invalidate+Do can re-store; replace, don't double-count.
 		sh.removeLocked(old)
@@ -447,10 +376,6 @@ func (sh *shard) storeLocked(c *Cache, key string, res *instrument.Result, err e
 		// everything for one resident; skip it.
 		sh.dropped(res)
 		return
-	}
-	if c.ttl > 0 {
-		e.expires = c.now().Add(c.ttl)
-		e.expElem = sh.expiry.PushBack(e)
 	}
 	e.elem = sh.lru.PushFront(e)
 	sh.entries[key] = e
@@ -473,9 +398,6 @@ func (sh *shard) storeLocked(c *Cache, key string, res *instrument.Result, err e
 func (sh *shard) removeLocked(e *entry) {
 	delete(sh.entries, e.key)
 	sh.lru.Remove(e.elem)
-	if e.expElem != nil {
-		sh.expiry.Remove(e.expElem)
-	}
 	sh.bytes -= e.size
 	sh.dropped(e.res)
 }

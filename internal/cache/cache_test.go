@@ -182,30 +182,6 @@ func TestResultSizeChargesReaderView(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New(Config{TTL: time.Minute, Now: func() time.Time { return now }})
-	c.Do("k", func() (*instrument.Result, error) { return resultWithOutput(1), nil })
-
-	now = now.Add(59 * time.Second)
-	if _, _, ok := c.Get("k"); !ok {
-		t.Fatal("entry expired before its TTL")
-	}
-	now = now.Add(2 * time.Second) // 61s after store
-	if _, _, ok := c.Get("k"); ok {
-		t.Fatal("entry should have expired")
-	}
-	s := c.Stats()
-	if s.Expired != 1 || s.Entries != 0 {
-		t.Fatalf("stats = %+v, want 1 expired / 0 entries", s)
-	}
-	// The next Do re-runs the front-end.
-	_, _, avoided := c.Do("k", func() (*instrument.Result, error) { return resultWithOutput(1), nil })
-	if avoided {
-		t.Fatal("Do after expiry must run fn again")
-	}
-}
-
 func TestInvalidate(t *testing.T) {
 	c := New(Config{})
 	c.Do("k", func() (*instrument.Result, error) { return resultWithOutput(1), nil })
@@ -373,76 +349,5 @@ func TestConcurrentMixedKeys(t *testing.T) {
 	wg.Wait()
 	if n := c.Len(); n > 8+4 { // per-shard split rounds up: ceil(8/4)=2 per shard
 		t.Fatalf("residency %d exceeds configured bound", n)
-	}
-}
-
-// TestExpiredEntriesSweptWithoutLookup is the lazy-TTL regression test:
-// expired entries used to stay resident (charging MaxBytes/MaxEntries)
-// until their own key happened to be looked up again. The sweep must
-// reclaim them on any shard touch — including a Stats() scrape on an
-// otherwise idle cache.
-func TestExpiredEntriesSweptWithoutLookup(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New(Config{TTL: time.Minute, Shards: 1, Now: func() time.Time { return now }})
-	c.Do("a", func() (*instrument.Result, error) { return resultWithOutput(100), nil })
-	c.Do("b", func() (*instrument.Result, error) { return resultWithOutput(100), nil })
-
-	now = now.Add(2 * time.Minute)
-	// No lookup of "a" or "b" — the metrics scrape alone must see (and
-	// free) the dead entries.
-	s := c.Stats()
-	if s.Entries != 0 || s.Bytes != 0 {
-		t.Fatalf("stats after TTL = %+v, want 0 entries / 0 bytes without touching the keys", s)
-	}
-	if s.Expired != 2 {
-		t.Fatalf("expired = %d, want 2", s.Expired)
-	}
-}
-
-// TestExpiredEntriesDoNotCauseEvictions: dead entries must not hold LRU
-// capacity against fresh stores — storing into a cache full of expired
-// entries sweeps them instead of evicting live ones.
-func TestExpiredEntriesDoNotCauseEvictions(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New(Config{TTL: time.Minute, MaxEntries: 2, Shards: 1, Now: func() time.Time { return now }})
-	c.Do("a", func() (*instrument.Result, error) { return resultWithOutput(10), nil })
-	c.Do("b", func() (*instrument.Result, error) { return resultWithOutput(10), nil })
-
-	now = now.Add(2 * time.Minute)
-	c.Do("c", func() (*instrument.Result, error) { return resultWithOutput(10), nil })
-	c.Do("d", func() (*instrument.Result, error) { return resultWithOutput(10), nil })
-
-	s := c.Stats()
-	if s.Evictions != 0 {
-		t.Errorf("evictions = %d, want 0: expired entries should be swept, not charged against the cap", s.Evictions)
-	}
-	if s.Expired != 2 || s.Entries != 2 {
-		t.Errorf("stats = %+v, want 2 expired / 2 resident", s)
-	}
-	if _, _, ok := c.Get("c"); !ok {
-		t.Error("fresh entry c missing")
-	}
-	if _, _, ok := c.Get("d"); !ok {
-		t.Error("fresh entry d missing")
-	}
-}
-
-// TestSweepPreservesFreshEntries: a sweep triggered by one expired entry
-// must stop at the first still-live entry (store order equals expiry
-// order under a constant TTL).
-func TestSweepPreservesFreshEntries(t *testing.T) {
-	now := time.Unix(1000, 0)
-	c := New(Config{TTL: time.Minute, Shards: 1, Now: func() time.Time { return now }})
-	c.Do("old", func() (*instrument.Result, error) { return resultWithOutput(10), nil })
-	now = now.Add(45 * time.Second)
-	c.Do("young", func() (*instrument.Result, error) { return resultWithOutput(10), nil })
-	now = now.Add(30 * time.Second) // old is 75s dead, young is 30s alive
-
-	s := c.Stats()
-	if s.Expired != 1 || s.Entries != 1 {
-		t.Fatalf("stats = %+v, want exactly the old entry swept", s)
-	}
-	if _, _, ok := c.Get("young"); !ok {
-		t.Fatal("sweep dropped a still-live entry")
 	}
 }

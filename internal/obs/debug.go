@@ -11,36 +11,24 @@ import (
 	"time"
 )
 
-// DiagConfig configures the diagnostics subsystem a pipeline carries.
-// The zero value enables everything with defaults; the flight recorder
-// always runs with its defaults.
-type DiagConfig struct {
-	// Watchdog tunes the stall watchdog.
-	Watchdog WatchdogConfig
-}
-
 // Diagnostics bundles the runtime's introspection surfaces — flight
-// recorder, SLO tracker, stall watchdog — behind one handle the
-// pipeline owns and servers mount. A nil *Diagnostics is fully inert;
-// commands that run no pipeline pass one to ServeMetricsDiag and
-// WriteDump.
+// recorder and stall watchdog — behind one handle the pipeline owns and
+// servers mount. A nil *Diagnostics is fully inert; commands that run
+// no pipeline pass one to ServeMetricsDiag and WriteDump.
 type Diagnostics struct {
 	Flight   *FlightRecorder
-	SLO      *SLOTracker
 	Watchdog *Watchdog
 }
 
 // NewDiagnostics builds the subsystem and exports its metric series into
-// reg.
-func NewDiagnostics(reg *Registry, cfg DiagConfig) *Diagnostics {
-	cfg.Watchdog.Obs = reg
-	d := &Diagnostics{
+// reg. The flight recorder always runs with its defaults; wd tunes the
+// stall watchdog (the zero value enables it with defaults).
+func NewDiagnostics(reg *Registry, wd WatchdogConfig) *Diagnostics {
+	wd.Obs = reg
+	return &Diagnostics{
 		Flight:   NewFlightRecorder(FlightConfig{Obs: reg}),
-		SLO:      NewSLOTracker(SLOConfig{}),
-		Watchdog: NewWatchdog(cfg.Watchdog),
+		Watchdog: NewWatchdog(wd),
 	}
-	d.SLO.Register(reg)
-	return d
 }
 
 // Close stops the watchdog's scan loop.
@@ -78,7 +66,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 //	<prefix>/traces          recent + tail-sampled traces (?n= bound,
 //	                         ?doc=<id> filters to one document)
 //	<prefix>/slow            slowest retained traces by total latency
-//	<prefix>/slo             objective status with burn rates
 //	<prefix>/stalls          stall watchdog reports (goroutine dumps)
 //
 // Safe to call on a nil *Diagnostics (mounts nothing).
@@ -100,9 +87,6 @@ func (d *Diagnostics) RegisterDebug(mux *http.ServeMux, prefix string) {
 	})
 	mux.HandleFunc("GET "+prefix+"/slow", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{"slowest": d.Flight.Slowest(debugLimit(r, 16))})
-	})
-	mux.HandleFunc("GET "+prefix+"/slo", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, map[string]any{"objectives": d.SLO.Status()})
 	})
 	mux.HandleFunc("GET "+prefix+"/stalls", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, map[string]any{
@@ -126,23 +110,16 @@ func RegisterPprof(mux *http.ServeMux) {
 }
 
 // WriteDump renders a human-readable diagnostic snapshot: build
-// identity, SLO status, slowest retained traces, stall reports and a
-// full goroutine dump. This is what SIGQUIT prints and what operators
-// paste into incident channels. Safe on a nil *Diagnostics (dumps
-// build info and goroutines only).
+// identity, slowest retained traces, stall reports and a full goroutine
+// dump. This is what SIGQUIT prints and what operators paste into
+// incident channels. Safe on a nil *Diagnostics (dumps build info and
+// goroutines only).
 func (d *Diagnostics) WriteDump(w io.Writer) {
 	fmt.Fprintf(w, "=== pdfshield diagnostic dump ===\n")
 	fmt.Fprintf(w, "version: %s (%s)\n", Version, runtime.Version())
 	fmt.Fprintf(w, "goroutines: %d\n", runtime.NumGoroutine())
 
 	if d != nil {
-		fmt.Fprintf(w, "\n--- slo status ---\n")
-		for _, s := range d.SLO.Status() {
-			fmt.Fprintf(w, "%-16s depth=%-8q route=%-10q target=%.3f window=%d/%d burn=%.2f\n",
-				s.Objective.Name, s.Objective.Depth, s.Objective.Route,
-				s.Objective.Target, s.WindowBreached, s.WindowObserved, s.BurnRate)
-		}
-
 		fmt.Fprintf(w, "\n--- flight recorder ---\n")
 		st := d.Flight.Stats()
 		fmt.Fprintf(w, "recorded=%d recent=%d/%d tail=%d/%d\n",

@@ -122,90 +122,6 @@ func TestFlightRecorderDisabledAndNil(t *testing.T) {
 	}
 }
 
-// TestSLOTrackerBurnRate pins the burn-rate math on a fake clock:
-// first-match-wins objective selection, failed submissions always
-// breaching, and window expiry zeroing the burn while lifetime totals
-// persist.
-func TestSLOTrackerBurnRate(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{
-		Objectives: []SLOObjective{
-			{Name: "deep", Depth: "deep", Latency: time.Second, Target: 0.9},
-			{Name: "all", Latency: time.Second, Target: 0.5},
-			{Name: "bad-target", Latency: time.Second, Target: 1.5}, // skipped
-			{Name: "", Latency: time.Second, Target: 0.9},           // skipped
-		},
-		Window: 10 * time.Second,
-	})
-	now := time.Unix(5000, 0)
-	tr.nowFn = func() time.Time { return now }
-
-	if got := len(tr.Status()); got != 2 {
-		t.Fatalf("tracker kept %d objectives, want 2 (invalid ones skipped)", got)
-	}
-
-	tr.Observe("deep", "", 500*time.Millisecond, false)    // deep: in bound
-	tr.Observe("deep", "", 2*time.Second, false)           // deep: breach
-	tr.Observe("standard", "", 2*time.Second, false)       // all: breach
-	tr.Observe("standard", "", 100*time.Millisecond, true) // all: fast but failed = breach
-
-	byName := func(sts []SLOStatus, name string) SLOStatus {
-		for _, s := range sts {
-			if s.Objective.Name == name {
-				return s
-			}
-		}
-		t.Fatalf("objective %q missing from %+v", name, sts)
-		return SLOStatus{}
-	}
-
-	sts := tr.Status()
-	deep := byName(sts, "deep")
-	if deep.Observed != 2 || deep.Breached != 1 || deep.WindowObserved != 2 || deep.WindowBreached != 1 {
-		t.Errorf("deep status = %+v, want 2 observed / 1 breached", deep)
-	}
-	// Breach rate 0.5 against a 0.1 error budget: burning 5x allowance.
-	if deep.BurnRate < 4.99 || deep.BurnRate > 5.01 {
-		t.Errorf("deep burn rate = %v, want 5.0", deep.BurnRate)
-	}
-	all := byName(sts, "all")
-	if all.Observed != 2 || all.Breached != 2 {
-		t.Errorf("all status = %+v, want 2 observed / 2 breached (failed counts as breach)", all)
-	}
-	if all.BurnRate < 1.99 || all.BurnRate > 2.01 {
-		t.Errorf("all burn rate = %v, want 2.0", all.BurnRate)
-	}
-
-	// Registered series expose the same numbers.
-	reg := NewRegistry()
-	tr.Register(reg)
-	snap := reg.Snapshot()
-	if got := snap.Gauges[Series(MetricSLOBurnRate, "slo", "deep")]; got < 4.99 || got > 5.01 {
-		t.Errorf("burn-rate gauge = %v, want 5.0", got)
-	}
-	if got := snap.Counters[Series(MetricSLOObserved, "slo", "deep")]; got != 2 {
-		t.Errorf("observed counter = %d, want 2", got)
-	}
-	if got := snap.Counters[Series(MetricSLOBreaches, "slo", "all")]; got != 2 {
-		t.Errorf("breaches counter = %d, want 2", got)
-	}
-
-	// Advance past the window: burn collapses to 0, lifetime persists.
-	now = now.Add(30 * time.Second)
-	deep = byName(tr.Status(), "deep")
-	if deep.WindowObserved != 0 || deep.BurnRate != 0 {
-		t.Errorf("expired window still reports %+v", deep)
-	}
-	if deep.Observed != 2 || deep.Breached != 1 {
-		t.Errorf("lifetime totals lost on window expiry: %+v", deep)
-	}
-
-	var nt *SLOTracker
-	nt.Observe("deep", "", time.Second, false)
-	if nt.Status() != nil {
-		t.Error("nil tracker returned status")
-	}
-}
-
 // TestWatchdogScan drives the stall watchdog deterministically on a fake
 // clock: only docs past the deadline in a watched phase are flagged, each
 // at most once per phase, with a goroutine dump and the doc's journal
@@ -299,46 +215,6 @@ func TestWatchdogScan(t *testing.T) {
 	}
 }
 
-// TestHistogramExemplars: each bucket retains the document ID of its
-// slowest observation, surviving faster later observations, and the +Inf
-// overflow bucket gets its own exemplar.
-func TestHistogramExemplars(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("pdfshield_test_seconds", []float64{1, 10})
-	h.ObserveExemplar(0.5, "doc-a")
-	h.ObserveExemplar(0.7, "doc-b")
-	h.ObserveExemplar(0.6, "doc-c") // faster than doc-b: must not displace it
-	h.ObserveExemplar(50, "doc-huge")
-
-	snap := reg.Snapshot().Histograms["pdfshield_test_seconds"]
-	want := map[string]string{"1": "doc-b", "+Inf": "doc-huge"}
-	if len(snap.Exemplars) != len(want) {
-		t.Fatalf("exemplars = %+v, want one per occupied bucket", snap.Exemplars)
-	}
-	for _, ex := range snap.Exemplars {
-		if want[ex.Le] == "" {
-			t.Errorf("unexpected exemplar bucket %q", ex.Le)
-			continue
-		}
-		if ex.DocID != want[ex.Le] {
-			t.Errorf("bucket %q exemplar = %q (%.2fs), want %q", ex.Le, ex.DocID, ex.Seconds, want[ex.Le])
-		}
-	}
-
-	// The registry-level convenience used by the pipeline.
-	reg.ObserveDoc(MetricDocSeconds, 3*time.Second, "doc-slow")
-	docSnap := reg.Snapshot().Histograms[MetricDocSeconds]
-	found := false
-	for _, ex := range docSnap.Exemplars {
-		if ex.DocID == "doc-slow" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("ObserveDoc exemplar missing: %+v", docSnap.Exemplars)
-	}
-}
-
 // TestDeepScanBucketsCoverTail is the regression test for the widened
 // deep-scan histogram: a 78s forced-execution open (the paper's ~78x
 // overhead on a ~1s standard open) must land in a finite bucket instead
@@ -358,7 +234,7 @@ func TestDeepScanBucketsCoverTail(t *testing.T) {
 
 	reg := NewRegistry()
 	h := reg.Histogram(MetricDeepScanSeconds, DeepScanBuckets)
-	h.ObserveExemplar(78, "doc-deep-78s")
+	h.Observe(78)
 
 	snap := reg.Snapshot().Histograms[MetricDeepScanSeconds]
 	// Cumulative counts: everything <= 60 must be 0, the 120 bucket 1.
@@ -369,9 +245,6 @@ func TestDeepScanBucketsCoverTail(t *testing.T) {
 		case b.UpperBound >= 120 && b.Count != 1:
 			t.Errorf("bucket le=%v count=%d, want 1 (observation must be finite-bucketed)", b.UpperBound, b.Count)
 		}
-	}
-	if len(snap.Exemplars) != 1 || snap.Exemplars[0].Le != "120" || snap.Exemplars[0].DocID != "doc-deep-78s" {
-		t.Errorf("deep-scan exemplar = %+v, want doc-deep-78s in le=120", snap.Exemplars)
 	}
 }
 
@@ -441,14 +314,13 @@ func TestBuildInfoGauge(t *testing.T) {
 // endpoint over HTTP, including the per-document trace filter.
 func TestDebugEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	d := NewDiagnostics(reg, DiagConfig{Watchdog: WatchdogConfig{Interval: time.Hour}})
+	d := NewDiagnostics(reg, WatchdogConfig{Interval: time.Hour})
 	defer d.Close()
 
 	tr := &Trace{DocID: "doc-q", Outcome: OutcomeMalicious}
 	tr.AddSpan(PhaseParse, 0, time.Millisecond)
 	tr.AddSpan(PhaseOpen, time.Millisecond, 5*time.Millisecond)
 	d.Flight.Record(tr, 6*time.Millisecond)
-	d.SLO.Observe("standard", "", 100*time.Millisecond, false)
 
 	mux := http.NewServeMux()
 	d.RegisterDebug(mux, "/v1/debug")
@@ -495,11 +367,6 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Errorf("/slow = %v", slow)
 	}
 
-	slo := get("/v1/debug/slo")
-	if objs, ok := slo["objectives"].([]any); !ok || len(objs) != len(DefaultSLOs()) {
-		t.Errorf("/slo objectives = %v", slo["objectives"])
-	}
-
 	stalls := get("/v1/debug/stalls")
 	if _, ok := stalls["stats"].(map[string]any); !ok {
 		t.Errorf("/stalls = %v", stalls)
@@ -515,7 +382,7 @@ func TestDebugEndpoints(t *testing.T) {
 // a server built without the opt-in must answer 404 on /debug/pprof/.
 func TestPprofOptIn(t *testing.T) {
 	reg := NewRegistry()
-	d := NewDiagnostics(reg, DiagConfig{Watchdog: WatchdogConfig{Interval: time.Hour}})
+	d := NewDiagnostics(reg, WatchdogConfig{Interval: time.Hour})
 	defer d.Close()
 
 	off := http.NewServeMux()
@@ -549,8 +416,8 @@ func TestPprofOptIn(t *testing.T) {
 }
 
 // TestWriteDump: the SIGQUIT dump works on a nil handle (build identity
-// and goroutines only) and includes the SLO, flight and stall sections
-// when diagnostics are live.
+// and goroutines only) and includes the flight and stall sections when
+// diagnostics are live.
 func TestWriteDump(t *testing.T) {
 	var sb strings.Builder
 	var nd *Diagnostics
@@ -563,14 +430,13 @@ func TestWriteDump(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	d := NewDiagnostics(reg, DiagConfig{Watchdog: WatchdogConfig{Interval: time.Hour}})
+	d := NewDiagnostics(reg, WatchdogConfig{Interval: time.Hour})
 	defer d.Close()
 	d.Flight.Record(&Trace{DocID: "doc-dump", Outcome: OutcomeErrored, Error: "x"}, 3*time.Second)
-	d.SLO.Observe("standard", "", time.Millisecond, false)
 	sb.Reset()
 	d.WriteDump(&sb)
 	out = sb.String()
-	for _, want := range []string{"--- slo status ---", "--- flight recorder ---", "doc-dump"} {
+	for _, want := range []string{"--- flight recorder ---", "doc-dump"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("live dump missing %q\n%s", want, out)
 		}

@@ -63,7 +63,6 @@ const (
 	MetricCacheMisses    = "pdfshield_cache_misses_total"
 	MetricCacheShared    = "pdfshield_cache_shared_total"
 	MetricCacheEvictions = "pdfshield_cache_evictions_total"
-	MetricCacheExpired   = "pdfshield_cache_expired_total"
 	MetricCacheEntries   = "pdfshield_cache_entries"
 	MetricCacheBytes     = "pdfshield_cache_bytes"
 
@@ -94,15 +93,9 @@ const (
 	MetricJSUnitsEntries   = "pdfshield_js_units_entries"
 	MetricJSUnitsBytes     = "pdfshield_js_units_bytes"
 
-	// Diagnostics subsystem series (flight recorder, SLO tracking, stall
-	// watchdog — see flight.go/slo.go/watchdog.go and DESIGN.md §16).
+	// Diagnostics subsystem series (flight recorder and stall watchdog —
+	// see flight.go/watchdog.go and DESIGN.md §16).
 	//
-	// SLO series carry an "slo" label naming the objective; the burn-rate
-	// gauge is the rolling-window error rate divided by the objective's
-	// error budget (1.0 = burning the budget exactly as fast as allowed).
-	MetricSLOBurnRate = "pdfshield_slo_burn_rate"
-	MetricSLOBreaches = "pdfshield_slo_breaches_total"
-	MetricSLOObserved = "pdfshield_slo_observed_total"
 	// MetricFlightRetained counts traces the flight recorder tail-sampled
 	// into guaranteed retention, labelled by reason (errored / crashed /
 	// quarantined / deep-scan / slow).

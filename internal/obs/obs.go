@@ -22,7 +22,6 @@ package obs
 
 import (
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,17 +64,6 @@ type Histogram struct {
 	counts []atomic.Uint64 // len(bounds)+1; last = +Inf
 	count  atomic.Uint64
 	sumNS  atomic.Int64
-	// exemplars remembers the worst (slowest) labelled observation per
-	// bucket — len(bounds)+1, lazily CASed, nil until a labelled
-	// observation lands in the bucket. A bad p99 bucket thereby names the
-	// concrete document behind it (see ObserveExemplar).
-	exemplars []atomic.Pointer[exemplar]
-}
-
-// exemplar is one labelled observation retained for a bucket.
-type exemplar struct {
-	seconds float64
-	label   string
 }
 
 // newHistogram copies bounds (which must be sorted ascending).
@@ -83,9 +71,8 @@ func newHistogram(bounds []float64) *Histogram {
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
 	return &Histogram{
-		bounds:    b,
-		counts:    make([]atomic.Uint64, len(b)+1),
-		exemplars: make([]atomic.Pointer[exemplar], len(b)+1),
+		bounds: b,
+		counts: make([]atomic.Uint64, len(b)+1),
 	}
 }
 
@@ -105,26 +92,6 @@ func (h *Histogram) Observe(seconds float64) {
 	h.counts[h.bucketIndex(seconds)].Add(1)
 	h.count.Add(1)
 	h.sumNS.Add(int64(seconds * 1e9))
-}
-
-// ObserveExemplar records one observation and, when it is the slowest
-// its bucket has seen, retains label (a document ID) as the bucket's
-// exemplar. Lock-free: concurrent racers CAS and the slower observation
-// wins.
-func (h *Histogram) ObserveExemplar(seconds float64, label string) {
-	i := h.bucketIndex(seconds)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sumNS.Add(int64(seconds * 1e9))
-	for {
-		cur := h.exemplars[i].Load()
-		if cur != nil && cur.seconds >= seconds {
-			return
-		}
-		if h.exemplars[i].CompareAndSwap(cur, &exemplar{seconds: seconds, label: label}) {
-			return
-		}
-	}
 }
 
 // ObserveDuration records one observation.
@@ -148,23 +115,11 @@ type Bucket struct {
 	Count uint64 `json:"count"`
 }
 
-// Exemplar is one retained worst-per-bucket labelled observation in a
-// snapshot. Le is the bucket's upper bound rendered as a string ("+Inf"
-// for the overflow bucket — a float field could not marshal infinity).
-type Exemplar struct {
-	Le      string  `json:"le"`
-	DocID   string  `json:"doc_id"`
-	Seconds float64 `json:"seconds"`
-}
-
 // HistogramSnapshot is a point-in-time view of one histogram.
 type HistogramSnapshot struct {
 	Count      uint64   `json:"count"`
 	SumSeconds float64  `json:"sum_seconds"`
 	Buckets    []Bucket `json:"buckets"`
-	// Exemplars lists, for every bucket that has one, the document behind
-	// its slowest observation (see Histogram.ObserveExemplar).
-	Exemplars []Exemplar `json:"exemplars,omitempty"`
 }
 
 // Mean returns the mean observation in seconds (0 when empty).
@@ -186,17 +141,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	for i, b := range h.bounds {
 		cum += h.counts[i].Load()
 		out.Buckets[i] = Bucket{UpperBound: b, Count: cum}
-	}
-	for i := range h.exemplars {
-		ex := h.exemplars[i].Load()
-		if ex == nil {
-			continue
-		}
-		le := "+Inf"
-		if i < len(h.bounds) {
-			le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
-		}
-		out.Exemplars = append(out.Exemplars, Exemplar{Le: le, DocID: ex.label, Seconds: ex.seconds})
 	}
 	return out
 }
@@ -361,16 +305,6 @@ func (r *Registry) Observe(name string, d time.Duration) {
 		return
 	}
 	r.Histogram(name, LatencyBuckets).ObserveDuration(d)
-}
-
-// ObserveDoc records a duration into a latency histogram and retains
-// docID as the bucket's exemplar when this is the slowest observation the
-// bucket has seen; no-op on a nil registry.
-func (r *Registry) ObserveDoc(name string, d time.Duration, docID string) {
-	if r == nil {
-		return
-	}
-	r.Histogram(name, LatencyBuckets).ObserveExemplar(d.Seconds(), docID)
 }
 
 // Snapshot is a structured point-in-time view of a whole registry.

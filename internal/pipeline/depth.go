@@ -97,10 +97,8 @@ func (s *System) recordDeepScan(docID string, res *instrument.Result, open *read
 	}
 	s.Obs.CounterAdd(obs.MetricDeepScanPaths, uint64(open.DeepPaths))
 	// Deep opens use the widened DeepScanBuckets bounds (a forced open
-	// routinely exceeds the default 10s ceiling) and remember the slowest
-	// doc per bucket as an exemplar.
-	s.Obs.Histogram(obs.MetricDeepScanSeconds, obs.DeepScanBuckets).
-		ObserveExemplar(dur.Seconds(), docID)
+	// routinely exceeds the default 10s ceiling).
+	s.Obs.Histogram(obs.MetricDeepScanSeconds, obs.DeepScanBuckets).ObserveDuration(dur)
 	if open.DeepBudgetExhausted > 0 {
 		s.Obs.CounterAdd(obs.MetricDeepScanBudget, uint64(open.DeepBudgetExhausted))
 	}

@@ -132,12 +132,13 @@ func TestWatchdogFlagsWedgedOpen(t *testing.T) {
 	}
 }
 
-// TestDiagnosticsThroughPipeline: every processed document feeds the SLO
-// tracker and flight recorder, errored submissions are tail-retained
-// with their error text, and System.Stats carries the diagnostics
-// sections.
+// TestDiagnosticsThroughPipeline: every processed document feeds the
+// doc-latency histogram and flight recorder, errored submissions are
+// counted and tail-retained with their error text, and System.Stats
+// carries the diagnostics sections.
 func TestDiagnosticsThroughPipeline(t *testing.T) {
-	sys, err := NewSystem(Options{Seed: 99, Obs: obs.NewRegistry()})
+	reg := obs.NewRegistry()
+	sys, err := NewSystem(Options{Seed: 99, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,15 +169,12 @@ func TestDiagnosticsThroughPipeline(t *testing.T) {
 	if st.Flight == nil || st.Flight.Recorded != 2 {
 		t.Errorf("Stats.Flight = %+v, want 2 recorded", st.Flight)
 	}
-	if len(st.SLO) == 0 {
-		t.Fatal("Stats.SLO empty")
+	snap := reg.Snapshot()
+	if n := snap.Histograms[obs.MetricDocSeconds].Count; n != 2 {
+		t.Errorf("doc-latency observations = %d, want 2 (one per submission)", n)
 	}
-	totalObserved := uint64(0)
-	for _, s := range st.SLO {
-		totalObserved += s.Observed
-	}
-	if totalObserved != 2 {
-		t.Errorf("SLO observations = %d, want 2 (one per submission)", totalObserved)
+	if n := snap.Counters[obs.MetricDocsErrored]; n != 1 {
+		t.Errorf("%s = %d, want 1", obs.MetricDocsErrored, n)
 	}
 	if st.Watchdog == nil || st.Watchdog.DeadlineSeconds <= 0 {
 		t.Errorf("Stats.Watchdog = %+v", st.Watchdog)
@@ -196,7 +194,7 @@ func TestDeepScanHistogramWideBuckets(t *testing.T) {
 
 	// Preregistration pinned the bounds at construction; a synthetic 78s
 	// observation must land in a finite bucket.
-	reg.Histogram(obs.MetricDeepScanSeconds, nil).ObserveExemplar(78, "deep-78s")
+	reg.Histogram(obs.MetricDeepScanSeconds, nil).Observe(78)
 	snap := reg.Snapshot().Histograms[obs.MetricDeepScanSeconds]
 	var maxBound float64
 	finite := false

@@ -162,21 +162,21 @@ func NewSystem(opts Options) (*System, error) {
 		sys.cache.SetDropObserver(sys.dropArtifact)
 	}
 	registerJSUnitMetrics(obsReg, jsUnits)
-	// Diagnostics (flight recorder, SLO tracking, stall watchdog) run with
-	// the obs defaults; with a Journal, stall reports carry the wedged
-	// document's recent journal events.
-	diagCfg := obs.DiagConfig{Watchdog: watchdogTuning}
+	// Diagnostics (flight recorder, stall watchdog) run with the obs
+	// defaults; with a Journal, stall reports carry the wedged document's
+	// recent journal events.
+	wd := watchdogTuning
 	if jw := opts.Journal; jw != nil {
-		diagCfg.Watchdog.Context = func(docID string) any { return jw.Recent(docID, 64) }
+		wd.Context = func(docID string) any { return jw.Recent(docID, 64) }
 	}
-	sys.diag = obs.NewDiagnostics(obsReg, diagCfg)
+	sys.diag = obs.NewDiagnostics(obsReg, wd)
 	preregisterMetrics(obsReg)
 	return sys, nil
 }
 
-// Diagnostics exposes the System's flight recorder, SLO tracker and
-// stall watchdog. Servers mount its debug endpoints; operators read it
-// through Stats and the SIGQUIT dump.
+// Diagnostics exposes the System's flight recorder and stall watchdog.
+// Servers mount its debug endpoints; operators read it through Stats and
+// the SIGQUIT dump.
 func (s *System) Diagnostics() *obs.Diagnostics { return s.diag }
 
 // registerJSUnitMetrics exposes the compiled-unit cache through the obs
@@ -486,14 +486,13 @@ func (s *System) ProcessDocumentContext(ctx context.Context, docID string, raw [
 }
 
 // finishDoc closes out one document's processing: outcome counters, the
-// end-to-end latency histogram (with the doc ID as its exemplar), the
-// trace's outcome/depth/route annotations, the diagnostics recording
-// (flight recorder, SLO scoring), and the journal's verdict record. The
+// end-to-end latency histogram, the trace's outcome/depth/route
+// annotations, the flight recorder, and the journal's verdict record. The
 // trace is attached to the verdict here so every verdict — including
 // no-javascript short-circuits — carries its timeline.
 func (s *System) finishDoc(tr *obs.Trace, v *Verdict, err error, total time.Duration) {
 	s.Obs.Inc(obs.MetricDocsTotal)
-	s.Obs.ObserveDoc(obs.MetricDocSeconds, total, tr.DocID)
+	s.Obs.Observe(obs.MetricDocSeconds, total)
 	if err != nil || v == nil {
 		s.Obs.Inc(obs.MetricDocsErrored)
 		tr.Outcome = obs.OutcomeErrored
@@ -525,7 +524,6 @@ func (s *System) finishDoc(tr *obs.Trace, v *Verdict, err error, total time.Dura
 	}
 	// The trace is complete now (no span is added after finishDoc), so
 	// the flight recorder may retain and share it.
-	s.diag.SLO.Observe(tr.Depth, tr.Route, total, err != nil || v == nil)
 	s.diag.Flight.Record(tr, total)
 	s.journalVerdict(tr.DocID, v, err)
 }
@@ -623,7 +621,7 @@ func (s *System) openAndJudge(ctx context.Context, sess *Session, res *instrumen
 	}
 	openDur := time.Since(openStart)
 	tr.AddSpan(obs.PhaseOpen, tr.Offset(openStart), openDur)
-	s.Obs.ObserveDoc(obs.PhaseSeries(obs.PhaseOpen), openDur, docID)
+	s.Obs.Observe(obs.PhaseSeries(obs.PhaseOpen), openDur)
 	if prof.force != nil {
 		s.recordDeepScan(docID, res, openRes, openDur)
 	}
@@ -635,7 +633,7 @@ func (s *System) openAndJudge(ctx context.Context, sess *Session, res *instrumen
 	defer func() {
 		detectDur := time.Since(detectStart)
 		tr.AddSpan(obs.PhaseDetect, tr.Offset(detectStart), detectDur)
-		s.Obs.ObserveDoc(obs.PhaseSeries(obs.PhaseDetect), detectDur, docID)
+		s.Obs.Observe(obs.PhaseSeries(obs.PhaseDetect), detectDur)
 	}()
 
 	// The verdict comes from this open's detector state alone: an alert

@@ -33,9 +33,8 @@ type Stats struct {
 	Triage TriageStats `json:"triage"`
 	// Quarantined is how many artifacts runtime confinement has isolated.
 	Quarantined int `json:"quarantined"`
-	// SLO is the per-objective burn-rate status, Flight the flight
-	// recorder occupancy, and Watchdog the stall watchdog state.
-	SLO      []obs.SLOStatus    `json:"slo,omitempty"`
+	// Flight is the flight recorder occupancy, Watchdog the stall
+	// watchdog state.
 	Flight   *obs.FlightStats   `json:"flight,omitempty"`
 	Watchdog *obs.WatchdogStats `json:"watchdog,omitempty"`
 	// BatchQueueDepth and BatchWorkers reflect in-flight
@@ -162,7 +161,6 @@ func (s *System) Stats() Stats {
 		st.Cache = &cs
 	}
 	st.JSUnits = s.jsUnits.Stats()
-	st.SLO = s.diag.SLO.Status()
 	fs := s.diag.Flight.Stats()
 	st.Flight = &fs
 	ws := s.diag.Watchdog.Stats()

@@ -143,7 +143,7 @@ func runParity(t *testing.T, base *System, docs []BatchDoc, wire bool) parityRun
 		opts:         opts,
 		cache:        base.cache,
 		jsUnits:      base.jsUnits,
-		diag:         obs.NewDiagnostics(reg, obs.DiagConfig{}),
+		diag:         obs.NewDiagnostics(reg, obs.WatchdogConfig{}),
 		keyLocks:     make(map[*instrument.Result]*keyLock),
 	}
 	defer sys.diag.Close()

@@ -169,8 +169,8 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/scan", s.handleScan)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.Handle("GET /v1/metrics", reg.Handler())
-	// Live debug surface: retained traces, slowest documents, SLO burn
-	// rates, stall reports (see obs.Diagnostics.RegisterDebug).
+	// Live debug surface: retained traces, slowest documents, stall
+	// reports (see obs.Diagnostics.RegisterDebug).
 	sys.Diagnostics().RegisterDebug(s.mux, "/v1/debug")
 	if cfg.Pprof {
 		obs.RegisterPprof(s.mux)

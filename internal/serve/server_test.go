@@ -487,8 +487,8 @@ func TestNoGoroutineLeak(t *testing.T) {
 }
 
 // TestRouteSet pins the daemon's one route set: every route lives under
-// /v1, and the pre-versioning paths and the expvar endpoint are not
-// served at all.
+// /v1, and the pre-versioning paths, the expvar endpoint and the retired
+// /v1/debug/slo endpoint are not served at all.
 func TestRouteSet(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -506,7 +506,8 @@ func TestRouteSet(t *testing.T) {
 		{http.MethodPost, "/v1/scan", http.StatusOK},
 		{http.MethodGet, "/v1/healthz", http.StatusOK},
 		{http.MethodGet, "/v1/metrics", http.StatusOK},
-		{http.MethodGet, "/v1/debug/slo", http.StatusOK},
+		{http.MethodGet, "/v1/debug/slo", http.StatusNotFound},
+		{http.MethodGet, "/v1/debug/slow", http.StatusOK},
 	} {
 		var body io.Reader
 		if tc.method == http.MethodPost {

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"pdfshield/internal/cache"
 	"pdfshield/internal/detect"
@@ -115,13 +114,13 @@ type Options struct {
 	Depth Depth
 }
 
-// Diagnostics is the live diagnostics handle: retained traces, SLO burn
-// rates, stall reports, and the WriteDump operator report.
+// Diagnostics is the live diagnostics handle: retained traces, stall
+// reports, and the WriteDump operator report.
 type Diagnostics = obs.Diagnostics
 
 // Diagnostics exposes the System's diagnostics layer (flight recorder,
-// SLO tracking, stall watchdog), which every System runs with bounded
-// defaults; see Stats.SLO/Flight/Watchdog.
+// stall watchdog), which every System runs with bounded defaults; see
+// Stats.Flight/Watchdog.
 func (s *System) Diagnostics() *Diagnostics { return s.inner.Diagnostics() }
 
 // Journal is the append-only forensic event log (JSONL, sequence-numbered,
@@ -159,21 +158,19 @@ type Registry = obs.Registry
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
 // CacheConfig bounds the front-end cache. Zero values take the built-in
-// defaults (4096 entries, 256 MB, no expiry); negative caps disable the
-// corresponding bound.
+// defaults (4096 entries, 256 MB); negative caps disable the
+// corresponding bound. Entries are immutable, content-addressed
+// artifacts, so they never expire; the caps alone bound residency.
 type CacheConfig struct {
 	// MaxEntries caps the number of cached documents.
 	MaxEntries int
 	// MaxBytes caps the total retained payload bytes.
 	MaxBytes int64
-	// TTL expires entries this long after insertion (0 = never).
-	TTL time.Duration
 }
 
 // CacheStats is a point-in-time snapshot of the front-end cache counters
-// (hits, misses, singleflight-shared lookups, evictions, expiries and
-// residency); HitRate is the fraction of submissions that skipped the
-// front-end.
+// (hits, misses, singleflight-shared lookups, evictions and residency);
+// HitRate is the fraction of submissions that skipped the front-end.
 type CacheStats = cache.Stats
 
 // CacheStats snapshots the front-end cache; ok is false when the system
@@ -195,7 +192,6 @@ func New(opts Options) (*System, error) {
 		cacheCfg = &cache.Config{
 			MaxEntries: opts.Cache.MaxEntries,
 			MaxBytes:   opts.Cache.MaxBytes,
-			TTL:        opts.Cache.TTL,
 		}
 	}
 	inner, err := pipeline.NewSystem(pipeline.Options{
@@ -465,9 +461,6 @@ type DetectStats = pipeline.DetectStats
 
 // TriageStats counts static triage routing decisions.
 type TriageStats = pipeline.TriageStats
-
-// SLOStatus reports one latency objective's rolling error-budget burn.
-type SLOStatus = obs.SLOStatus
 
 // FlightStats summarizes the flight recorder's retention rings.
 type FlightStats = obs.FlightStats
