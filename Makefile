@@ -15,8 +15,11 @@ FUZZTIME ?= 30s
 build:
 	$(GO) build $(LDFLAGS) ./...
 
+# perfbench is a nested module, so ./... does not reach it; vetting it
+# here compiles it against the current packages it calls.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # Formatting gate: fails when gofmt would rewrite any Go file.
 fmt:

@@ -1,30 +1,23 @@
-// Command pdfshield-detect runs the runtime detector as a stand-alone
-// process: the tiny SOAP server receives context notifications from
-// instrumented documents, the TCP hook endpoint receives captured API
-// calls, and alerts stream to stdout.
+// Command pdfshield-detect verifies a recorded forensic journal: it
+// re-feeds the journal through a fresh runtime detector state machine — no
+// listeners, no live readers — and checks that the replay reproduces the
+// recorded canonical event stream (feature triggers, malscores, alert
+// ordering) byte-for-byte.
 //
 // Usage:
 //
-//	pdfshield-detect -registry registry.json [-downloads downloads.json]
-//	                 [-duration 30s] [-journal events.jsonl]
-//	                 [-log-level info] [-log-json]
 //	pdfshield-detect -registry registry.json -replay events.jsonl
+//	                 [-downloads downloads.json]
 //	                 [-depth static|standard|deep|auto]
+//	                 [-log-level info] [-log-json]
 //
-// -journal records every detector event (context transitions, hooked API
-// calls with their confinement decisions, feature triggers, alerts with
-// the per-feature malscore breakdown) to a JSONL forensic journal,
-// flushed per event so the record survives a crash.
-//
-// -replay re-feeds a recorded journal through a fresh detector state
-// machine — no listeners, no live readers — and verifies the replay
-// reproduces the recorded canonical event stream (feature triggers,
-// malscores, alert ordering) byte-for-byte. When the recording contains
-// static triage routes, each routed document is also cross-checked: a
-// confident-benign route must carry a benign verdict, a confident-
-// malicious route a malicious one, and neither may have detector events
-// (the routed document never reached a reader). Alerts raised during the
-// replay print in the live format; any divergence is reported and the
+// -registry must be the registry of the System that recorded the journal:
+// replay validates every recorded context key against it. When the
+// recording contains static triage routes, each routed document is also
+// cross-checked: a confident-benign route must carry a benign verdict, a
+// confident-malicious route a malicious one, and neither may have detector
+// events (the routed document never reached a reader). Alerts raised
+// during the replay print to stdout; any divergence is reported and the
 // command exits non-zero.
 package main
 
@@ -35,15 +28,11 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"pdfshield/internal/cli"
 	"pdfshield/internal/detect"
 	"pdfshield/internal/instrument"
 	"pdfshield/internal/journal"
-	"pdfshield/internal/obs"
 	"pdfshield/internal/pipeline"
 	"pdfshield/internal/winos"
 )
@@ -56,14 +45,11 @@ func main() {
 }
 
 func run() error {
-	registryPath := flag.String("registry", "", "registry JSON produced by pdfshield-scan (required)")
+	registryPath := flag.String("registry", "", "registry JSON of the System that recorded the journal (required)")
 	downloadsPath := flag.String("downloads", "", "persistent downloaded-executables list")
-	duration := flag.Duration("duration", 0, "exit after this long (0 = until SIGINT)")
-	pollEvery := flag.Duration("poll", time.Second, "alert polling interval")
-	replayPath := flag.String("replay", "", "replay a recorded journal through a fresh detector and verify determinism (no listeners started)")
+	replayPath := flag.String("replay", "", "journal to replay through a fresh detector and verify (required)")
 	depthFlag := flag.String("depth", "", "scan depth the recording was made at: static|standard|deep|auto (replay cross-checks deep-scan records; -depth deep requires them)")
 	logOpts := cli.RegisterLogFlags(flag.CommandLine)
-	jOpts := cli.RegisterJournalFlags(flag.CommandLine, "pdfshield-detect")
 	flag.Parse()
 
 	logger, err := logOpts.SetupLogger("pdfshield-detect")
@@ -80,105 +66,15 @@ func run() error {
 		return err
 	}
 
-	if *registryPath == "" {
+	if *registryPath == "" || *replayPath == "" {
 		flag.Usage()
-		return fmt.Errorf("-registry is required")
+		return fmt.Errorf("-registry and -replay are required")
 	}
 	registry, err := instrument.LoadRegistryJSON(*registryPath)
 	if err != nil {
 		return err
 	}
-
-	if *replayPath != "" {
-		return runReplay(*replayPath, registry, *downloadsPath, depth, logger)
-	}
-
-	jw, err := jOpts.Open(obs.Default)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if jw == nil {
-			return
-		}
-		if err := jw.Close(); err != nil {
-			logger.Warn("journal close failed", "err", err)
-		}
-		if err := jw.Err(); err != nil {
-			logger.Warn("journal is partial", "err", err, "dropped", jw.Dropped())
-		}
-	}()
-
-	det, err := detect.New(detect.Config{
-		Registry:      registry,
-		OS:            winos.NewOS(),
-		DownloadsPath: *downloadsPath,
-		Obs:           obs.Default,
-		Journal:       jw,
-	})
-	if err != nil {
-		return err
-	}
-	if err := det.Start(); err != nil {
-		return err
-	}
-	defer func() { _ = det.Close() }()
-
-	logger.Info("detector running",
-		"detector_id", registry.DetectorID(),
-		"soap_endpoint", det.SOAPURL(),
-		"hook_endpoint", det.HookAddr(),
-		"documents", registry.Len())
-	if jOpts.Path != "" {
-		logger.Info("journaling", "path", jOpts.Path, "session", jOpts.Session)
-	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	// SIGQUIT prints a diagnostic dump (build identity + goroutines) to
-	// stderr and keeps the detector running.
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	var deadline <-chan time.Time
-	if *duration > 0 {
-		deadline = time.After(*duration)
-	}
-
-	seen := 0
-	ticker := time.NewTicker(*pollEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			seen = printNewAlerts(os.Stdout, det, seen, logger)
-		case <-quit:
-			var diag *obs.Diagnostics
-			diag.WriteDump(os.Stderr)
-		case <-stop:
-			seen = printNewAlerts(os.Stdout, det, seen, logger)
-			logger.Info("shutting down", "alerts", seen)
-			return nil
-		case <-deadline:
-			seen = printNewAlerts(os.Stdout, det, seen, logger)
-			logger.Info("duration elapsed", "alerts", seen)
-			return nil
-		}
-	}
-}
-
-// printNewAlerts prints the alerts raised since the first seen ones and
-// returns the new total. The detector retains only its most recent
-// detect.AlertHistory alerts, so a burst larger than that between two
-// polls loses the oldest of the burst; the loss is logged.
-func printNewAlerts(w io.Writer, det *detect.Detector, seen int, logger *slog.Logger) int {
-	alerts, total := det.AlertsSince(seen)
-	if lost := total - seen - len(alerts); lost > 0 {
-		logger.Warn("alerts overwritten before they were printed", "lost", lost)
-	}
-	for _, a := range alerts {
-		printAlert(w, a.DocID, a.Malscore, a.Reason, a.Features.Positive(), a.IsolatedFiles)
-	}
-	return total
+	return runReplay(*replayPath, registry, *downloadsPath, depth, logger)
 }
 
 // printAlert renders one alert on w (the command's data output is stdout;
@@ -188,8 +84,8 @@ func printAlert(w io.Writer, docID string, malscore int, reason string, features
 		docID, malscore, reason, features, isolated)
 }
 
-// runReplay re-feeds a recorded journal through a fresh detector (no
-// listeners) journaling into memory, then diffs the recorded and replayed
+// runReplay re-feeds a recorded journal through a fresh detector
+// journaling into memory, then diffs the recorded and replayed
 // canonical event streams. A clean diff proves the journal deterministically
 // reproduces the live run's feature vectors, malscores and alert order.
 func runReplay(path string, registry *instrument.Registry, downloadsPath string, depth pipeline.Depth, logger *slog.Logger) error {

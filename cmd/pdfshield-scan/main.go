@@ -14,7 +14,7 @@
 //
 //	pdfshield-scan [-analyze] [-depth static|standard|deep|auto]
 //	               [-out instrumented.pdf] [-spec spec.json]
-//	               [-registry registry.json] [-endpoint url]
+//	               [-registry registry.json]
 //	               [-workers N] [-cache] [-cache-entries N]
 //	               [-cache-bytes N] [-metrics-addr host:port]
 //	               [-journal events.jsonl] [-log-level info] [-log-json]
@@ -23,9 +23,12 @@
 // -metrics-addr serves live counters and phase-latency histograms in
 // Prometheus text format on /metrics for the duration of the scan.
 //
+// Monitoring code reports to instrument.DefaultEndpoint, the endpoint of
+// a detector that runs in the reader's process.
+//
 // -journal records a doc-open event per input into a JSONL forensic
-// journal — the front-end half of the record pdfshield-detect -journal
-// continues at runtime.
+// journal. It holds no runtime detector events, so pdfshield-detect
+// -replay has nothing to verify in it.
 package main
 
 import (
@@ -60,7 +63,6 @@ func run() error {
 	outPath := flag.String("out", "", "instrumented output path (default: <input>.instrumented.pdf; single input only)")
 	specPath := flag.String("spec", "", "de-instrumentation spec output path (default: <input>.spec.json; single input only)")
 	registryPath := flag.String("registry", "", "registry JSON to load/append (created when absent)")
-	endpoint := flag.String("endpoint", instrument.DefaultEndpoint, "detector SOAP endpoint embedded in monitoring code")
 	seed := flag.Int64("seed", 0, "randomization seed (0 = time-based)")
 	workers := flag.Int("workers", runtime.NumCPU(), "concurrent workers when scanning multiple inputs")
 	useCache := flag.Bool("cache", true, "deduplicate byte-identical inputs through the content-addressed front-end cache")
@@ -138,7 +140,7 @@ func run() error {
 	}()
 	// The instrumenter and registry are safe for concurrent use; one pair
 	// serves all workers so keys stay unique across the whole scan.
-	ins := instrument.New(registry, instrument.Options{Endpoint: *endpoint, Seed: *seed, Obs: obs.Default})
+	ins := instrument.New(registry, instrument.Options{Seed: *seed, Obs: obs.Default})
 	var fc *cache.Cache
 	if *useCache {
 		fc = cache.New(cache.Config{

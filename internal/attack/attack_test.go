@@ -128,7 +128,7 @@ func TestForgedExitTripsZeroTolerance(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := chains.Chains[0].Source
-	forged := ForgedExitScript(sys.Detector.SOAPURL(),
+	forged := ForgedExitScript(instrument.DefaultEndpoint,
 		sys.Registry.DetectorID()+":000000000000000000000000", body)
 
 	d2 := pdf.NewDocument()

@@ -61,9 +61,7 @@ type Alert struct {
 type DocState struct {
 	InstrKey string
 	DocID    string
-	// PID is the reader process the document is open in (0 when the
-	// sender predates PID-tagged notifications; such documents match any
-	// process).
+	// PID is the reader process the document is open in.
 	PID      int
 	Features Vector
 	// Armed reports that at least one JS-context operation was captured;
@@ -103,11 +101,10 @@ func whitelistedProcess(path string) bool {
 	return false
 }
 
-// Detector is the stand-alone runtime detector.
+// Detector is the runtime detector: an in-process state machine fed one
+// context notification (Notify) or hooked API call (Event) at a time.
 type Detector struct {
 	cfg       Config
-	soap      *soapsrv.Server
-	hooks     *hook.Server
 	downloads *DownloadList
 	sandbox   *sandbox.Sandbox
 
@@ -116,14 +113,10 @@ type Detector struct {
 	// active maps a reader PID to the instrumentation key currently in
 	// Javascript context in that process. The paper assumes one
 	// single-threaded reader; to serve concurrent readers (batch mode) the
-	// detector keys the active context per process. PID 0 is the legacy
-	// "unspecified process" slot used by senders that predate PID tagging.
+	// detector keys the active context per process.
 	active map[int]string
-	// lastMem is the most recent memory sample per reader PID; lastMemAny
-	// is the most recent sample from any process, used as the fallback for
-	// PID-0 notifications.
-	lastMem    map[int]float64
-	lastMemAny float64
+	// lastMem is the most recent memory sample per reader PID.
+	lastMem map[int]float64
 	// alerts is the recent alert history, a ring of at most AlertHistory
 	// entries. alertTotal counts every alert raised; alert number n (0,
 	// 1, … in raise order) sits at index n%AlertHistory while retained.
@@ -136,7 +129,7 @@ type Detector struct {
 // never read it (they come from per-document state, see DocStateFor).
 const AlertHistory = 256
 
-// New creates a detector (not yet started).
+// New creates a detector.
 func New(cfg Config) (*Detector, error) {
 	if cfg.Registry == nil {
 		return nil, errors.New("detect: registry required")
@@ -159,50 +152,8 @@ func New(cfg Config) (*Detector, error) {
 	// A reaped reader PID never reports again (PIDs are not reused), so
 	// its memory sample goes with it.
 	cfg.OS.OnReap(d.forgetProcess)
-	d.soap = soapsrv.NewServer(d.handleNotify)
-	d.hooks = hook.NewServer(d.handleEvent)
-	d.hooks.Obs = cfg.Obs
 	return d, nil
 }
-
-// Start launches the SOAP and hook wire servers, for a detector that
-// serves reader processes outside its own (pdfshield-detect). Readers in
-// the detector's process call Notify and Event directly and need no
-// server.
-func (d *Detector) Start() error {
-	if err := d.soap.Start(); err != nil {
-		return err
-	}
-	if err := d.hooks.Start(); err != nil {
-		_ = d.soap.Close()
-		return err
-	}
-	return nil
-}
-
-// Close shuts the wire servers down; it is a no-op when Start never ran.
-func (d *Detector) Close() error {
-	err1 := d.soap.Close()
-	err2 := d.hooks.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// SOAPURL returns the context-notification endpoint that monitoring code
-// embeds: the SOAP server's URL once Start has run, else
-// instrument.DefaultEndpoint, whose requests an in-process reader hands to
-// Notify.
-func (d *Detector) SOAPURL() string {
-	if d.soap.Addr() == "" {
-		return instrument.DefaultEndpoint
-	}
-	return d.soap.URL()
-}
-
-// HookAddr returns the hook TCP endpoint ("" until Start).
-func (d *Detector) HookAddr() string { return d.hooks.Addr() }
 
 // Sandbox exposes the confinement sandbox (tests and examples).
 func (d *Detector) Sandbox() *sandbox.Sandbox { return d.sandbox }
@@ -213,24 +164,13 @@ func (d *Detector) Downloads() *DownloadList { return d.downloads }
 // Alerts returns the most recent raised alerts (at most AlertHistory),
 // oldest first.
 func (d *Detector) Alerts() []Alert {
-	alerts, _ := d.AlertsSince(0)
-	return alerts
-}
-
-// AlertsSince returns the retained alerts numbered seen or later, oldest
-// first, and how many alerts have been raised in total. A caller that
-// reports alerts as they arrive passes the total it got last time; the
-// total-seen-len(alerts) alerts it did not get were overwritten before
-// it asked.
-func (d *Detector) AlertsSince(seen int) (alerts []Alert, total int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	seen = max(seen, d.alertTotal-len(d.alerts))
-	alerts = make([]Alert, 0, max(d.alertTotal-seen, 0))
-	for n := seen; n < d.alertTotal; n++ {
+	alerts := make([]Alert, 0, len(d.alerts))
+	for n := d.alertTotal - len(d.alerts); n < d.alertTotal; n++ {
 		alerts = append(alerts, d.alerts[n%AlertHistory])
 	}
-	return alerts, d.alertTotal
+	return alerts
 }
 
 // recordAlertLocked appends a to the alert history, overwriting the
@@ -283,20 +223,6 @@ func (d *Detector) IsMalicious(docID string) bool {
 	return false
 }
 
-// Notify feeds one context notification directly into the detector,
-// bypassing the SOAP transport. In-process readers (soapsrv.Direct), the
-// SOAP server and journal.Replay all deliver to this same method.
-func (d *Detector) Notify(n soapsrv.Notify, remote string) error {
-	return d.handleNotify(n, remote)
-}
-
-// Event feeds one hooked API call directly into the detector, bypassing
-// the TCP transport. In-process readers (hook.DirectSink), the hook server
-// and journal.Replay all deliver to this same method.
-func (d *Detector) Event(ev hook.Event) hook.Decision {
-	return d.handleEvent(ev)
-}
-
 // ForgetDoc drops the volatile per-document state (malscore is volatile:
 // it no longer exists once the reader closes, §III-E).
 func (d *Detector) ForgetDoc(instrKey string) {
@@ -313,7 +239,10 @@ func (d *Detector) ForgetDoc(instrKey string) {
 
 // ---- SOAP context notifications ----
 
-func (d *Detector) handleNotify(n soapsrv.Notify, remote string) error {
+// Notify feeds one context notification into the detector. In-process
+// readers (soapsrv.Direct), a soapsrv.Server and journal.Replay all
+// deliver to this method; remote names the sender and is not used.
+func (d *Detector) Notify(n soapsrv.Notify, remote string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
@@ -328,7 +257,7 @@ func (d *Detector) handleNotify(n soapsrv.Notify, remote string) error {
 	k, _ := instrument.ParseKey(n.Key)
 	st := d.docStateLocked(k.InstrKey, rec)
 	st.PID = n.PID
-	mem := d.memForLocked(n.PID)
+	mem := d.lastMem[n.PID]
 	d.journalCtx(n, st, mem)
 
 	switch n.Event {
@@ -346,16 +275,6 @@ func (d *Detector) handleNotify(n soapsrv.Notify, remote string) error {
 		d.evaluateLocked(st)
 	}
 	return nil
-}
-
-// memForLocked returns the freshest memory sample for a reader process,
-// falling back to the most recent sample from any process when the PID has
-// never reported one (legacy PID-0 senders).
-func (d *Detector) memForLocked(pid int) float64 {
-	if mem, ok := d.lastMem[pid]; ok {
-		return mem
-	}
-	return d.lastMemAny
 }
 
 func (d *Detector) fakeMessageLocked(n soapsrv.Notify, cause error) {
@@ -405,12 +324,14 @@ func (d *Detector) docStateLocked(instrKey string, rec instrument.DocRecord) *Do
 
 // ---- hook events ----
 
-func (d *Detector) handleEvent(ev hook.Event) hook.Decision {
+// Event feeds one hooked API call into the detector and returns its
+// confinement decision. In-process readers (hook.DirectSink), a
+// hook.Server and journal.Replay all deliver to this method.
+func (d *Detector) Event(ev hook.Event) hook.Decision {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
 	d.lastMem[ev.PID] = ev.MemMB
-	d.lastMemAny = ev.MemMB
 	active := d.activeDocLocked(ev.PID)
 	if active != nil && active.InContext {
 		if ev.MemMB > active.PeakMemMB {
@@ -423,7 +344,7 @@ func (d *Detector) handleEvent(ev hook.Event) hook.Decision {
 }
 
 // decideLocked dispatches one event to its behaviour handler and returns
-// the confinement decision (split from handleEvent so the journal can
+// the confinement decision (split from Event so the journal can
 // record the event together with its decision).
 func (d *Detector) decideLocked(ev hook.Event, active *DocState) hook.Decision {
 	switch ev.Behavior() {
@@ -449,29 +370,12 @@ func (d *Detector) decideLocked(ev hook.Event, active *DocState) hook.Decision {
 }
 
 // activeDocLocked resolves the document currently in Javascript context for
-// a reader process. Legacy fallbacks keep single-reader senders working: a
-// PID-0 enter claims whatever process raises events, and a PID-0 event (or
-// notification) matches a sole active context.
+// a reader process (nil when none is).
 func (d *Detector) activeDocLocked(pid int) *DocState {
 	if key, ok := d.active[pid]; ok {
 		return d.docs[key]
 	}
-	if key, ok := d.active[0]; ok {
-		return d.docs[key]
-	}
-	if pid == 0 && len(d.active) == 1 {
-		for _, key := range d.active {
-			return d.docs[key]
-		}
-	}
 	return nil
-}
-
-// sameProcessLocked reports whether a document's state may be affected by
-// an event from the given reader PID. PID 0 on either side means
-// "unspecified process" and matches everything (legacy single-reader mode).
-func (d *Detector) sameProcessLocked(st *DocState, pid int) bool {
-	return st.PID == pid || st.PID == 0 || pid == 0
 }
 
 func (d *Detector) updateMemoryFeatureLocked(st *DocState, curMemMB float64) {
@@ -523,17 +427,15 @@ func (d *Detector) onDropLocked(ev hook.Event, active *DocState) hook.Decision {
 }
 
 // isOwnEndpoint whitelists communications between the runtime detector and
-// the context monitoring code (§III-D).
-func (d *Detector) isOwnEndpoint(hostport string) bool {
-	if hostport == "" {
-		return false
-	}
-	return hostport == instrument.DefaultEndpointAddr || hostport == d.soap.Addr() || hostport == d.hooks.Addr()
+// the context monitoring code (§III-D): the endpoint every monitor reports
+// to.
+func isOwnEndpoint(hostport string) bool {
+	return hostport == instrument.DefaultEndpointAddr
 }
 
 func (d *Detector) onNetworkLocked(ev hook.Event, active *DocState) hook.Decision {
 	host := ev.Arg(0)
-	if d.isOwnEndpoint(host) {
+	if isOwnEndpoint(host) {
 		return hook.Decision{Action: hook.ActionAllow, Note: "detector channel whitelisted"}
 	}
 	if active != nil && active.InContext {
@@ -577,7 +479,7 @@ func (d *Detector) onProcessLocked(ev hook.Event, active *DocState) hook.Decisio
 		// Out-JS process creation counts for every armed document open in
 		// the same reader process.
 		for _, st := range d.docs {
-			if st.Armed && d.sameProcessLocked(st, ev.PID) {
+			if st.Armed && st.PID == ev.PID {
 				d.markOutJSLocked(st, FOutJSProc, "outjs-process: "+path)
 				d.evaluateLocked(st)
 			}
@@ -604,7 +506,7 @@ func (d *Detector) onProcessLocked(ev hook.Event, active *DocState) hook.Decisio
 
 func (d *Detector) someArmedDocLocked(pid int) *DocState {
 	for _, st := range d.docs {
-		if st.Armed && d.sameProcessLocked(st, pid) {
+		if st.Armed && st.PID == pid {
 			return st
 		}
 	}
@@ -619,7 +521,7 @@ func (d *Detector) onInjectLocked(ev hook.Event, active *DocState) hook.Decision
 		d.evaluateLocked(active)
 	} else {
 		for _, st := range d.docs {
-			if st.Armed && d.sameProcessLocked(st, ev.PID) {
+			if st.Armed && st.PID == ev.PID {
 				d.markOutJSLocked(st, FOutJSInject, "outjs-dll-inject: "+dll)
 				st.InjectedDLLs = append(st.InjectedDLLs, dll)
 				d.evaluateLocked(st)

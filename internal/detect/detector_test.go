@@ -64,8 +64,8 @@ type harness struct {
 	det      *Detector
 	reg      *instrument.Registry
 	osState  *winos.OS
-	client   *hook.TCPClient
-	soap     *soapsrv.Client
+	client   *hook.DirectSink
+	soap     *soapsrv.Direct
 	wireKey  string
 	instrKey string
 }
@@ -87,22 +87,13 @@ func newHarness(t *testing.T, static [5]int) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := det.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = det.Close() })
-	client, err := hook.Dial(det.HookAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = client.Close() })
 	return &harness{
 		t:        t,
 		det:      det,
 		reg:      reg,
 		osState:  osState,
-		client:   client,
-		soap:     soapsrv.NewClient(det.SOAPURL()),
+		client:   hook.NewDirectSink(det.Event),
+		soap:     soapsrv.NewDirect(det.Notify),
 		wireKey:  "det01:key123",
 		instrKey: "key123",
 	}
@@ -111,7 +102,7 @@ func newHarness(t *testing.T, static [5]int) *harness {
 func (h *harness) enter(mem float64) {
 	h.t.Helper()
 	h.api("ctx.mem", mem)
-	if _, err := h.soap.Send(soapsrv.Notify{Event: soapsrv.EventEnter, Key: h.wireKey, Seq: 1}); err != nil {
+	if _, err := h.soap.Send(soapsrv.Notify{Event: soapsrv.EventEnter, Key: h.wireKey, Seq: 1, PID: 1}); err != nil {
 		h.t.Fatalf("enter: %v", err)
 	}
 }
@@ -119,7 +110,7 @@ func (h *harness) enter(mem float64) {
 func (h *harness) exit(mem float64) {
 	h.t.Helper()
 	h.api("ctx.mem", mem)
-	if _, err := h.soap.Send(soapsrv.Notify{Event: soapsrv.EventExit, Key: h.wireKey, Seq: 1}); err != nil {
+	if _, err := h.soap.Send(soapsrv.Notify{Event: soapsrv.EventExit, Key: h.wireKey, Seq: 1, PID: 1}); err != nil {
 		h.t.Fatalf("exit: %v", err)
 	}
 }
@@ -258,7 +249,7 @@ func TestFakeMessageZeroTolerance(t *testing.T) {
 	// Attacker (inside the active document) sends a forged exit with a
 	// wrong key, trying to mimic the epilogue.
 	h.enter(50)
-	if _, err := h.soap.Send(soapsrv.Notify{Event: soapsrv.EventExit, Key: "det01:stolenkey", Seq: 9}); err == nil {
+	if _, err := h.soap.Send(soapsrv.Notify{Event: soapsrv.EventExit, Key: "det01:stolenkey", Seq: 9, PID: 1}); err == nil {
 		t.Error("forged message should produce a SOAP fault")
 	}
 	alerts := h.det.Alerts()
@@ -275,7 +266,7 @@ func TestFakeMessageZeroTolerance(t *testing.T) {
 
 func TestFakeMessageForeignDetectorID(t *testing.T) {
 	h := newHarness(t, [5]int{})
-	if _, err := h.soap.Send(soapsrv.Notify{Event: soapsrv.EventEnter, Key: "otherdet:key123", Seq: 1}); err == nil {
+	if _, err := h.soap.Send(soapsrv.Notify{Event: soapsrv.EventEnter, Key: "otherdet:key123", Seq: 1, PID: 1}); err == nil {
 		t.Error("foreign detector id should fault")
 	}
 	if len(h.det.Alerts()) != 1 {
@@ -295,20 +286,12 @@ func TestMultiDocCooperation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := det.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = det.Close() }()
-	client, err := hook.Dial(det.HookAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = client.Close() }()
-	soap := soapsrv.NewClient(det.SOAPURL())
+	client := hook.NewDirectSink(det.Event)
+	soap := soapsrv.NewDirect(det.Notify)
 
 	send := func(ev, key string) {
 		t.Helper()
-		if _, err := soap.Send(soapsrv.Notify{Event: ev, Key: key, Seq: 1}); err != nil {
+		if _, err := soap.Send(soapsrv.Notify{Event: ev, Key: key, Seq: 1, PID: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -389,7 +372,7 @@ func TestNetworkAccessFeature(t *testing.T) {
 		t.Error("network feature not set")
 	}
 	// Detector's own channel is whitelisted.
-	h.api("connect", 51, h.det.HookAddr())
+	h.api("connect", 51, instrument.DefaultEndpointAddr)
 	st, _ = h.det.DocStateFor(h.instrKey)
 	if len(st.Ops) != 1 {
 		t.Errorf("whitelisted connect recorded: %v", st.Ops)
@@ -499,13 +482,6 @@ func TestAlertHistoryIsBoundedRing(t *testing.T) {
 		if want := fmt.Sprintf("doc-%03d", i+extra); a.DocID != want {
 			t.Fatalf("alert %d names %s, want %s (oldest first)", i, a.DocID, want)
 		}
-	}
-	since, total := det.AlertsSince(AlertHistory + extra - 3)
-	if total != AlertHistory+extra || len(since) != 3 || since[0].DocID != fmt.Sprintf("doc-%03d", AlertHistory+extra-3) {
-		t.Errorf("AlertsSince = %d alerts (first %+v), total %d; want the last 3 of %d", len(since), since, total, AlertHistory+extra)
-	}
-	if since, _ := det.AlertsSince(0); len(since) != AlertHistory {
-		t.Errorf("AlertsSince(0) = %d alerts, want the %d retained", len(since), AlertHistory)
 	}
 	if det.IsMalicious("doc-000") {
 		t.Error("an overwritten alert still convicts")

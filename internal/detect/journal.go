@@ -7,8 +7,8 @@ import (
 )
 
 // The detector implements journal.Sink: Notify, Event and ForgetDoc are
-// the same methods the live SOAP and hook servers deliver into, so a
-// recorded journal replays through an identical code path.
+// the same methods live readers deliver into, so a recorded journal
+// replays through an identical code path.
 var _ journal.Sink = (*Detector)(nil)
 
 // Every journal* helper below runs while d.mu is held, which is the

@@ -1,8 +1,10 @@
-// Package detect implements the back-end runtime detector of the system: a
-// stand-alone process with a tiny SOAP server (context notifications from
-// instrumented documents) and a TCP hook endpoint (captured API calls from
-// the reader's hook DLL). It maintains a per-document malscore following
-// Equation 1 of the paper and executes the confinement rules of Table III.
+// Package detect implements the back-end runtime detector of the system.
+// The paper runs it as a process of its own behind a SOAP server (context
+// notifications from instrumented documents) and a TCP hook endpoint
+// (captured API calls from the reader's hook DLL); here it is an
+// in-process state machine that readers call directly. It maintains a
+// per-document malscore following Equation 1 of the paper and executes
+// the confinement rules of Table III.
 package detect
 
 import (

@@ -240,7 +240,7 @@ func SecurityAnalysis(cfg Config) Result {
 	fakeOutcome := "error"
 	sys, err := pipeline.NewSystem(pipeline.Options{ViewerVersion: 8.0, Seed: cfg.seed() + 13})
 	if err == nil {
-		forged := attack.ForgedExitScript(sys.Detector.SOAPURL(),
+		forged := attack.ForgedExitScript(instrument.DefaultEndpoint,
 			sys.Registry.DetectorID()+":deadbeefdeadbeefdeadbeef", "var y = 2;")
 		v, perr := sys.ProcessDocumentContext(context.Background(), "forger", buildSingleScriptDoc(forged))
 		if perr == nil && v.Malicious && v.Alert.Reason == "fake-message" {

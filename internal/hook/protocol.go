@@ -3,8 +3,9 @@
 // IAT-hook DLL. Captured API calls (name, arguments, current memory usage)
 // go to the detector, and its confinement decision comes back
 // synchronously — the channel §III-E describes. A reader in the detector's
-// process calls it directly (DirectSink); one outside it streams JSON lines
-// over a TCP socket (TCPClient to Server).
+// process calls it directly (DirectSink), as every reader here does;
+// TCPClient and Server stream the same calls as JSON lines over a TCP
+// socket and stay as the wire reference DirectSink is tested against.
 package hook
 
 import "fmt"

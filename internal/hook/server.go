@@ -8,8 +8,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"pdfshield/internal/obs"
 )
 
 // Handler decides one event. It runs on the detector side.
@@ -23,13 +21,12 @@ const (
 	acceptBackoffMax = time.Second
 )
 
-// Server is the detector-side TCP endpoint receiving hook events.
+// Server is the detector-side TCP endpoint receiving hook events: it serves
+// a Handler (in practice detect.Detector.Event) over TCP. The detector
+// itself starts none; the wire-parity tests and the traced benchmark flow
+// start one to compare the wire path with DirectSink.
 type Server struct {
 	handler Handler
-
-	// Obs, when set before Start, counts accept-loop errors
-	// (obs.MetricHookAcceptErrors). Nil-safe.
-	Obs *obs.Registry
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -87,8 +84,8 @@ func (s *Server) Close() error {
 // error — file-descriptor exhaustion under load, an aborted handshake —
 // must not end the loop: the listener stays bound, so giving up would
 // leave every future reader process unable to deliver hook events while
-// the detector looks healthy. Transient failures are counted and retried
-// with capped exponential backoff; only a closed listener (or Close) exits.
+// the detector looks healthy. Transient failures are retried with capped
+// exponential backoff; only a closed listener (or Close) exits.
 func (s *Server) acceptLoop(ln net.Listener) {
 	backoff := acceptBackoffMin
 	for {
@@ -103,7 +100,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			if closed {
 				return
 			}
-			s.Obs.Inc(obs.MetricHookAcceptErrors)
 			time.Sleep(backoff)
 			if backoff *= 2; backoff > acceptBackoffMax {
 				backoff = acceptBackoffMax

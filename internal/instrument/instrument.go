@@ -28,9 +28,9 @@ const DefaultEndpoint = "http://" + DefaultEndpointAddr + "/ctx"
 type Options struct {
 	// Endpoint is the detector SOAP URL embedded in monitoring code.
 	Endpoint string
-	// Seed seeds the randomization RNG; 0 derives a seed from crypto/rand
-	// via the registry's detector id, keeping runs reproducible only when
-	// explicitly requested.
+	// Seed seeds the randomization RNG; 0 seeds it from the current time
+	// (time.Now().UnixNano()), so runs are reproducible only when a seed
+	// is given.
 	Seed int64
 	// Obs, when non-nil, receives the front-end phase latency histograms
 	// (parse/analyze/instrument) and instrumentation counters. Embedded

@@ -254,7 +254,7 @@ type Options struct {
 	Obs *obs.Registry
 	// FlushEach flushes the buffered writer after every event. Costs a
 	// syscall per event but makes the journal durable line-by-line (the
-	// stand-alone detector CLI records this way).
+	// commands' -journal flag records this way).
 	FlushEach bool
 	// RecentEvents sizes the in-memory ring of the latest events kept for
 	// live diagnostics (the stall watchdog attaches a wedged document's

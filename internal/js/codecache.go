@@ -160,17 +160,6 @@ func (c *UnitCache) Load(src string) (*Code, error) {
 // monitoring code so the first reader open of a document runs warm.
 func (c *UnitCache) Warm(src string) { _, _ = c.Load(src) }
 
-// Contains reports whether a unit for src is cached, without touching LRU
-// order or counters (used by tests and the recycle regression check).
-func (c *UnitCache) Contains(src string) bool {
-	key := UnitKeyFor(src)
-	sh := c.shard(key)
-	sh.mu.Lock()
-	_, ok := sh.entries[key]
-	sh.mu.Unlock()
-	return ok
-}
-
 // Stats snapshots the cache counters.
 func (c *UnitCache) Stats() UnitCacheStats {
 	return UnitCacheStats{

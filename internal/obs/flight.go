@@ -75,6 +75,9 @@ type FlightRecorder struct {
 	seq    uint64
 	recent ring
 	tail   ring
+	// retained holds the MetricFlightRetained counter of each retention
+	// reason (nil without cfg.Obs).
+	retained map[string]*Counter
 }
 
 // ring is a fixed-size overwrite-oldest buffer of trace records.
@@ -133,12 +136,16 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	if cfg.Tail > 0 {
 		f.tail = newRing(cfg.Tail)
 	}
-	// Preregister the retention counters at zero so scrapes (and the
-	// metric-drift lint) see every reason series from the start.
-	for _, reason := range []string{
-		RetainErrored, RetainCrashed, RetainQuarantined, RetainDeepScan, RetainSlow,
-	} {
-		cfg.Obs.CounterAdd(Series(MetricFlightRetained, "reason", reason), 0)
+	// Register the retention counters at zero so scrapes (and the
+	// metric-drift lint) see every reason series from the start, and keep
+	// them so Record formats no series name.
+	if cfg.Obs != nil {
+		f.retained = make(map[string]*Counter)
+		for _, reason := range []string{
+			RetainErrored, RetainCrashed, RetainQuarantined, RetainDeepScan, RetainSlow,
+		} {
+			f.retained[reason] = cfg.Obs.Counter(Series(MetricFlightRetained, "reason", reason))
+		}
 	}
 	return f
 }
@@ -188,7 +195,9 @@ func (f *FlightRecorder) Record(tr *Trace, total time.Duration) {
 	}
 	f.mu.Unlock()
 	for _, reason := range reasons {
-		f.cfg.Obs.Inc(Series(MetricFlightRetained, "reason", reason))
+		if c := f.retained[reason]; c != nil {
+			c.Inc()
+		}
 	}
 }
 

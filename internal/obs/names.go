@@ -38,10 +38,6 @@ const (
 	MetricFakeMessages    = "pdfshield_fake_messages_total"
 	MetricFeatureTriggers = "pdfshield_feature_triggers_total"
 
-	// MetricHookAcceptErrors counts transient Accept failures on the
-	// detector's hook listener (retried with backoff, never fatal).
-	MetricHookAcceptErrors = "pdfshield_hook_accept_errors_total"
-
 	// Ingestion daemon series (internal/serve). Admission is the bounded
 	// queue in front of the scan workers; rejections carry a reason label
 	// ("queue" = backpressure 429, "ratelimit" = tenant bucket empty,

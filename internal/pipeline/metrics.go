@@ -23,8 +23,8 @@ func preregisterMetrics(reg *obs.Registry) {
 		obs.MetricDocsCrashed, obs.MetricDocsErrored, obs.MetricPanics,
 		// Front-end (internal/instrument).
 		obs.MetricDocsInstrumented, obs.MetricScripts, obs.MetricStagedRewrites,
-		// Runtime detector (internal/detect) and its hook listener.
-		obs.MetricAlerts, obs.MetricFakeMessages, obs.MetricHookAcceptErrors,
+		// Runtime detector (internal/detect).
+		obs.MetricAlerts, obs.MetricFakeMessages,
 		// Deep-scan accounting.
 		obs.MetricDeepScanPaths, obs.MetricDeepScanBudget,
 	} {

@@ -141,10 +141,9 @@ func NewSystem(opts Options) (*System, error) {
 		jsUnits = js.DefaultUnits
 	}
 	ins := instrument.New(registry, instrument.Options{
-		Endpoint: det.SOAPURL(),
-		Seed:     opts.Seed,
-		Obs:      obsReg,
-		Units:    jsUnits,
+		Seed:  opts.Seed,
+		Obs:   obsReg,
+		Units: jsUnits,
 	})
 	sys := &System{
 		Registry:     registry,
@@ -368,10 +367,10 @@ func artifactKey(res *instrument.Result) string {
 	return ""
 }
 
-// Close stops the diagnostics watchdog and any detector wire servers.
+// Close stops the diagnostics watchdog.
 func (s *System) Close() error {
 	s.diag.Close()
-	return s.Detector.Close()
+	return nil
 }
 
 // Session is one reader process wired to the detector.

@@ -18,6 +18,7 @@ import (
 	"pdfshield/internal/obs"
 	"pdfshield/internal/pdf"
 	"pdfshield/internal/reader"
+	"pdfshield/internal/soapsrv"
 	"pdfshield/internal/winos"
 )
 
@@ -119,8 +120,8 @@ func parityBase(t *testing.T, depth Depth, docs []BatchDoc) *System {
 
 // runParity processes docs serially through one recycled session, on a
 // fresh detector, OS and journal over base's front-end. With wire set the
-// session reaches the detector through its started wire servers instead
-// of in-process.
+// session reaches the detector through a SOAP server and a hook server
+// wrapping it instead of in-process.
 func runParity(t *testing.T, base *System, docs []BatchDoc, wire bool) parityRun {
 	t.Helper()
 	var buf bytes.Buffer
@@ -130,7 +131,6 @@ func runParity(t *testing.T, base *System, docs []BatchDoc, wire bool) parityRun
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = det.Close() }()
 	opts := base.opts
 	opts.Journal = jw
 	reg := obs.NewRegistry()
@@ -147,15 +147,9 @@ func runParity(t *testing.T, base *System, docs []BatchDoc, wire bool) parityRun
 		keyLocks:     make(map[*instrument.Result]*keyLock),
 	}
 	defer sys.diag.Close()
-	newSession := func() *Session {
-		sess := sys.NewSession()
-		return sess
-	}
+	newSession := sys.NewSession
 	if wire {
-		if err := det.Start(); err != nil {
-			t.Fatal(err)
-		}
-		newSession = func() *Session { return wireSession(t, sys) }
+		newSession = wireSessions(t, sys)
 	}
 
 	var run parityRun
@@ -181,23 +175,37 @@ func runParity(t *testing.T, base *System, docs []BatchDoc, wire bool) parityRun
 	return run
 }
 
-// wireSession wires a reader process to sys's started detector the way a
-// reader outside the detector's process reaches it: a dialled hook
-// connection and SOAP over HTTP.
-func wireSession(t *testing.T, sys *System) *Session {
+// wireSessions starts a hook server and a SOAP server wrapping sys's
+// detector, closed with the test, and returns a session factory that wires
+// each reader process to them the way a reader outside the detector's
+// process would reach it: a dialled hook connection and SOAP over HTTP.
+func wireSessions(t *testing.T, sys *System) func() *Session {
 	t.Helper()
-	tcp, err := hook.Dial(sys.Detector.HookAddr())
-	if err != nil {
-		t.Fatal(err)
+	hookSrv := hook.NewServer(sys.Detector.Event)
+	soapSrv := soapsrv.NewServer(sys.Detector.Notify)
+	for _, srv := range []interface {
+		Start() error
+		Close() error
+	}{hookSrv, soapSrv} {
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
 	}
-	proc := reader.NewProcess(reader.Config{
-		ViewerVersion: sys.opts.ViewerVersion,
-		Sink:          tcp,
-		OS:            sys.OS,
-		DetectorSOAP:  sys.Detector.SOAPURL(),
-		Units:         sys.jsUnits,
-	})
-	return &Session{Proc: proc, sink: tcp}
+	return func() *Session {
+		tcp, err := hook.Dial(hookSrv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		proc := reader.NewProcess(reader.Config{
+			ViewerVersion: sys.opts.ViewerVersion,
+			Sink:          tcp,
+			OS:            sys.OS,
+			DetectorSOAP:  soapSrv.URL(),
+			Units:         sys.jsUnits,
+		})
+		return &Session{Proc: proc, sink: tcp}
+	}
 }
 
 // TestDirectTransportParity runs one mixed batch through sessions that
@@ -265,7 +273,7 @@ func TestOwnEndpointWhitelisted(t *testing.T) {
 		url  string
 		want int
 	}{
-		{sys.Detector.SOAPURL(), 0},
+		{instrument.DefaultEndpoint, 0},
 		{"http://203.0.113.7/ctx", 1},
 	} {
 		raw := scriptDoc(t, fmt.Sprintf(`SOAP.connect(%q);`, tc.url))
@@ -276,9 +284,6 @@ func TestOwnEndpointWhitelisted(t *testing.T) {
 		if got := v.FeatureVector[detect.FNetwork]; got != tc.want {
 			t.Errorf("connect to %s: in-JS network feature = %d, want %d", tc.url, got, tc.want)
 		}
-	}
-	if !strings.HasSuffix(sys.Detector.SOAPURL(), "/ctx") {
-		t.Errorf("endpoint %q does not end in /ctx", sys.Detector.SOAPURL())
 	}
 }
 
@@ -308,9 +313,6 @@ func TestNewSystemOpensNoListener(t *testing.T) {
 	sys, err := NewSystem(Options{Seed: 1405, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if addr := sys.Detector.HookAddr(); addr != "" {
-		t.Errorf("hook server listening on %s", addr)
 	}
 	g := corpus.NewGenerator(1405)
 	mal, _ := g.MaliciousFamily("mal-geticon")

@@ -24,8 +24,10 @@ type Config struct {
 	// whose cURL path ends in /ctx: the detector's in-process entry point
 	// (soapsrv.NewDirect) when reader and detector share a process.
 	Notifier soapsrv.Notifier
-	// DetectorSOAP is a standalone detector's SOAP endpoint, used when
-	// Notifier is nil. Empty on both means no detector is installed.
+	// DetectorSOAP is a soapsrv.Server URL to POST notifications to, used
+	// when Notifier is nil (the wire path the parity tests and the traced
+	// benchmark compare with Direct). Empty on both means no detector is
+	// installed.
 	DetectorSOAP string
 	// Units is the compiled-unit cache shared by every document interpreter
 	// this process creates (nil = js.DefaultUnits). The cache outlives

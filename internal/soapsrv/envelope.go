@@ -2,9 +2,10 @@
 // into its runtime detector ("a tiny SOAP server is built into the detector
 // enabling the communication with the context monitoring code
 // synchronously"), plus the matching client invoked by the SOAP.request
-// Javascript API inside documents. A reader that shares the detector's
-// process delivers the same notifications through Direct instead, with
-// the same acceptance rules and fault text.
+// Javascript API inside documents. Here every reader shares the
+// detector's process and delivers the same notifications through Direct,
+// with the same acceptance rules and fault text; Server and Client stay
+// as the wire reference Direct is tested against.
 //
 // Only the one operation the system needs is exposed: a context
 // notification carrying an event ("enter" or "exit"), the protection key
@@ -38,8 +39,8 @@ type Notify struct {
 	Seq int
 	// PID identifies the reader process hosting the Javascript engine, so
 	// a detector serving several concurrent readers can attribute the
-	// context transition to the right process. Zero means "unspecified"
-	// (legacy senders); the detector then assumes a single reader.
+	// context transition to the right process. Every sender sets it: the
+	// detector has no unspecified-process fallback.
 	PID int
 }
 

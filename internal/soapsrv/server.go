@@ -15,7 +15,10 @@ import (
 // implemented in the handler, not here.
 type Handler func(n Notify, remote string) error
 
-// Server is the tiny SOAP server embedded in the runtime detector.
+// Server is the wire form of the paper's tiny SOAP server: it serves a
+// Handler (in practice detect.Detector.Notify) over HTTP. The detector
+// itself starts none; the wire-parity tests and the traced benchmark flow
+// start one to compare the wire path with Direct.
 type Server struct {
 	handler Handler
 
