@@ -35,19 +35,23 @@ lint-metrics:
 	$(GO) test -run TestMetricNameDrift -count=1 .
 
 # End-to-end daemon smoke: build the pdfshield-serve binary, start it on
-# an ephemeral port, POST a corpus document, assert the verdict JSON, then
-# SIGTERM and require a clean drain with the journal flushed.
+# an ephemeral port, POST a benign and a malicious corpus document, assert
+# the verdict JSON, then SIGTERM and require a clean drain with the
+# journal flushed, and that pdfshield-detect -replay verifies it.
 serve-smoke:
 	$(GO) test -run TestServeSmoke -count=1 ./cmd/pdfshield-serve/
 
 # The replay-determinism gate: a live batch recorded to the forensic
-# journal must replay through a fresh detector with byte-identical
-# canonical events (feature triggers, malscores, alert order) and an
-# unchanged verdict when the journal sink fails. Runs as part of `make
-# test` too (the tests live in internal/pipeline); this target names the
-# invariant so it can be run alone after touching detect/ or journal/.
+# journal must replay, from the journal alone, through a fresh detector
+# with byte-identical canonical events (feature triggers, malscores,
+# alert order) and an unchanged verdict when the journal sink fails;
+# pdfshield-detect must verify recorded batches and reject tampered
+# copies. Runs as part of `make test` too (the tests live in
+# internal/pipeline, internal/detect and cmd/pdfshield-detect); this
+# target names the invariant so it can be run alone after touching
+# detect/ or journal/.
 journal-check:
-	$(GO) test -run 'TestReplay|TestJournal' ./internal/pipeline/... ./internal/journal/...
+	$(GO) test -run 'TestReplay|TestJournal' ./internal/pipeline/... ./internal/journal/... ./internal/detect/... ./cmd/pdfshield-detect/...
 
 # Race-checks the concurrent surface of the batch engine and the
 # observability layer: the worker-pool pipeline (including mid-batch

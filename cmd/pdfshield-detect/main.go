@@ -6,19 +6,19 @@
 //
 // Usage:
 //
-//	pdfshield-detect -registry registry.json -replay events.jsonl
-//	                 [-downloads downloads.json]
+//	pdfshield-detect -replay events.jsonl
 //	                 [-depth static|standard|deep|auto]
 //	                 [-log-level info] [-log-json]
 //
-// -registry must be the registry of the System that recorded the journal:
-// replay validates every recorded context key against it. When the
-// recording contains static triage routes, each routed document is also
-// cross-checked: a confident-benign route must carry a benign verdict, a
-// confident-malicious route a malicious one, and neither may have detector
-// events (the routed document never reached a reader). Alerts raised
-// during the replay print to stdout; any divergence is reported and the
-// command exits non-zero.
+// The journal is the only input: the fresh detector's registry is rebuilt
+// from the recording, whose context events carry each document's key and
+// static features (see detect.Replay). When the recording contains static
+// triage routes, each routed document is also cross-checked: a
+// confident-benign route must carry a benign verdict, a
+// confident-malicious route a malicious one, and neither may have
+// detector events (the routed document never reached a reader). Alerts
+// raised during the replay print to stdout; any divergence is reported
+// and the command exits non-zero.
 package main
 
 import (
@@ -31,7 +31,6 @@ import (
 
 	"pdfshield/internal/cli"
 	"pdfshield/internal/detect"
-	"pdfshield/internal/instrument"
 	"pdfshield/internal/journal"
 	"pdfshield/internal/pipeline"
 	"pdfshield/internal/winos"
@@ -45,8 +44,6 @@ func main() {
 }
 
 func run() error {
-	registryPath := flag.String("registry", "", "registry JSON of the System that recorded the journal (required)")
-	downloadsPath := flag.String("downloads", "", "persistent downloaded-executables list")
 	replayPath := flag.String("replay", "", "journal to replay through a fresh detector and verify (required)")
 	depthFlag := flag.String("depth", "", "scan depth the recording was made at: static|standard|deep|auto (replay cross-checks deep-scan records; -depth deep requires them)")
 	logOpts := cli.RegisterLogFlags(flag.CommandLine)
@@ -66,15 +63,11 @@ func run() error {
 		return err
 	}
 
-	if *registryPath == "" || *replayPath == "" {
+	if *replayPath == "" {
 		flag.Usage()
-		return fmt.Errorf("-registry and -replay are required")
+		return fmt.Errorf("-replay is required")
 	}
-	registry, err := instrument.LoadRegistryJSON(*registryPath)
-	if err != nil {
-		return err
-	}
-	return runReplay(*replayPath, registry, *downloadsPath, depth, logger)
+	return runReplay(os.Stdout, *replayPath, depth, logger)
 }
 
 // printAlert renders one alert on w (the command's data output is stdout;
@@ -88,7 +81,8 @@ func printAlert(w io.Writer, docID string, malscore int, reason string, features
 // journaling into memory, then diffs the recorded and replayed
 // canonical event streams. A clean diff proves the journal deterministically
 // reproduces the live run's feature vectors, malscores and alert order.
-func runReplay(path string, registry *instrument.Registry, downloadsPath string, depth pipeline.Depth, logger *slog.Logger) error {
+// Alerts and the verification summary print on out.
+func runReplay(out io.Writer, path string, depth pipeline.Depth, logger *slog.Logger) error {
 	recorded, err := journal.ReadFile(path)
 	if err != nil {
 		return err
@@ -97,17 +91,10 @@ func runReplay(path string, registry *instrument.Registry, downloadsPath string,
 
 	var replayedBuf bytes.Buffer
 	jw := journal.NewWriter(&replayedBuf, journal.Options{Session: "replay"})
-	det, err := detect.New(detect.Config{
-		Registry:      registry,
-		OS:            winos.NewOS(),
-		DownloadsPath: downloadsPath,
-		Journal:       jw,
-	})
+	_, stats, err := detect.Replay(recorded, detect.Config{OS: winos.NewOS(), Journal: jw})
 	if err != nil {
 		return err
 	}
-
-	stats := journal.Replay(recorded, det)
 	if err := jw.Flush(); err != nil {
 		return fmt.Errorf("replay journal: %w", err)
 	}
@@ -121,7 +108,7 @@ func runReplay(path string, registry *instrument.Registry, downloadsPath string,
 	alerts := 0
 	for _, e := range replayed {
 		if e.T == journal.TypeAlert && e.Alert != nil {
-			printAlert(os.Stdout, e.DocID, e.Alert.Malscore, e.Alert.Reason, e.Alert.Features, e.Alert.Isolated)
+			printAlert(out, e.DocID, e.Alert.Malscore, e.Alert.Reason, e.Alert.Features, e.Alert.Isolated)
 			alerts++
 		}
 	}
@@ -144,13 +131,13 @@ func runReplay(path string, registry *instrument.Registry, downloadsPath string,
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replay verified: %d events deterministic (%d notifies, %d hooks, %d forgets)\n",
+	fmt.Fprintf(out, "replay verified: %d events deterministic (%d notifies, %d hooks, %d forgets)\n",
 		len(journal.CanonStream(recorded)), stats.Notifies, stats.Hooks, stats.Forgets)
 	if routed > 0 {
-		fmt.Printf("triage verified: %d statically routed document(s) consistent with their verdicts\n", routed)
+		fmt.Fprintf(out, "triage verified: %d statically routed document(s) consistent with their verdicts\n", routed)
 	}
 	if deep > 0 {
-		fmt.Printf("deep-scan verified: %d forced-execution record(s) consistent with their verdicts\n", deep)
+		fmt.Fprintf(out, "deep-scan verified: %d forced-execution record(s) consistent with their verdicts\n", deep)
 	}
 	return nil
 }

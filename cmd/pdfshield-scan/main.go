@@ -14,21 +14,19 @@
 //
 //	pdfshield-scan [-analyze] [-depth static|standard|deep|auto]
 //	               [-out instrumented.pdf] [-spec spec.json]
-//	               [-registry registry.json]
 //	               [-workers N] [-cache] [-cache-entries N]
 //	               [-cache-bytes N] [-metrics-addr host:port]
-//	               [-journal events.jsonl] [-log-level info] [-log-json]
+//	               [-log-level info] [-log-json]
 //	               input.pdf [input2.pdf ...]
 //
 // -metrics-addr serves live counters and phase-latency histograms in
 // Prometheus text format on /metrics for the duration of the scan.
 //
 // Monitoring code reports to instrument.DefaultEndpoint, the endpoint of
-// a detector that runs in the reader's process.
-//
-// -journal records a doc-open event per input into a JSONL forensic
-// journal. It holds no runtime detector events, so pdfshield-detect
-// -replay has nothing to verify in it.
+// a detector that runs in the reader's process. Every scan instruments
+// under a fresh registry and detector identity, as pipeline.NewSystem
+// does; the forensic journal belongs to the commands that run the
+// detector (pdfshield-serve -journal).
 package main
 
 import (
@@ -45,7 +43,6 @@ import (
 	"pdfshield/internal/cache"
 	"pdfshield/internal/cli"
 	"pdfshield/internal/instrument"
-	"pdfshield/internal/journal"
 	"pdfshield/internal/obs"
 	"pdfshield/internal/pipeline"
 	"pdfshield/internal/triage"
@@ -62,7 +59,6 @@ func run() error {
 	analyzeOnly := flag.Bool("analyze", false, "analyze only; do not instrument")
 	outPath := flag.String("out", "", "instrumented output path (default: <input>.instrumented.pdf; single input only)")
 	specPath := flag.String("spec", "", "de-instrumentation spec output path (default: <input>.spec.json; single input only)")
-	registryPath := flag.String("registry", "", "registry JSON to load/append (created when absent)")
 	seed := flag.Int64("seed", 0, "randomization seed (0 = time-based)")
 	workers := flag.Int("workers", runtime.NumCPU(), "concurrent workers when scanning multiple inputs")
 	useCache := flag.Bool("cache", true, "deduplicate byte-identical inputs through the content-addressed front-end cache")
@@ -72,7 +68,6 @@ func run() error {
 	pprofOn := flag.Bool("pprof", false, "also mount net/http/pprof at /debug/pprof on -metrics-addr (opt-in)")
 	depthFlag := flag.String("depth", "", "scan depth: static|standard|deep|auto (same vocabulary as the pipeline commands; static and auto include the triage report)")
 	logOpts := cli.RegisterLogFlags(flag.CommandLine)
-	jOpts := cli.RegisterJournalFlags(flag.CommandLine, "pdfshield-scan")
 	flag.Parse()
 
 	logger, err := logOpts.SetupLogger("pdfshield-scan")
@@ -99,22 +94,11 @@ func run() error {
 		return errors.New("-out/-spec require a single input; defaults are used per file otherwise")
 	}
 
-	var registry *instrument.Registry
-	if *registryPath != "" {
-		registry, err = instrument.LoadRegistryJSON(*registryPath)
-		if err != nil && os.IsNotExist(errors.Unwrap(err)) {
-			registry = nil
-		} else if err != nil {
-			return err
-		}
+	id, err := instrument.NewDetectorID(nil)
+	if err != nil {
+		return err
 	}
-	if registry == nil {
-		id, err := instrument.NewDetectorID(nil)
-		if err != nil {
-			return err
-		}
-		registry = instrument.NewRegistry(id)
-	}
+	registry := instrument.NewRegistry(id)
 	if *metricsAddr != "" {
 		srv, err := obs.Default.ServeMetricsDiag(*metricsAddr, nil, *pprofOn)
 		if err != nil {
@@ -123,21 +107,6 @@ func run() error {
 		defer srv.Close()
 		logger.Info("serving metrics", "url", fmt.Sprintf("http://%s/metrics", srv.Addr))
 	}
-	jw, err := jOpts.Open(obs.Default)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if jw == nil {
-			return
-		}
-		if err := jw.Close(); err != nil {
-			logger.Warn("journal close failed", "err", err)
-		}
-		if err := jw.Err(); err != nil {
-			logger.Warn("journal is partial", "err", err, "dropped", jw.Dropped())
-		}
-	}()
 	// The instrumenter and registry are safe for concurrent use; one pair
 	// serves all workers so keys stay unique across the whole scan.
 	ins := instrument.New(registry, instrument.Options{Seed: *seed, Obs: obs.Default})
@@ -166,7 +135,7 @@ func run() error {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				reports[i], errs[i] = scanFile(inputs[i], ins, fc, jw, *analyzeOnly, triageReport, *outPath, *specPath)
+				reports[i], errs[i] = scanFile(inputs[i], ins, fc, *analyzeOnly, triageReport, *outPath, *specPath)
 			}
 		}()
 	}
@@ -196,11 +165,6 @@ func run() error {
 	if firstErr != nil {
 		return fmt.Errorf("one or more inputs failed: %w", firstErr)
 	}
-	if *registryPath != "" {
-		if err := registry.SaveJSON(*registryPath); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -209,14 +173,12 @@ func run() error {
 // ordering is the caller's job. The document is parsed exactly once for
 // analysis: embedded extraction reuses the parsed host instead of a
 // second pdf.Parse over the same bytes.
-func scanFile(input string, ins *instrument.Instrumenter, fc *cache.Cache, jw *journal.Writer, analyzeOnly, useTriage bool, outPath, specPath string) (string, error) {
+func scanFile(input string, ins *instrument.Instrumenter, fc *cache.Cache, analyzeOnly, useTriage bool, outPath, specPath string) (string, error) {
 	var sb strings.Builder
 	raw, err := os.ReadFile(input)
 	if err != nil {
 		return "", err
 	}
-	jw.Append(journal.Event{T: journal.TypeDocOpen, DocID: input, Cause: fmt.Sprintf("%d bytes", len(raw))})
-
 	feats, chains, doc, err := instrument.Analyze(raw)
 	if err != nil {
 		return "", fmt.Errorf("analyze: %w", err)

@@ -24,20 +24,24 @@ var addrRE = regexp.MustCompile(`addr=([0-9.]+:[0-9]+)`)
 
 // TestServeSmoke is the end-to-end daemon smoke test (`make serve-smoke`):
 // build the real binary, start it on an ephemeral port with a journal,
-// POST a corpus document, assert the verdict JSON, send SIGQUIT and
-// require the diagnostic dump on stderr to list the document in its
-// flight recorder section while the daemon keeps serving (/v1/healthz
-// and /v1/debug/slow), then SIGTERM and require a clean drain — exit 0,
-// "drained" logged, and the journaled doc-open flushed to disk.
+// POST a benign and a malicious corpus document, assert the verdict JSON,
+// send SIGQUIT and require the diagnostic dump on stderr to list the
+// benign document in its flight recorder section while the daemon keeps
+// serving (/v1/healthz and /v1/debug/slow), then SIGTERM and require a
+// clean drain — exit 0, "drained" logged, and the journaled doc-open
+// flushed to disk. Last, the real pdfshield-detect binary must verify
+// the daemon's journal by replay, with the journal as its only input.
 func TestServeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the daemon binary")
 	}
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "pdfshield-serve")
-	build := exec.Command("go", "build", "-o", bin, "pdfshield/cmd/pdfshield-serve")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building daemon: %v\n%s", err, out)
+	detectBin := filepath.Join(dir, "pdfshield-detect")
+	for pkg, out := range map[string]string{"pdfshield/cmd/pdfshield-serve": bin, "pdfshield/cmd/pdfshield-detect": detectBin} {
+		if msg, err := exec.Command("go", "build", "-o", out, pkg).CombinedOutput(); err != nil {
+			t.Fatalf("building %s: %v\n%s", pkg, err, msg)
+		}
 	}
 
 	jpath := filepath.Join(dir, "events.jsonl")
@@ -88,36 +92,45 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("daemon never logged its listen address; log so far:\n%s", readLog(&mu, &logbuf))
 	}
 
-	// Scan a benign corpus document.
+	// Scan a benign and a malicious corpus document.
 	g := corpus.NewGenerator(4242)
-	doc := g.BenignFormJS()
-	req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/scan", bytes.NewReader(doc.Raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("X-Doc-Id", "smoke-doc")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("POST /scan: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("scan status %d, body %s", resp.StatusCode, body)
-	}
-	var verdict struct {
-		DocID     string `json:"doc_id"`
-		Malicious bool   `json:"malicious"`
-		Session   string `json:"journal_session"`
-	}
-	if err := json.Unmarshal(body, &verdict); err != nil {
-		t.Fatalf("verdict JSON: %v (%s)", err, body)
-	}
-	if verdict.DocID != "smoke-doc" || verdict.Malicious {
-		t.Fatalf("verdict %s, want benign smoke-doc", body)
-	}
-	if verdict.Session == "" {
-		t.Error("verdict missing journal_session correlation key")
+	mal, _ := g.MaliciousFamily("mal-egghunt")
+	for _, doc := range []struct {
+		id        string
+		raw       []byte
+		malicious bool
+	}{
+		{"smoke-doc", g.BenignFormJS().Raw, false},
+		{"smoke-mal", mal.Raw, true},
+	} {
+		req, err := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/scan", bytes.NewReader(doc.raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Doc-Id", doc.id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("POST /scan: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("scan status %d, body %s", resp.StatusCode, body)
+		}
+		var verdict struct {
+			DocID     string `json:"doc_id"`
+			Malicious bool   `json:"malicious"`
+			Session   string `json:"journal_session"`
+		}
+		if err := json.Unmarshal(body, &verdict); err != nil {
+			t.Fatalf("verdict JSON: %v (%s)", err, body)
+		}
+		if verdict.DocID != doc.id || verdict.Malicious != doc.malicious {
+			t.Fatalf("verdict %s, want %s with malicious=%v", body, doc.id, doc.malicious)
+		}
+		if verdict.Session == "" {
+			t.Error("verdict missing journal_session correlation key")
+		}
 	}
 
 	// SIGQUIT prints the diagnostic dump to stderr and keeps serving.
@@ -145,7 +158,7 @@ func TestServeSmoke(t *testing.T) {
 	if status != http.StatusOK {
 		t.Errorf("healthz status %d after SIGQUIT, want 200", status)
 	}
-	status, body = get(t, "http://"+addr+"/v1/debug/slow")
+	status, body := get(t, "http://"+addr+"/v1/debug/slow")
 	if status != http.StatusOK || !bytes.Contains(body, []byte(`"doc_id": "smoke-doc"`)) {
 		t.Errorf("/v1/debug/slow after SIGQUIT: status %d, body %s; want smoke-doc listed", status, body)
 	}
@@ -194,6 +207,13 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if !open || !verd {
 		t.Errorf("journal missing smoke-doc events (open=%v verdict=%v, %d total)", open, verd, len(events))
+	}
+
+	// The journal alone replays, smoke-mal's alert included: no registry
+	// or other side file.
+	out, err := exec.Command(detectBin, "-replay", jpath).CombinedOutput()
+	if err != nil || !bytes.Contains(out, []byte("replay verified")) || !bytes.Contains(out, []byte("ALERT doc=smoke-mal")) {
+		t.Errorf("pdfshield-detect -replay on the daemon's journal: %v\n%s", err, out)
 	}
 	_ = os.Remove(bin)
 }

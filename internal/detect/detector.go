@@ -22,8 +22,6 @@ type Config struct {
 	Registry *instrument.Registry
 	// OS is the fake OS confinement acts on.
 	OS *winos.OS
-	// DownloadsPath persists the JS-context executable list ("" = memory).
-	DownloadsPath string
 	// Obs, when non-nil, receives alert / fake-message / per-feature
 	// trigger counters.
 	Obs *obs.Registry
@@ -31,7 +29,7 @@ type Config struct {
 	// context transition, hook event with its decision, feature trigger,
 	// confinement action and alert. Appends happen under the detector's
 	// state lock, so journal order is state-machine order — the contract
-	// journal.Replay depends on. Journal sink errors are fail-open (see
+	// Replay depends on. Journal sink errors are fail-open (see
 	// internal/journal) and never affect detection.
 	Journal *journal.Writer
 }
@@ -137,13 +135,9 @@ func New(cfg Config) (*Detector, error) {
 	if cfg.OS == nil {
 		cfg.OS = winos.NewOS()
 	}
-	downloads, err := NewDownloadList(cfg.DownloadsPath)
-	if err != nil {
-		return nil, err
-	}
 	d := &Detector{
 		cfg:       cfg,
-		downloads: downloads,
+		downloads: &DownloadList{entries: make(map[string]DownloadEntry)},
 		sandbox:   sandbox.New(cfg.OS),
 		docs:      make(map[string]*DocState),
 		active:    make(map[int]string),
@@ -158,7 +152,7 @@ func New(cfg Config) (*Detector, error) {
 // Sandbox exposes the confinement sandbox (tests and examples).
 func (d *Detector) Sandbox() *sandbox.Sandbox { return d.sandbox }
 
-// Downloads exposes the persistent executable list.
+// Downloads exposes the list of executables downloaded in JS context.
 func (d *Detector) Downloads() *DownloadList { return d.downloads }
 
 // Alerts returns the most recent raised alerts (at most AlertHistory),
@@ -240,8 +234,8 @@ func (d *Detector) ForgetDoc(instrKey string) {
 // ---- SOAP context notifications ----
 
 // Notify feeds one context notification into the detector. In-process
-// readers (soapsrv.Direct), a soapsrv.Server and journal.Replay all
-// deliver to this method; remote names the sender and is not used.
+// readers (soapsrv.Direct), a soapsrv.Server and Replay all deliver to
+// this method; remote names the sender and is not used.
 func (d *Detector) Notify(n soapsrv.Notify, remote string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -258,7 +252,7 @@ func (d *Detector) Notify(n soapsrv.Notify, remote string) error {
 	st := d.docStateLocked(k.InstrKey, rec)
 	st.PID = n.PID
 	mem := d.lastMem[n.PID]
-	d.journalCtx(n, st, mem)
+	d.journalCtx(n, st, rec.StaticVector, mem)
 
 	switch n.Event {
 	case soapsrv.EventEnter:
@@ -326,7 +320,7 @@ func (d *Detector) docStateLocked(instrKey string, rec instrument.DocRecord) *Do
 
 // Event feeds one hooked API call into the detector and returns its
 // confinement decision. In-process readers (hook.DirectSink), a
-// hook.Server and journal.Replay all deliver to this method.
+// hook.Server and Replay all deliver to this method.
 func (d *Detector) Event(ev hook.Event) hook.Decision {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -406,7 +400,7 @@ func (d *Detector) onDropLocked(ev hook.Event, active *DocState) hook.Decision {
 		d.markLocked(active, FDropping, "injs-drop: "+path)
 		active.DroppedFiles = append(active.DroppedFiles, path)
 		if winos.IsExecutablePath(path) {
-			_ = d.downloads.Add(DownloadEntry{Path: path, DocID: active.DocID, Key: active.InstrKey})
+			d.downloads.Add(DownloadEntry{Path: path, DocID: active.DocID, Key: active.InstrKey})
 		}
 		if active.Alert != nil {
 			d.journalConfine(active, journal.ConfineDropBlocked, path, 0)

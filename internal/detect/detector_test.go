@@ -2,7 +2,6 @@ package detect
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"pdfshield/internal/hook"
@@ -76,7 +75,6 @@ func newHarness(t *testing.T, static [5]int) *harness {
 	rec := instrument.DocRecord{
 		DocID:        "sample.pdf",
 		InstrKey:     "key123",
-		ContentHash:  "hash123",
 		StaticVector: static,
 	}
 	if err := reg.Register(rec); err != nil {
@@ -277,7 +275,7 @@ func TestFakeMessageForeignDetectorID(t *testing.T) {
 func TestMultiDocCooperation(t *testing.T) {
 	reg := instrument.NewRegistry("det01")
 	for _, k := range []string{"keyA", "keyB"} {
-		if err := reg.Register(instrument.DocRecord{DocID: "doc-" + k, InstrKey: k, ContentHash: "h" + k}); err != nil {
+		if err := reg.Register(instrument.DocRecord{DocID: "doc-" + k, InstrKey: k}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,24 +326,6 @@ func TestMultiDocCooperation(t *testing.T) {
 	// Both should alert (two in-JS features each = 18).
 	if len(det.Alerts()) != 2 {
 		t.Errorf("alerts = %d, want 2: %+v", len(det.Alerts()), det.Alerts())
-	}
-}
-
-func TestDownloadListPersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "downloads.json")
-	dl, err := NewDownloadList(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dl.Add(DownloadEntry{Path: `C:\tmp\x.exe`, DocID: "d1", Key: "k1"}); err != nil {
-		t.Fatal(err)
-	}
-	dl2, err := NewDownloadList(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := dl2.Lookup(`c:\TMP\X.EXE`); !ok || e.DocID != "d1" {
-		t.Errorf("persisted lookup = %+v %v", e, ok)
 	}
 }
 

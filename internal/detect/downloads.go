@@ -1,65 +1,37 @@
 package detect
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"strings"
 	"sync"
 )
 
 // DownloadEntry records one executable downloaded in JS context. The list
-// is persistent (unlike the volatile malscore) so cooperating multi-PDF
-// attacks spanning reader sessions are still linked (§III-E).
+// outlives the volatile malscore, so cooperating multi-PDF attacks are
+// still linked after the downloading document's state is gone (§III-E).
 type DownloadEntry struct {
-	Path  string `json:"path"`
-	DocID string `json:"doc_id"`
-	Key   string `json:"key"`
+	Path  string
+	DocID string
+	Key   string
 }
 
-// DownloadList is the persistent list of executables downloaded in JS
-// context.
+// DownloadList is the list of executables downloaded in JS context. It
+// lives as long as its detector: a System links cooperating documents
+// across all the submissions it scans, and a replay starts from the same
+// empty list as its recording.
 type DownloadList struct {
 	mu      sync.Mutex
-	path    string // backing file ("" = memory only)
 	entries map[string]DownloadEntry
-}
-
-// NewDownloadList opens (or creates) the list at path; empty path keeps it
-// in memory.
-func NewDownloadList(path string) (*DownloadList, error) {
-	dl := &DownloadList{path: path, entries: make(map[string]DownloadEntry)}
-	if path == "" {
-		return dl, nil
-	}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return dl, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("download list read: %w", err)
-	}
-	var entries []DownloadEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("download list decode: %w", err)
-	}
-	for _, e := range entries {
-		dl.entries[normExe(e.Path)] = e
-	}
-	return dl, nil
 }
 
 func normExe(p string) string {
 	return strings.ToLower(strings.ReplaceAll(p, "/", "\\"))
 }
 
-// Add records a downloaded executable and persists the list.
-func (dl *DownloadList) Add(e DownloadEntry) error {
+// Add records a downloaded executable.
+func (dl *DownloadList) Add(e DownloadEntry) {
 	dl.mu.Lock()
+	defer dl.mu.Unlock()
 	dl.entries[normExe(e.Path)] = e
-	err := dl.saveLocked()
-	dl.mu.Unlock()
-	return err
 }
 
 // Lookup finds the entry for an executable path.
@@ -75,22 +47,4 @@ func (dl *DownloadList) Len() int {
 	dl.mu.Lock()
 	defer dl.mu.Unlock()
 	return len(dl.entries)
-}
-
-func (dl *DownloadList) saveLocked() error {
-	if dl.path == "" {
-		return nil
-	}
-	entries := make([]DownloadEntry, 0, len(dl.entries))
-	for _, e := range dl.entries {
-		entries = append(entries, e)
-	}
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return fmt.Errorf("download list encode: %w", err)
-	}
-	if err := os.WriteFile(dl.path, data, 0o600); err != nil {
-		return fmt.Errorf("download list write: %w", err)
-	}
-	return nil
 }

@@ -2,14 +2,80 @@ package detect
 
 import (
 	"pdfshield/internal/hook"
+	"pdfshield/internal/instrument"
 	"pdfshield/internal/journal"
 	"pdfshield/internal/soapsrv"
 )
 
-// The detector implements journal.Sink: Notify, Event and ForgetDoc are
-// the same methods live readers deliver into, so a recorded journal
-// replays through an identical code path.
-var _ journal.Sink = (*Detector)(nil)
+// ReplayStats summarizes one replay pass.
+type ReplayStats struct {
+	// Notifies, Hooks and Forgets count re-fed detector inputs.
+	Notifies, Hooks, Forgets int
+	// Skipped counts journal events that are outputs, not inputs (feature,
+	// alert, confine, verdict, ...) — recorded for forensics, reproduced by
+	// the detector, never fed.
+	Skipped int
+}
+
+// Replay feeds a recorded journal through a fresh detector built from cfg
+// and returns it. The journal is the only input: Replay builds
+// cfg.Registry itself, under the detector ID of the recording's validated
+// context keys. Before a ctx event is fed, the record it carries (doc,
+// key, F1–F5) is registered if absent, and a forget event removes its key
+// again. Fake messages are fed as recorded, so they fail validation again
+// with the recorded cause. Notify, Event and ForgetDoc are the methods
+// live readers deliver into, so the replay runs the live code path; with
+// cfg.Journal set, journal.Diff compares what it re-emits with the
+// recording.
+//
+// One live case cannot be rebuilt: a message with a foreign detector ID,
+// sent outside JS context, naming the key of an artifact that had no
+// context transition since its last forget. Live, the registry still held
+// that record and blamed its document; the replay blames none, so the
+// fake-message event diverges under journal.Diff.
+func Replay(events []journal.Event, cfg Config) (*Detector, ReplayStats, error) {
+	var st ReplayStats
+	detectorID := ""
+	for _, e := range events {
+		if e.T == journal.TypeCtx && e.Ctx != nil {
+			if k, err := instrument.ParseKey(e.Ctx.WireKey); err == nil {
+				detectorID = k.DetectorID
+				break
+			}
+		}
+	}
+	reg := instrument.NewRegistry(detectorID)
+	cfg.Registry = reg
+	d, err := New(cfg)
+	if err != nil {
+		return nil, st, err
+	}
+	for _, e := range events {
+		switch {
+		case (e.T == journal.TypeCtx || e.T == journal.TypeFakeMessage) && e.Ctx != nil:
+			if e.T == journal.TypeCtx {
+				// Register keeps a record already present.
+				rec := instrument.DocRecord{DocID: e.DocID, InstrKey: e.Key}
+				copy(rec.StaticVector[:], e.Ctx.Static)
+				_ = reg.Register(rec)
+			}
+			// A fake message fails validation again by construction; the
+			// error is the detector's fault reply, not a replay failure.
+			_ = d.Notify(soapsrv.Notify{Event: e.Ctx.Event, Key: e.Ctx.WireKey, Seq: e.Ctx.Seq, PID: e.PID}, "replay")
+			st.Notifies++
+		case e.T == journal.TypeHook && e.Hook != nil:
+			d.Event(hook.Event{PID: e.PID, API: e.Hook.API, Args: e.Hook.Args, MemMB: e.Hook.MemMB, Seq: e.Hook.Seq})
+			st.Hooks++
+		case e.T == journal.TypeForget:
+			d.ForgetDoc(e.Key)
+			reg.Remove(e.Key)
+			st.Forgets++
+		default:
+			st.Skipped++
+		}
+	}
+	return d, st, nil
+}
 
 // Every journal* helper below runs while d.mu is held, which is the
 // property replay determinism rests on: the journal's append order equals
@@ -17,8 +83,9 @@ var _ journal.Sink = (*Detector)(nil)
 // configured journal (the payload allocation is the only cost worth
 // guarding; Writer.Append itself is nil-safe).
 
-// journalCtx records a validated Javascript-context transition.
-func (d *Detector) journalCtx(n soapsrv.Notify, st *DocState, mem float64) {
+// journalCtx records a validated Javascript-context transition with the
+// F1–F5 vector of the registry record it validated against.
+func (d *Detector) journalCtx(n soapsrv.Notify, st *DocState, static [5]int, mem float64) {
 	if d.cfg.Journal == nil {
 		return
 	}
@@ -27,7 +94,7 @@ func (d *Detector) journalCtx(n soapsrv.Notify, st *DocState, mem float64) {
 		DocID: st.DocID,
 		Key:   st.InstrKey,
 		PID:   n.PID,
-		Ctx:   &journal.Ctx{Event: n.Event, WireKey: n.Key, Seq: n.Seq, MemMB: mem},
+		Ctx:   &journal.Ctx{Event: n.Event, WireKey: n.Key, Seq: n.Seq, MemMB: mem, Static: append([]int(nil), static[:]...)},
 	})
 }
 

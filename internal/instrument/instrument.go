@@ -487,8 +487,6 @@ func (ins *Instrumenter) instrumentBytesDepth(docID string, raw []byte, hash str
 	if err := ins.registry.Register(DocRecord{
 		DocID:        docID,
 		InstrKey:     instrKey,
-		ContentHash:  hash,
-		ScriptCount:  res.ScriptsInstrumented,
 		StaticVector: features.Vector(),
 	}); err != nil {
 		return nil, err

@@ -472,7 +472,7 @@ func TestDeinstrumentRestoresOriginal(t *testing.T) {
 
 func TestRegistryValidate(t *testing.T) {
 	_, reg := newTestInstrumenter(t)
-	rec := DocRecord{DocID: "d", InstrKey: "abc123", ContentHash: "h1"}
+	rec := DocRecord{DocID: "d", InstrKey: "abc123"}
 	if err := reg.Register(rec); err != nil {
 		t.Fatal(err)
 	}

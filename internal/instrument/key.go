@@ -3,12 +3,9 @@ package instrument
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -55,20 +52,18 @@ func NewDetectorID(rng io.Reader) (string, error) { return randHex(rng, keyBytes
 // NewInstrKey generates a per-document instrumentation key.
 func NewInstrKey(rng io.Reader) (string, error) { return randHex(rng, keyBytes) }
 
-// DocRecord describes one instrumented document in the registry.
+// DocRecord describes one instrumented document in the registry. A
+// journaled context transition carries all of it, so an offline replay
+// rebuilds the records it needs from the journal (detect.Replay).
 type DocRecord struct {
 	// DocID is the caller-chosen identity (typically a path or corpus id).
-	DocID string `json:"doc_id"`
+	DocID string
 	// InstrKey is the per-document key.
-	InstrKey string `json:"instr_key"`
-	// ContentHash is the SHA-256 of the pre-instrumentation bytes.
-	ContentHash string `json:"content_hash"`
-	// ScriptCount is the number of monitoring-code insertions.
-	ScriptCount int `json:"script_count"`
+	InstrKey string
 	// StaticVector is the normalized static feature vector [F1..F5]
 	// extracted by the front-end; the runtime detector folds it into the
 	// malscore.
-	StaticVector [5]int `json:"static_vector"`
+	StaticVector [5]int
 }
 
 // Registry maintains the mapping between instrumented documents and keys
@@ -139,53 +134,6 @@ func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.byKey)
-}
-
-// registryFile is the JSON-on-disk form of a registry.
-type registryFile struct {
-	DetectorID string      `json:"detector_id"`
-	Records    []DocRecord `json:"records"`
-}
-
-// SaveJSON persists the registry to path.
-func (r *Registry) SaveJSON(path string) error {
-	r.mu.RLock()
-	file := registryFile{DetectorID: r.detector}
-	for _, rec := range r.byKey {
-		file.Records = append(file.Records, rec)
-	}
-	r.mu.RUnlock()
-	sort.Slice(file.Records, func(i, j int) bool { return file.Records[i].InstrKey < file.Records[j].InstrKey })
-	data, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		return fmt.Errorf("registry encode: %w", err)
-	}
-	if err := os.WriteFile(path, data, 0o600); err != nil {
-		return fmt.Errorf("registry write: %w", err)
-	}
-	return nil
-}
-
-// LoadRegistryJSON reads a registry from path.
-func LoadRegistryJSON(path string) (*Registry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("registry read: %w", err)
-	}
-	var file registryFile
-	if err := json.Unmarshal(data, &file); err != nil {
-		return nil, fmt.Errorf("registry decode: %w", err)
-	}
-	if file.DetectorID == "" {
-		return nil, fmt.Errorf("registry %s: missing detector id", path)
-	}
-	reg := NewRegistry(file.DetectorID)
-	for _, rec := range file.Records {
-		if err := reg.Register(rec); err != nil {
-			return nil, fmt.Errorf("registry %s: %w", path, err)
-		}
-	}
-	return reg, nil
 }
 
 // Validate checks a wire-form key: the DetectorID must match and the

@@ -10,10 +10,10 @@
 //
 // The journal is also the system's golden regression harness: every event
 // the runtime detector consumes (context notifications, hook events,
-// per-document state retirement) is recorded verbatim, so Replay can
-// re-feed the stream through a fresh detector state machine and reproduce
-// the identical feature vectors, malscores and alert ordering offline
-// (see replay.go and `pdfshield-detect -replay`).
+// per-document state retirement) is recorded verbatim, so detect.Replay
+// can re-feed the stream through a fresh detector state machine and
+// reproduce the identical feature vectors, malscores and alert ordering
+// offline (checked by Diff; see `pdfshield-detect -replay`).
 //
 // Writes are lock-cheap (one buffered writer behind a single mutex) and
 // fail-open: a sink error never blocks or fails detection — it is counted
@@ -102,6 +102,11 @@ type Ctx struct {
 	// MemMB is the process-memory sample the detector associated with the
 	// transition (forensic; replay reconstructs it from hook events).
 	MemMB float64 `json:"mem_mb,omitempty"`
+	// Static is the F1–F5 vector of the registry record a TypeCtx event
+	// validated against. With the event's DocID and Key it is the whole
+	// record the detector reads, so replay rebuilds its registry from the
+	// journal alone.
+	Static []int `json:"static,omitempty"`
 }
 
 // Hook is the payload of TypeHook events: the captured call plus the

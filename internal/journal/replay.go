@@ -1,90 +1,18 @@
-// Replay: re-feed a recorded journal through a fresh detector state
-// machine. Every event the detector consumed live (context notifications,
-// hook events, per-document state retirement) was journaled while the
-// detector's state lock was held, so the journal's sequence order is the
-// exact order the state machine observed — feeding the same stream
-// serially into a fresh detector reproduces the identical feature
-// vectors, malscores and alert ordering, offline.
+// Replay verification: a recorded journal is re-fed through a fresh
+// detector state machine (detect.Replay). Every event the detector
+// consumed live (context notifications, hook events, per-document state
+// retirement) was journaled while the detector's state lock was held, so
+// the journal's sequence order is the exact order the state machine
+// observed. Feeding the same stream serially into a fresh detector
+// reproduces the identical feature vectors, malscores and alert ordering,
+// which Diff checks on the canonical forms below.
 package journal
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"pdfshield/internal/hook"
-	"pdfshield/internal/soapsrv"
 )
-
-// Sink is the consumer side of a replay: the runtime detector's direct
-// feeding surface (detect.Detector implements it; the live SOAP and hook
-// servers deliver to the same methods).
-type Sink interface {
-	// Notify processes one context notification. Errors are expected for
-	// fake-message events (zero tolerance produces a SOAP fault live).
-	Notify(n soapsrv.Notify, remote string) error
-	// Event processes one hooked API call and returns the confinement
-	// decision.
-	Event(ev hook.Event) hook.Decision
-	// ForgetDoc retires a document's volatile runtime state.
-	ForgetDoc(instrKey string)
-}
-
-// ReplayStats summarizes one replay pass.
-type ReplayStats struct {
-	// Notifies, Hooks and Forgets count re-fed detector inputs.
-	Notifies, Hooks, Forgets int
-	// Skipped counts journal events that are outputs, not inputs (feature,
-	// alert, confine, verdict, ...) — recorded for forensics, reproduced by
-	// the sink, never fed.
-	Skipped int
-}
-
-// Replay feeds a recorded event stream through sink in journal order.
-// Only detector inputs are re-fed: ctx transitions (valid and fake), hook
-// events, and forget records. Everything else in the journal is detector
-// output and is skipped — a sink wired to its own journal Writer re-emits
-// it, which is exactly what Diff checks.
-func Replay(events []Event, sink Sink) ReplayStats {
-	var st ReplayStats
-	for _, e := range events {
-		switch e.T {
-		case TypeCtx, TypeFakeMessage:
-			if e.Ctx == nil {
-				st.Skipped++
-				continue
-			}
-			// Fake messages fail validation again by construction; the
-			// error is the detector's fault reply, not a replay failure.
-			_ = sink.Notify(soapsrv.Notify{
-				Event: e.Ctx.Event,
-				Key:   e.Ctx.WireKey,
-				Seq:   e.Ctx.Seq,
-				PID:   e.PID,
-			}, "replay")
-			st.Notifies++
-		case TypeHook:
-			if e.Hook == nil {
-				st.Skipped++
-				continue
-			}
-			_ = sink.Event(hook.Event{
-				PID:   e.PID,
-				API:   e.Hook.API,
-				Args:  e.Hook.Args,
-				MemMB: e.Hook.MemMB,
-				Seq:   e.Hook.Seq,
-			})
-			st.Hooks++
-		case TypeForget:
-			sink.ForgetDoc(e.Key)
-			st.Forgets++
-		default:
-			st.Skipped++
-		}
-	}
-	return st
-}
 
 // Canon renders the event's canonical comparison form: the deterministic
 // content a replay must reproduce byte-for-byte. Volatile fields are

@@ -20,6 +20,8 @@ package js
 // for-loop cannot saturate the decision budget before the payload gate
 // is reached.
 
+import "errors"
+
 // Default exploration bounds. Sixteen paths covers every single-flip
 // variant of a script with up to fifteen guards plus the natural run;
 // evasive loaders in the wild gate on one or two conditions.
@@ -190,17 +192,9 @@ func (it *Interp) ExploreForced(cfg ForceConfig, run func() error) ForceResult {
 
 // AsFatal unwraps a FatalError if err carries one.
 func AsFatal(err error) (*FatalError, bool) {
-	for err != nil {
-		if fe, ok := err.(*FatalError); ok {
-			return fe, true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return nil, false
-		}
-		err = u.Unwrap()
-	}
-	return nil, false
+	var fe *FatalError
+	ok := errors.As(err, &fe)
+	return fe, ok
 }
 
 func traceKey(t []bool) string {

@@ -8,7 +8,6 @@ import (
 
 	"pdfshield/internal/corpus"
 	"pdfshield/internal/detect"
-	"pdfshield/internal/instrument"
 	"pdfshield/internal/journal"
 	"pdfshield/internal/obs"
 	"pdfshield/internal/winos"
@@ -61,20 +60,18 @@ func TestReplayDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fresh detector over the same registry, no listeners: the journal is
-	// the only input source.
+	// Fresh detector, no listeners, no registry: the journal is the only
+	// input source.
 	var repBuf bytes.Buffer
 	rep := journal.NewWriter(&repBuf, journal.Options{Session: "replay"})
-	det2, err := detect.New(detect.Config{
-		Registry: replayRegistry(t, sys, res.Verdicts),
-		OS:       winos.NewOS(),
-		Obs:      obs.NewRegistry(),
-		Journal:  rep,
+	det2, stats, err := detect.Replay(recorded, detect.Config{
+		OS:      winos.NewOS(),
+		Obs:     obs.NewRegistry(),
+		Journal: rep,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := journal.Replay(recorded, det2)
 	if stats.Notifies == 0 || stats.Hooks == 0 {
 		t.Fatalf("replay fed nothing: %+v", stats)
 	}
@@ -234,31 +231,4 @@ func TestJournalFailOpen(t *testing.T) {
 	if reg.Snapshot().Counters[obs.MetricJournalErrors] == 0 {
 		t.Error("journal error counter not incremented")
 	}
-}
-
-// replayRegistry rebuilds, under the recording System's detector
-// identity, the registry records of the batch's instrumented artifacts,
-// hosts and attachments: a record lives only as long as its artifact, so
-// the live registry no longer holds them once the batch is done.
-func replayRegistry(t *testing.T, sys *System, verdicts []*Verdict) *instrument.Registry {
-	t.Helper()
-	reg := instrument.NewRegistry(sys.Registry.DetectorID())
-	var add func(res *instrument.Result)
-	add = func(res *instrument.Result) {
-		if _, known := reg.LookupKey(res.Key.InstrKey); res.Key.InstrKey != "" && !known {
-			rec := instrument.DocRecord{DocID: res.DocID, InstrKey: res.Key.InstrKey, StaticVector: res.Features.Vector()}
-			if err := reg.Register(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, emb := range res.Embedded {
-			add(emb)
-		}
-	}
-	for _, v := range verdicts {
-		if v != nil && v.Instrument != nil {
-			add(v.Instrument)
-		}
-	}
-	return reg
 }

@@ -32,8 +32,6 @@ type Options struct {
 	Seed int64
 	// DetectorID fixes the install identity (default: random).
 	DetectorID string
-	// DownloadsPath persists the JS-context executable list.
-	DownloadsPath string
 	// DeinstrumentBenign restores original scripts after a benign verdict
 	// (§III-F).
 	DeinstrumentBenign bool
@@ -50,9 +48,10 @@ type Options struct {
 	// Journal, when non-nil, records the forensic event stream: document
 	// open/verdict boundaries from the pipeline plus every runtime event
 	// the detector processes (context transitions, hook decisions, feature
-	// triggers, confinement, alerts). The recorded stream replays through
-	// a fresh detector via journal.Replay, reproducing identical verdicts
-	// offline. Sink errors are fail-open and never affect processing.
+	// triggers, confinement, alerts). The recorded stream alone replays
+	// through a fresh detector via detect.Replay, reproducing identical
+	// verdicts offline. Sink errors are fail-open and never affect
+	// processing.
 	Journal *journal.Writer
 	// JSUnits overrides the compiled-unit cache shared by this System's
 	// instrumenter and reader sessions (nil = the process-wide
@@ -127,11 +126,10 @@ func NewSystem(opts Options) (*System, error) {
 	registry := instrument.NewRegistry(detID)
 	osState := winos.NewOS()
 	det, err := detect.New(detect.Config{
-		Registry:      registry,
-		OS:            osState,
-		DownloadsPath: opts.DownloadsPath,
-		Obs:           obsReg,
-		Journal:       opts.Journal,
+		Registry: registry,
+		OS:       osState,
+		Obs:      obsReg,
+		Journal:  opts.Journal,
 	})
 	if err != nil {
 		return nil, err

@@ -255,16 +255,14 @@ func TestTriageReplayDeterminism(t *testing.T) {
 
 	var repBuf bytes.Buffer
 	rep := journal.NewWriter(&repBuf, journal.Options{Session: "replay"})
-	det2, err := detect.New(detect.Config{
-		Registry: replayRegistry(t, sys, res.Verdicts),
-		OS:       winos.NewOS(),
-		Obs:      obs.NewRegistry(),
-		Journal:  rep,
+	_, stats, err := detect.Replay(recorded, detect.Config{
+		OS:      winos.NewOS(),
+		Obs:     obs.NewRegistry(),
+		Journal: rep,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := journal.Replay(recorded, det2)
 	if stats.Notifies == 0 || stats.Hooks == 0 {
 		t.Fatalf("replay fed nothing: %+v", stats)
 	}

@@ -1,7 +1,6 @@
 package reader
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -424,7 +423,7 @@ func (p *Process) execScript(od *OpenDoc, source string) {
 	od.jsRuns++
 	_, err := od.interp.Run(source)
 	if err != nil {
-		if fe, ok := errAsFatal(err); ok {
+		if fe, ok := js.AsFatal(err); ok {
 			p.crashed = true
 			od.jsErrs = append(od.jsErrs, "process crash: "+fe.Error())
 			return
@@ -462,7 +461,7 @@ func (p *Process) execScriptForced(od *OpenDoc, source string) {
 	}
 	naturalFatal := false
 	if err := res.NaturalErr; err != nil {
-		if fe, ok := errAsFatal(err); ok {
+		if fe, ok := js.AsFatal(err); ok {
 			naturalFatal = true
 			od.jsErrs = append(od.jsErrs, "process crash: "+fe.Error())
 		} else {
@@ -476,14 +475,6 @@ func (p *Process) execScriptForced(od *OpenDoc, source string) {
 		// when only forced paths died, the natural open survived.
 		p.crashed = crashedBefore
 	}
-}
-
-func errAsFatal(err error) (*js.FatalError, bool) {
-	var fe *js.FatalError
-	if errors.As(err, &fe) {
-		return fe, true
-	}
-	return nil, false
 }
 
 // renderEmbedded processes embedded Flash/font content; malformed content

@@ -75,9 +75,6 @@ type Options struct {
 	// Seed makes instrumentation randomization and corpus generation
 	// reproducible (0 = time-based).
 	Seed int64
-	// DownloadsPath persists the JS-context executable list across
-	// sessions ("" keeps it in memory).
-	DownloadsPath string
 	// DeinstrumentBenign restores original scripts once a document is
 	// classified benign (§III-F).
 	DeinstrumentBenign bool
@@ -138,7 +135,8 @@ func NewJournal(w io.Writer, session string) *Journal {
 
 // OpenJournal creates (truncating) a journal file that flushes after
 // every event, so the record survives a crash mid-scan. The caller owns
-// Close.
+// Close. The file is all `pdfshield-detect -replay` needs to verify the
+// recording offline.
 func OpenJournal(path, session string) (*Journal, error) {
 	return journal.Create(path, journal.Options{Session: session, FlushEach: true})
 }
@@ -197,7 +195,6 @@ func New(opts Options) (*System, error) {
 	inner, err := pipeline.NewSystem(pipeline.Options{
 		ViewerVersion:      opts.ViewerVersion,
 		Seed:               opts.Seed,
-		DownloadsPath:      opts.DownloadsPath,
 		DeinstrumentBenign: opts.DeinstrumentBenign,
 		Cache:              cacheCfg,
 		Obs:                opts.Metrics,
